@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import Budget, Factorization, factorize, is_prime
+from .arith import Budget, Factorization, _mr_witness, factorize, is_prime
 from .errors import ContractViolationError, EffortError
 from .order import _prime_unit_order, coset_count
 
 VERDICT_DEFINITION = "definition"
-VERDICT_CRITERION = "criterion"
 VERDICT_BOTH = "both"
 
 
@@ -58,16 +57,7 @@ def is_strong_psp(n: int, base: int) -> bool:
         return False
     d = n - 1
     s = (d & -d).bit_length() - 1
-    d >>= s
-    x = pow(base, d, n)
-    if x != 1 and x != n - 1:
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return not is_prime(n)
+    return _mr_witness(n, base, d >> s, s) and not is_prime(n)
 
 
 def is_super_poulet(n: int, budget: Budget | None = None,

@@ -15,15 +15,15 @@ from dataclasses import asdict
 
 from .arith import DEFAULT_WORK_UNITS, PROBABLE_PRIME_THRESHOLD, Budget
 from .classify import classify
-from .count import bound_report, bound_report_csv, ov_count
+from .count import _bound_row, bound_report, bound_report_csv, ov_count
 from .errors import ContractViolationError, EffortError
 from .generate import generate_trace, least_overpseudoprime_with_order
 from .order import cyclotomic_cosets
 from .primover import (
+    _omega_bound,
+    _ratio,
     check_mersenne_dichotomy,
-    omega_bound_report,
     primitive_part,
-    primover_ratio,
 )
 from .witness import common_witness, least_witness
 
@@ -128,13 +128,13 @@ def _cmd_primover(args, budget):
         "ratio": None,
     }
     if part.is_full_overpseudoprime:
-        omega, bound = omega_bound_report(args.n, budget)
+        omega, bound = _omega_bound(part)
         result["omega"] = omega
         result["omega_bound"] = bound
     else:
         warnings.append("omega bound needs a composite, fully factored cofactor")
     if part.complete and part.cofactor > 1:
-        result["ratio"] = primover_ratio(args.n, budget)
+        result["ratio"] = _ratio(part)
     else:
         warnings.append("ratio needs a nonempty, fully factored primitive part")
     return [_record("primover", {"n": args.n}, result, budget, warnings)]
@@ -204,9 +204,8 @@ def _cmd_count(args, budget):
         else:
             result["members"] = list(record.members)
     if args.csv:
-        row = bound_report([args.x], budget)
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(bound_report_csv(row))
+            fh.write(bound_report_csv([_bound_row(record.x, record.ov)]))
     return [_record("count", {"x": args.x}, result, budget, warnings)]
 
 
@@ -356,21 +355,10 @@ def _emit_csv(args, records) -> None:
             sys.stdout.write(
                 f"{rec['result']['n']},{'' if value is None else value}\n"
             )
-    elif args.command == "count":
-        rec = records[0]["result"]
-        sys.stdout.write("x,ov,x_3_4,ratio,x_1_2\n")
-        sys.stdout.write(
-            f"{rec['x']},{rec['ov']},{rec['x_3_4']:.6f},{rec['ratio']:.6f},"
-            f"{float(rec['x']) ** 0.5:.6f}\n"
-        )
     else:
-        rows = [rec["result"] for rec in records]
-        sys.stdout.write("x,ov,x_3_4,ratio,x_1_2\n")
-        for row in rows:
-            sys.stdout.write(
-                f"{row['x']},{row['ov']},{row['x_3_4']:.6f},"
-                f"{row['ratio']:.6f},{row['x_1_2']:.6f}\n"
-            )
+        rows = [_bound_row(rec["result"]["x"], rec["result"]["ov"])
+                for rec in records]
+        sys.stdout.write(bound_report_csv(rows))
 
 
 if __name__ == "__main__":

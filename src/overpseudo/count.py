@@ -3,9 +3,10 @@
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x), so h is the order of some
 prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x),
-groups them by order, extends each order along the progression q = 1
-(mod h) capped by both x / p_min(h) and 2**h - 1, admits prime powers
-q**i dividing 2**h - 1, and emits every product of at least two slots.
+groups them by order, and finds the primes of order h up to x / p_min(h):
+factors of Phi_h(2) by trial division along q = 1 (mod h) when Phi_h(2) is
+small, else by an order test of each such q.  Prime powers q**i dividing
+2**h - 1 are admitted and every product of at least two slots is emitted.
 """
 
 from __future__ import annotations
@@ -14,38 +15,47 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .arith import Budget, factorize, is_prime
+from .arith import Budget, _primes_below, factorize, is_prime
 from .errors import EffortError
 from .order import _prime_unit_order
+from .primover import _reduced_cyclotomic_value
 
 MEMBER_CAP = 1_000_000
 
 
-def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
-    """All primes q <= limit with ord_q(2) == h, scanned along q = 1 (mod h)."""
+    """All primes q <= limit with ord_q(2) == h, ascending.
+
+    Candidates are the odd q = 1 (mod h), one unit each, charged up front.
+    If phi(h) < 2 * bits(limit), c = Phi_h(2) without its intrinsic prime is
+    divided by the candidates up to sqrt(c).  Exact: every prime factor of c
+    has order h, a composite q cannot divide c once its smaller prime
+    factors are divided out, and what is left is 1 or a prime.  Otherwise
+    limit < 2**((h-1)/2), and each candidate's order of 2 is tested.
+    """
     if h < 2:
         return []
-    if h <= 63:
-        limit = min(limit, (1 << h) - 1)
     # candidates must be odd: steps of 2h when h is odd, h when even
     start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
     if limit < start:
         return []
-    budget.charge((limit - start) // step + 1)
     h_primes = factorize(h, budget).primes()
+    phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
     out = []
+    if phi < 2 * limit.bit_length():
+        c = _reduced_cyclotomic_value(h)
+        budget.charge((min(limit, math.isqrt(c)) - start) // step + 1)
+        q = start
+        while q <= limit and q * q <= c:
+            if c % q == 0:
+                out.append(q)
+                while c % q == 0:
+                    c //= q
+            q += step
+        if 1 < c <= limit:
+            out.append(c)
+        return out
+    budget.charge((limit - start) // step + 1)
     for q in range(start, limit + 1, step):
         if pow(2, h, q) != 1:
             continue
@@ -100,7 +110,7 @@ def _enumerate_groups(x: int, budget: Budget, *, only_order: int | None = None,
         order_min = {h: seeds[0]} if seeds else {}
     else:
         order_min = {}
-        for p in _primes_upto(root):
+        for p in _primes_below(root + 1):
             if p == 2:
                 continue
             h = _prime_unit_order(2, p, budget)
@@ -184,6 +194,11 @@ class BoundRow:
     x_1_2: float
 
 
+def _bound_row(x: int, ov: int) -> BoundRow:
+    b = float(x) ** 0.75
+    return BoundRow(x, ov, b, ov / b, float(x) ** 0.5)
+
+
 def bound_report(xs, budget: Budget | None = None) -> list[BoundRow]:
     """One row per x: Ov(x) against x**(3/4), with the x**(1/2) reference column.
 
@@ -198,12 +213,7 @@ def bound_report(xs, budget: Budget | None = None) -> list[BoundRow]:
     if budget is None:
         budget = Budget()
     members = enumerate_overpseudoprimes(xs[-1], budget)
-    rows = []
-    for x in xs:
-        ov = bisect_right(members, x)
-        b = float(x) ** 0.75
-        rows.append(BoundRow(x, ov, b, ov / b, float(x) ** 0.5))
-    return rows
+    return [_bound_row(x, bisect_right(members, x)) for x in xs]
 
 
 def bound_report_csv(rows: list[BoundRow]) -> str:

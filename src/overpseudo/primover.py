@@ -49,6 +49,15 @@ def cyclotomic_value(n: int) -> int:
     return num // den
 
 
+def _reduced_cyclotomic_value(n: int) -> int:
+    """Phi_n(2) without its intrinsic prime (the largest prime factor of n)."""
+    value = cyclotomic_value(n)
+    intrinsic = max(factorize(n).primes())
+    while value % intrinsic == 0:
+        value //= intrinsic
+    return value
+
+
 @dataclass(frozen=True)
 class PrimitivePart:
     """Primitive prime powers of 2**n - 1 and their product.
@@ -86,10 +95,7 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
         raise ValueError("n must be >= 2")
     if budget is None:
         budget = Budget()
-    value = cyclotomic_value(n)
-    intrinsic = max(factorize(n).primes())
-    while value % intrinsic == 0:
-        value //= intrinsic
+    value = _reduced_cyclotomic_value(n)
     if value == 1:
         return PrimitivePart(n, (), 1, True, 1, False)
     fz = factorize(value, budget)
@@ -138,15 +144,26 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
     )
 
 
+def _omega_bound(part: PrimitivePart) -> tuple[int, float]:
+    if not part.complete:
+        raise EffortError(f"primitive part of 2**{part.n} - 1 is incomplete")
+    if not part.is_full_overpseudoprime:
+        raise ValueError(f"Pr(2**{part.n} - 1) is not composite")
+    omega = sum(e for _, e in part.primitive_factors)
+    return omega, part.n / math.log2(part.n)
+
+
+def _ratio(part: PrimitivePart) -> float:
+    if not part.complete:
+        raise EffortError(f"primitive part of 2**{part.n} - 1 is incomplete")
+    if part.cofactor == 1:
+        raise ValueError(f"2**{part.n} - 1 has no primitive prime divisor")
+    return math.log((1 << part.n) - 1) / math.log(part.cofactor)
+
+
 def omega_bound_report(n: int, budget: Budget | None = None) -> tuple[int, float]:
     """(Omega(Pr(2**n - 1)), n / log2(n)) for a full overpseudoprime cofactor."""
-    part = primitive_part(n, budget)
-    if not part.complete:
-        raise EffortError(f"primitive part of 2**{n} - 1 is incomplete")
-    if not part.is_full_overpseudoprime:
-        raise ValueError(f"Pr(2**{n} - 1) is not composite")
-    omega = sum(e for _, e in part.primitive_factors)
-    return omega, n / math.log2(n)
+    return _omega_bound(primitive_part(n, budget))
 
 
 def primover_ratio(n: int, budget: Budget | None = None) -> float:
@@ -155,9 +172,4 @@ def primover_ratio(n: int, budget: Budget | None = None) -> float:
     Reported as an empirical exponent only; the constant that bounds it is
     not computable here.
     """
-    part = primitive_part(n, budget)
-    if not part.complete:
-        raise EffortError(f"primitive part of 2**{n} - 1 is incomplete")
-    if part.cofactor == 1:
-        raise ValueError(f"2**{n} - 1 has no primitive prime divisor")
-    return math.log((1 << n) - 1) / math.log(part.cofactor)
+    return _ratio(primitive_part(n, budget))

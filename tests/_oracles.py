@@ -43,6 +43,13 @@ def sympy_overpseudoprimes(x):
     return out
 
 
+def sympy_primes_of_order(h, limit):
+    """Primes q <= limit with ord_q(2) == h, by scanning q = 1 (mod h)."""
+    return [q for q in range(h + 1, limit + 1, h)
+            if pow(2, h, q) == 1 and sympy.isprime(q)
+            and sympy.n_order(2, q) == h]
+
+
 # verified against sympy_overpseudoprimes and the published sequence data
 MEMBERS_1E6 = [
     2047, 3277, 4033, 8321, 65281, 80581, 85489, 88357, 104653, 130561,

@@ -89,6 +89,16 @@ class TestPrimoverCommand:
         assert result["omega"] == 2
         assert result["ratio"] == pytest.approx(2.397637992322646)
 
+    @pytest.mark.parametrize("n", [28, 300])
+    def test_factors_the_primitive_part_once(self, capsys, n):
+        from overpseudo import Budget, primitive_part
+
+        budget = Budget()
+        primitive_part(n, budget)
+        code, records, _ = run_json(capsys, "primover", str(n))
+        assert code == 0
+        assert records[0]["effort_spent"] == budget.spent
+
     def test_zsygmondy_exception_warns(self, capsys):
         code, records, _ = run_json(capsys, "primover", "6")
         assert code == 0
@@ -173,6 +183,17 @@ class TestCountCommand:
         assert path.read_text() == (
             "x,ov,x_3_4,ratio,x_1_2\n2047,1,304.325526,0.003286,45.243784\n"
         )
+
+    def test_csv_file_does_not_enumerate_again(self, capsys, tmp_path):
+        from overpseudo import bound_report, bound_report_csv
+
+        path = tmp_path / "count.csv"
+        code, plain, _ = run_json(capsys, "count", "100000")
+        assert code == 0
+        code, with_csv, _ = run_json(capsys, "count", "100000", "--csv", str(path))
+        assert code == 0
+        assert with_csv[0]["effort_spent"] == plain[0]["effort_spent"]
+        assert path.read_text() == bound_report_csv(bound_report([100000]))
 
 
 class TestBoundReportCommand:

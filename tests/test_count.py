@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from _oracles import MEMBERS_1E6, brute_overpseudoprimes
+from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
+from overpseudo import count as count_module
 from overpseudo import (
     Budget,
     EffortError,
@@ -42,6 +43,33 @@ class TestEnumerate:
         assert "orders below" in str(err.value)
 
 
+class TestPrimesOfOrder:
+    def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
+        factored = []
+        reduced = count_module._reduced_cyclotomic_value
+
+        def spy(h):
+            factored.append(h)
+            return reduced(h)
+
+        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", spy)
+        orders = range(2, 121)
+        for limit in (10**3, 10**5, 10**6):
+            factored.clear()
+            for h in orders:
+                got = count_module._primes_of_order(h, limit, Budget())
+                assert got == sympy_primes_of_order(h, limit), (h, limit)
+            # every order has a candidate below these limits, so the orders
+            # that were not factored went through the order-test scan
+            assert 0 < len(factored) < len(orders)
+
+    def test_charges_fewer_units_than_candidates(self):
+        # Phi_28(2) = 29 * 113: two candidates, not every q = 1 (mod 28) to 2**28
+        budget = Budget()
+        assert count_module._primes_of_order(28, (1 << 28) - 1, budget) == [29, 113]
+        assert budget.spent == 2
+
+
 class TestOvCount:
     def test_boundary_fence(self):
         assert ov_count(3276).ov == 1
@@ -74,6 +102,11 @@ class TestOvCount:
             for m in members_h:
                 from sympy import factorint
                 assert sum(factorint(m).values()) <= omega_cap
+
+    def test_count_at_1e8(self):
+        rec = ov_count(10**8)
+        assert rec.ov == 266
+        assert sum(rec.by_order.values()) == rec.ov
 
     def test_member_cap_drops_list_keeps_counts(self):
         rec = ov_count(10**5, members_cap=3)
