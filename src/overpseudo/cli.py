@@ -172,7 +172,6 @@ def _cmd_table(args, budget):
     if args.n_min < 2 or args.n_max < args.n_min or args.step < 1:
         raise ValueError("need 2 <= n_min <= n_max and step >= 1")
     records = []
-    csv_lines = ["n,least_overpseudoprime"]
     for n in range(args.n_min, args.n_max + 1, args.step):
         value = least_overpseudoprime_with_order(n, budget)
         warnings = [] if value is not None else [
@@ -181,11 +180,19 @@ def _cmd_table(args, budget):
         records.append(_record(
             "table", {"n": n}, {"n": n, "least": value}, budget, warnings,
         ))
-        csv_lines.append(f"{n},{'' if value is None else value}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+            fh.write(_table_csv(records))
     return records
+
+
+def _table_csv(records) -> str:
+    """CSV with header n,least_overpseudoprime; an empty cell when none exists."""
+    lines = ["n,least_overpseudoprime"]
+    for rec in records:
+        value = rec["result"]["least"]
+        lines.append(f"{rec['result']['n']},{'' if value is None else value}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_count(args, budget):
@@ -349,12 +356,7 @@ def main(argv=None) -> int:
 
 def _emit_csv(args, records) -> None:
     if args.command == "table":
-        sys.stdout.write("n,least_overpseudoprime\n")
-        for rec in records:
-            value = rec["result"]["least"]
-            sys.stdout.write(
-                f"{rec['result']['n']},{'' if value is None else value}\n"
-            )
+        sys.stdout.write(_table_csv(records))
     else:
         rows = [_bound_row(rec["result"]["x"], rec["result"]["ov"])
                 for rec in records]

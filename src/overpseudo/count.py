@@ -5,7 +5,9 @@ and its least prime factor is at most sqrt(x), so h is the order of some
 prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x),
 groups them by order, and finds the primes of order h up to x / p_min(h):
 factors of Phi_h(2) by trial division along q = 1 (mod h) when Phi_h(2) is
-small, else by an order test of each such q.  Prime powers q**i dividing
+small, else by an order test of each such q that survives a sieve by small
+primes and a mod-8 mask.  Either way every candidate q = 1 (mod h) costs one
+budget unit, so the sieve changes no charge.  Prime powers q**i dividing
 2**h - 1 are admitted and every product of at least two slots is emitted.
 """
 
@@ -14,13 +16,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
-from .arith import Budget, _primes_below, factorize, is_prime
+from .arith import Budget, _primes_below, factorize, is_prime, small_primes
 from .errors import EffortError
 from .order import _prime_unit_order
 from .primover import _reduced_cyclotomic_value
 
 MEMBER_CAP = 1_000_000
+SIEVE_LIMIT = 2**12
 
 
 def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
@@ -31,7 +35,11 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     divided by the candidates up to sqrt(c).  Exact: every prime factor of c
     has order h, a composite q cannot divide c once its smaller prime
     factors are divided out, and what is left is 1 or a prime.  Otherwise
-    limit < 2**((h-1)/2), and each candidate's order of 2 is tested.
+    limit < 2**((h-1)/2), and each candidate's order of 2 is tested, after a
+    sieve drops the multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT,
+    sqrt(limit), number of candidates) and, when (q-1)/h is even, the
+    q = +-3 (mod 8), which have no square root of 2.  The sieve drops only
+    composites and primes of another order; it charges nothing extra.
     """
     if h < 2:
         return []
@@ -55,8 +63,27 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
         if 1 < c <= limit:
             out.append(c)
         return out
-    budget.charge((limit - start) // step + 1)
-    for q in range(start, limit + 1, step):
+    n = (limit - start) // step + 1
+    budget.charge(n)
+    # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
+    # divides no candidate, and q = 0 (mod r) iff k = -1 - step**-1 (mod r)
+    flags = bytearray(b"\x01") * n
+    primes = small_primes()
+    bound = min(SIEVE_LIMIT, math.isqrt(limit), n)
+    for r in primes[1:bisect_right(primes, bound)]:
+        if step % r == 0:
+            continue
+        # first candidate >= r*r, so that r itself survives
+        k_min = max(0, -(-(r * r - 1) // step) - 1)
+        k = k_min + (-1 - pow(step, -1, r) - k_min) % r
+        flags[k::r] = bytes(len(range(k, n, r)))
+    # ord_q(2) = h | (q-1)/2 makes 2 a square mod q, so q = +-1 (mod 8);
+    # parity of (q-1)/h and q mod 8 have period 4 in k since step is even
+    for k in range(min(4, n)):
+        q = start + k * step
+        if (q - 1) // h % 2 == 0 and q % 8 in (3, 5):
+            flags[k::4] = bytes(len(range(k, n, 4)))
+    for q in compress(range(start, limit + 1, step), flags):
         if pow(2, h, q) != 1:
             continue
         if is_prime(q) and all(pow(2, h // f, q) != 1 for f in h_primes):

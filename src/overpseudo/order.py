@@ -52,13 +52,7 @@ def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -
     """Order of base modulo p**e for odd prime p coprime to base."""
     if budget is None:
         budget = Budget()
-    t = _prime_unit_order(base, p, budget)
-    pk = p
-    for _ in range(1, e):
-        pk *= p
-        if pow(base, t, pk) != 1:
-            t *= p
-    return t
+    return _prime_power_order_chain(base, p, e, budget)[-1]
 
 
 def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[int]:

@@ -152,6 +152,15 @@ class TestTableCommand:
         assert code == 0
         assert out == "n,least_overpseudoprime\n28,3277\n36,4033\n"
 
+    def test_csv_file_matches_csv_format(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        argv = ("table", "28", "44", "--step", "8")
+        code, _, _ = run_json(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+
     def test_orders_without_members_are_reported(self, capsys):
         code, records, _ = run_json(capsys, "table", "20", "20")
         assert code == 0

@@ -69,6 +69,24 @@ class TestPrimesOfOrder:
         assert count_module._primes_of_order(28, (1 << 28) - 1, budget) == [29, 113]
         assert budget.spent == 2
 
+    def test_sieve_keeps_sieving_primes_that_are_candidates(self):
+        # both take the order-test scan, and 53 and 101 are sieving primes
+        assert count_module._primes_of_order(52, 4000, Budget()) == [53, 157, 1613]
+        assert count_module._primes_of_order(100, 10**5, Budget()) == [101, 8101]
+
+    def test_scan_charges_every_candidate(self):
+        # h = 100 up to 1e5 takes the scan path: q = 101, 201, ..., 99901
+        budget = Budget()
+        count_module._primes_of_order(100, 10**5, budget)
+        assert budget.spent == (10**5 - 101) // 100 + 1
+
+    def test_sieved_scan_matches_oracle(self):
+        # limits where isqrt(limit) and the candidate count bound the sieve
+        for limit in (4000, 16383):
+            for h in range(2, 121):
+                got = count_module._primes_of_order(h, limit, Budget())
+                assert got == sympy_primes_of_order(h, limit), (h, limit)
+
 
 class TestOvCount:
     def test_boundary_fence(self):
@@ -107,6 +125,11 @@ class TestOvCount:
         rec = ov_count(10**8)
         assert rec.ov == 266
         assert sum(rec.by_order.values()) == rec.ov
+
+    def test_count_and_units_at_1e9(self):
+        budget = Budget()
+        assert ov_count(10**9, budget).ov == 663
+        assert budget.spent == 1404111
 
     def test_member_cap_drops_list_keeps_counts(self):
         rec = ov_count(10**5, members_cap=3)
