@@ -7,8 +7,10 @@ no float enters any result that is meant to be exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm  # noqa: F401  (re-exported as part of the API)
 
 from .errors import EffortError
@@ -17,6 +19,8 @@ DEFAULT_WORK_UNITS = 20_000_000
 TRIAL_DIVISION_LIMIT = 1_000_000
 
 _RHO_BLOCK = 128
+# primes per trial-division block: one gcd with their product per block
+_TRIAL_BLOCK = 256
 
 
 @dataclass
@@ -177,12 +181,18 @@ def _primes_below(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - 1 - start) // p + 1)
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(compress(range(limit), sieve))
 
 
 def small_primes() -> tuple[int, ...]:
     """Primes below the trial-division limit, cached."""
     return _primes_below(TRIAL_DIVISION_LIMIT)
+
+
+@lru_cache(maxsize=1024)
+def _block_product(start: int, end: int) -> int:
+    """Product of small_primes()[start:end], built on first use."""
+    return math.prod(small_primes()[start:end])
 
 
 @dataclass(frozen=True)
@@ -274,9 +284,14 @@ def factorize(n: int, budget: Budget | None = None,
               *, trial_limit: int = TRIAL_DIVISION_LIMIT) -> Factorization:
     """Factor n >= 1; budget exhaustion yields an incomplete result, not an error.
 
-    Trial division runs up to trial_limit, then Brent's rho splits what is
-    left while the budget lasts.  Composite leftovers land multiplied into
-    unfactored_cofactor.
+    Trial division by the primes up to trial_limit (at most the table below
+    TRIAL_DIVISION_LIMIT) goes block by block: one gcd of what is left with
+    the product of a block of _TRIAL_BLOCK primes, and a scan of that block
+    only when the gcd exceeds 1.  It stops at the first block whose least
+    prime p has p*p above what is left, or once a block leaves 1 or a prime.
+    Brent's rho then splits what is left while the budget lasts; composite
+    leftovers land multiplied into unfactored_cofactor.  Each cofactor is
+    tested for primality once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -286,41 +301,53 @@ def factorize(n: int, budget: Budget | None = None,
         return Factorization(1, (), True)
 
     found: dict[int, int] = {}
-    m = n
-    if not is_prime(m):
-        for p in small_primes():
-            if p > trial_limit or p * p > m:
+    m, m_prime = n, is_prime(n)
+    if not m_prime:
+        primes = small_primes()
+        stop = bisect_right(primes, trial_limit)
+        for start in range(0, stop, _TRIAL_BLOCK):
+            if primes[start] ** 2 > m:
+                # no prime below primes[start] divides m, so m is 1 or prime
+                m_prime = m > 1
                 break
-            if m % p:
+            end = min(start + _TRIAL_BLOCK, stop)
+            g = gcd(m, _block_product(start, end))
+            if g == 1:
                 continue
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found[p] = e
-            if m == 1 or is_prime(m):
+            for p in primes[start:end]:
+                if g < p * p:
+                    # g is squarefree with no prime factor below p: a prime
+                    p = g
+                elif g % p:
+                    continue
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found[p] = e
+                g //= p
+                if g == 1:
+                    break
+            if m > 1 and is_prime(m):
+                m_prime = True
                 break
-        else:
-            p = trial_limit
-        if m > 1 and not is_prime(m) and p * p > m:
-            # no factor up to sqrt(m) remains, so m is prime; unreachable in
-            # practice because of the is_prime checks above
-            found[m] = found.get(m, 0) + 1
-            m = 1
+    if m_prime:
+        found[m] = 1
+        m = 1
 
     unfactored = 1
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
-        if is_prime(c):
-            found[c] = found.get(c, 0) + 1
-            continue
         d = _rho_brent(c, budget)
         if d is None:
             unfactored *= c
             continue
-        stack.append(d)
-        stack.append(c // d)
+        for part in (d, c // d):
+            if is_prime(part):
+                found[part] = found.get(part, 0) + 1
+            else:
+                stack.append(part)
 
     factors = tuple(sorted(found.items()))
     return Factorization(n, factors, unfactored == 1, unfactored)

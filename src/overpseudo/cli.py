@@ -55,16 +55,25 @@ def _record(command: str, inputs: dict, result, budget: Budget,
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
+    # results are exact, and a primitive part of 2**n - 1 can exceed the
+    # int-to-str digit limit that Python 3.11 sets; lift it while writing
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            for rec in records:
+                out.write(json.dumps(rec, sort_keys=True) + "\n")
+            return
         for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-        return
-    for rec in records:
-        out.write(f"# {rec['command']} {rec['input']}\n")
-        _emit_text(rec["result"], out, indent="")
-        for warning in rec["warnings"]:
-            out.write(f"warning: {warning}\n")
-        out.write(f"effort spent: {rec['effort_spent']} work units\n")
+            out.write(f"# {rec['command']} {rec['input']}\n")
+            _emit_text(rec["result"], out, indent="")
+            for warning in rec["warnings"]:
+                out.write(f"warning: {warning}\n")
+            out.write(f"effort spent: {rec['effort_spent']} work units\n")
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def _emit_text(value, out, indent: str) -> None:

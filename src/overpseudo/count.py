@@ -25,6 +25,8 @@ from .primover import _reduced_cyclotomic_value
 
 MEMBER_CAP = 1_000_000
 SIEVE_LIMIT = 2**12
+# up to this many candidates the order test alone is cheaper than the sieve
+SIEVE_MIN_CANDIDATES = 128
 
 
 def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
@@ -35,11 +37,12 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     divided by the candidates up to sqrt(c).  Exact: every prime factor of c
     has order h, a composite q cannot divide c once its smaller prime
     factors are divided out, and what is left is 1 or a prime.  Otherwise
-    limit < 2**((h-1)/2), and each candidate's order of 2 is tested, after a
-    sieve drops the multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT,
-    sqrt(limit), number of candidates) and, when (q-1)/h is even, the
-    q = +-3 (mod 8), which have no square root of 2.  The sieve drops only
-    composites and primes of another order; it charges nothing extra.
+    limit < 2**((h-1)/2), and each candidate's order of 2 is tested.  With
+    more than SIEVE_MIN_CANDIDATES candidates a sieve first drops the
+    multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit),
+    number of candidates) and, when (q-1)/h is even, the q = +-3 (mod 8),
+    which have no square root of 2.  The sieve drops only composites and
+    primes of another order; it charges nothing extra.
     """
     if h < 2:
         return []
@@ -65,6 +68,19 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
         return out
     n = (limit - start) // step + 1
     budget.charge(n)
+    candidates = range(start, limit + 1, step)
+    if n > SIEVE_MIN_CANDIDATES:
+        candidates = compress(candidates, _scan_sieve(h, start, step, n, limit))
+    for q in candidates:
+        if pow(2, h, q) != 1:
+            continue
+        if is_prime(q) and all(pow(2, h // f, q) != 1 for f in h_primes):
+            out.append(q)
+    return out
+
+
+def _scan_sieve(h: int, start: int, step: int, n: int, limit: int) -> bytearray:
+    """Flags of the n candidates q = start + k*step that may have order h."""
     # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
     # divides no candidate, and q = 0 (mod r) iff k = -1 - step**-1 (mod r)
     flags = bytearray(b"\x01") * n
@@ -83,12 +99,7 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
         q = start + k * step
         if (q - 1) // h % 2 == 0 and q % 8 in (3, 5):
             flags[k::4] = bytes(len(range(k, n, 4)))
-    for q in compress(range(start, limit + 1, step), flags):
-        if pow(2, h, q) != 1:
-            continue
-        if is_prime(q) and all(pow(2, h // f, q) != 1 for f in h_primes):
-            out.append(q)
-    return out
+    return flags
 
 
 def _slots_of_order(h: int, primes: list[int], x: int) -> list[tuple[int, int]]:

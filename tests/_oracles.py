@@ -5,6 +5,14 @@ from math import gcd, lcm
 import sympy
 
 from overpseudo import is_overpseudoprime_def
+from overpseudo.arith import (
+    TRIAL_DIVISION_LIMIT,
+    Budget,
+    Factorization,
+    _rho_brent,
+    is_prime,
+    small_primes,
+)
 
 
 def brute_order(a, n):
@@ -48,6 +56,48 @@ def sympy_primes_of_order(h, limit):
     return [q for q in range(h + 1, limit + 1, h)
             if pow(2, h, q) == 1 and sympy.isprime(q)
             and sympy.n_order(2, q) == h]
+
+
+def per_prime_factorize(n, budget=None, *, trial_limit=TRIAL_DIVISION_LIMIT):
+    """Reference for factorize: m % p for each small prime in turn, then rho.
+
+    Trial division stops where factorize's does (p > trial_limit, p*p > m,
+    or a leftover of 1 or a prime); the rho phase is the library's.
+    """
+    if budget is None:
+        budget = Budget()
+    if n == 1:
+        return Factorization(1, (), True)
+    found = {}
+    m = n
+    if not is_prime(m):
+        for p in small_primes():
+            if p > trial_limit or p * p > m:
+                break
+            if m % p:
+                continue
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            found[p] = e
+            if m == 1 or is_prime(m):
+                break
+    unfactored = 1
+    stack = [m] if m > 1 else []
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            found[c] = found.get(c, 0) + 1
+            continue
+        d = _rho_brent(c, budget)
+        if d is None:
+            unfactored *= c
+            continue
+        stack.append(d)
+        stack.append(c // d)
+    return Factorization(n, tuple(sorted(found.items())), unfactored == 1,
+                         unfactored)
 
 
 # verified against sympy_overpseudoprimes and the published sequence data

@@ -6,10 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import per_prime_factorize
+from overpseudo import arith
 from overpseudo.arith import (
     Budget,
     Factorization,
     TRIAL_DIVISION_LIMIT,
+    _TRIAL_BLOCK,
     factorize,
     gcd,
     is_prime,
@@ -122,6 +125,79 @@ class TestFactorize:
         assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
         with pytest.raises(ValueError):
             Factorization(15, (), False, 15).divisors()
+
+    def test_each_cofactor_tested_for_primality_once(self, monkeypatch):
+        tested = []
+
+        def spy(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", spy)
+        p = sympy.nextprime(1 << 64)
+        assert factorize(p).factors == ((p, 1),)
+        assert tested == [p]
+        tested.clear()
+        q = sympy.nextprime(1 << 90)
+        assert factorize(1009 * q).factors == ((1009, 1), (q, 1))
+        assert tested.count(1009 * q) == 1
+        assert tested.count(q) == 1
+
+
+def _block_edges():
+    primes = arith.small_primes()
+    return [(primes[b], primes[min(b + _TRIAL_BLOCK, len(primes)) - 1])
+            for b in (0, _TRIAL_BLOCK, 100 * _TRIAL_BLOCK,
+                      len(primes) // _TRIAL_BLOCK * _TRIAL_BLOCK)]
+
+
+class TestBlockTrialDivision:
+    """factorize against the per-prime trial-division loop it replaced."""
+
+    @staticmethod
+    def assert_matches_loop(n, **kw):
+        for limit in (0, arith.DEFAULT_WORK_UNITS):
+            budget, want_budget = Budget(limit), Budget(limit)
+            got = factorize(n, budget, **kw)
+            want = per_prime_factorize(n, want_budget, **kw)
+            assert (got.factors, got.complete, got.unfactored_cofactor,
+                    budget.spent) == (want.factors, want.complete,
+                                      want.unfactored_cofactor,
+                                      want_budget.spent), (n, kw)
+
+    def test_random_below_2_80(self):
+        rng = random.Random(2080)
+        for _ in range(100):
+            self.assert_matches_loop(rng.randrange(2, 1 << 80))
+
+    def test_block_edge_products(self):
+        rng = random.Random(256)
+        for first, last in _block_edges():
+            self.assert_matches_loop(first * last)
+            self.assert_matches_loop(first * first)
+            self.assert_matches_loop(last * last)
+            self.assert_matches_loop(first * last * rng.randrange(2, 1 << 40))
+
+    def test_prime_powers_and_smooth_values(self):
+        for k in range(1, 5):
+            self.assert_matches_loop(999983**k)
+        for k in range(0, 40, 7):
+            for j in range(0, 30, 6):
+                self.assert_matches_loop(2**k * 3**j)
+
+    def test_primes_above_2_64(self):
+        for n in (sympy.nextprime(1 << 64), 2**89 - 1, sympy.nextprime(1 << 100)):
+            self.assert_matches_loop(n)
+
+    def test_trial_limit_inside_and_at_block_edges(self):
+        primes = arith.small_primes()
+        edge = primes[_TRIAL_BLOCK]
+        middle = primes[_TRIAL_BLOCK + _TRIAL_BLOCK // 2]
+        big = sympy.nextprime(1 << 40)
+        for limit in (edge - 1, edge, middle - 1, middle, 1, 2 * 10**6):
+            for n in (edge * middle * big, primes[_TRIAL_BLOCK - 1] * edge,
+                      3 * middle**2, edge * big, 1000003 * 1000033):
+                self.assert_matches_loop(n, trial_limit=limit)
 
 
 class TestBudget:

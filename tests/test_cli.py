@@ -1,8 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
 
-from overpseudo.cli import main
+from overpseudo.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -264,3 +266,16 @@ class TestGlobalFlags:
         code, _, _ = run_cli(capsys, "count", "100", "--seed", "7",
                              "--format", "json")
         assert code == 0
+
+
+class TestEmit:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_ints_above_the_digit_limit(self, fmt):
+        big = 7 * 10**4999 + 1
+        rec = {"command": "primover", "input": {"n": 1}, "result": {"cofactor": big},
+               "effort_spent": 0, "warnings": []}
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = io.StringIO()
+        _emit([rec], fmt, out)
+        assert "7" + "0" * 4998 + "1" in out.getvalue()
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -87,6 +87,33 @@ class TestPrimesOfOrder:
                 got = count_module._primes_of_order(h, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
 
+    def test_scan_without_sieve_matches_oracle(self, monkeypatch):
+        sieved, factored = [], []
+        sieve = count_module._scan_sieve
+        reduced = count_module._reduced_cyclotomic_value
+
+        def sieve_spy(h, start, step, n, limit):
+            sieved.append(n)
+            return sieve(h, start, step, n, limit)
+
+        def reduced_spy(h):
+            factored.append(h)
+            return reduced(h)
+
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
+        direct = 0
+        for limit in (200, 1000, 4000):
+            for h in range(2, 121):
+                sieved.clear()
+                factored.clear()
+                got = count_module._primes_of_order(h, limit, Budget())
+                assert got == sympy_primes_of_order(h, limit), (h, limit)
+                assert all(n > count_module.SIEVE_MIN_CANDIDATES for n in sieved)
+                first = 2 * h + 1 if h % 2 else h + 1
+                direct += first <= limit and not sieved and not factored
+        assert direct > 100
+
 
 class TestOvCount:
     def test_boundary_fence(self):
