@@ -280,6 +280,11 @@ def _rho_brent(n: int, budget: Budget) -> int | None:
         c += 1
 
 
+# factorize results that ran rho: (n, trial_limit) -> (result, cost, rem0)
+_factor_memo: dict[tuple[int, int], tuple[Factorization, int, int]] = {}
+_FACTOR_MEMO_SIZE = 1024
+
+
 def factorize(n: int, budget: Budget | None = None,
               *, trial_limit: int = TRIAL_DIVISION_LIMIT) -> Factorization:
     """Factor n >= 1; budget exhaustion yields an incomplete result, not an error.
@@ -292,6 +297,14 @@ def factorize(n: int, budget: Budget | None = None,
     Brent's rho then splits what is left while the budget lasts; composite
     leftovers land multiplied into unfactored_cofactor.  Each cofactor is
     tested for primality once.
+
+    A call that charged rho units is kept in a per-process memo of
+    _FACTOR_MEMO_SIZE entries with its cost and the budget remaining at the
+    call.  Rho's charges depend only on n and the remaining budget, so a
+    later call reuses the stored result, charging the same cost, when that
+    result was complete and cost fits in what remains, or when it was
+    incomplete and exactly rem0 remains; results and Budget.spent are those
+    of a fresh run.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -299,6 +312,14 @@ def factorize(n: int, budget: Budget | None = None,
         budget = Budget()
     if n == 1:
         return Factorization(1, (), True)
+    key = (n, trial_limit)
+    hit = _factor_memo.get(key)
+    if hit is not None:
+        fz, cost, rem0 = hit
+        if (budget.remaining >= cost) if fz.complete else (budget.remaining == rem0):
+            budget.spent += cost
+            return fz
+    rem0 = budget.remaining
 
     found: dict[int, int] = {}
     m, m_prime = n, is_prime(n)
@@ -349,5 +370,11 @@ def factorize(n: int, budget: Budget | None = None,
             else:
                 stack.append(part)
 
-    factors = tuple(sorted(found.items()))
-    return Factorization(n, factors, unfactored == 1, unfactored)
+    fz = Factorization(n, tuple(sorted(found.items())), unfactored == 1, unfactored)
+    cost = rem0 - budget.remaining
+    if cost:
+        _factor_memo.pop(key, None)
+        if len(_factor_memo) >= _FACTOR_MEMO_SIZE:
+            del _factor_memo[next(iter(_factor_memo))]  # the oldest entry
+        _factor_memo[key] = fz, cost, rem0
+    return fz

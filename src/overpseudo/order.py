@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import Budget, Factorization, factorize
+from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
 from .errors import EffortError
-
-DIRECT_ENUMERATION_LIMIT = 1_000_000
 
 # order of `base` mod p keyed by (base mod p, p); factored p-1 keyed by p
 _unit_order_cache: dict[tuple[int, int], int] = {}
@@ -68,13 +66,19 @@ def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[
     return chain
 
 
-def _order_by_stepping(base: int, modulus: int) -> int:
-    b = base % modulus
-    x, t = b, 1
-    while x != 1:
-        x = x * b % modulus
-        t += 1
-    return t
+def _modulus_factorization(modulus: int, budget: Budget,
+                           factorization: Factorization | None) -> Factorization:
+    """The given or a fresh factorization of modulus; complete or EffortError.
+
+    An incomplete one is redone by trial division alone when that covers
+    sqrt(modulus), where it always completes.
+    """
+    fz = factorization if factorization is not None else factorize(modulus, budget)
+    if not fz.complete and modulus <= TRIAL_DIVISION_LIMIT**2:
+        fz = factorize(modulus, Budget(0))
+    if not fz.complete:
+        raise EffortError(f"incomplete factorization of modulus {modulus}")
+    return fz
 
 
 def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
@@ -90,13 +94,8 @@ def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
         return 1
     if budget is None:
         budget = Budget()
-    fz = factorization if factorization is not None else factorize(modulus, budget)
-    if not fz.complete:
-        if modulus <= DIRECT_ENUMERATION_LIMIT:
-            return _order_by_stepping(base, modulus)
-        raise EffortError(f"incomplete factorization of modulus {modulus}")
     h = 1
-    for p, e in fz.factors:
+    for p, e in _modulus_factorization(modulus, budget, factorization).factors:
         h = lcm(h, prime_power_order(base, p, e, budget))
     return h
 
@@ -173,20 +172,14 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
 
     r is the sum over divisors d > 1 of the modulus of phi(d) / ord_d(base);
     every orbit inside the units of Z/d has size ord_d(base), which is why
-    the division is exact.  Falls back to direct enumeration for small
-    moduli whose factorization did not complete.
+    the division is exact.
     """
     _validate(base, modulus)
     if modulus < 3:
         raise ValueError("modulus must be >= 3")
     if budget is None:
         budget = Budget()
-    fz = factorization if factorization is not None else factorize(modulus, budget)
-    if not fz.complete:
-        if modulus <= DIRECT_ENUMERATION_LIMIT:
-            dec = cyclotomic_cosets(base, modulus)
-            return dec.r, dec.h
-        raise EffortError(f"incomplete factorization of modulus {modulus}")
+    fz = _modulus_factorization(modulus, budget, factorization)
 
     # (phi(d), ord_d(base)) for every divisor d, built prime by prime
     divisor_data = [(1, 1)]

@@ -200,6 +200,102 @@ class TestBlockTrialDivision:
                 self.assert_matches_loop(n, trial_limit=limit)
 
 
+def _two_prime_products():
+    rng = random.Random(2045)
+    out = []
+    # both factors above the trial-division table, so rho must split them
+    for small_bits, big_bits in ((21, 21), (22, 30), (24, 45), (26, 38), (28, 45)):
+        p = sympy.nextprime(rng.getrandbits(small_bits) | 1 << (small_bits - 1))
+        q = sympy.nextprime(rng.getrandbits(big_bits) | 1 << (big_bits - 1))
+        out.append(p * q)
+    return out
+
+
+class TestFactorMemo:
+    """Reused factorizations against a cold run with the memo cleared."""
+
+    @staticmethod
+    def run(n, budget):
+        fz = factorize(n, budget)
+        return fz.factors, fz.complete, fz.unfactored_cofactor, budget.spent
+
+    def cold(self, n, remaining):
+        arith._factor_memo.clear()
+        return self.run(n, Budget(remaining))
+
+    def assert_reuse_exact(self, n, prime_at, spy):
+        """Prime the memo at prime_at remaining, then compare nearby budgets."""
+        arith._factor_memo.clear()
+        factorize(n, Budget(prime_at))
+        fz, cost, rem0 = arith._factor_memo[n, TRIAL_DIVISION_LIMIT]
+        assert rem0 == prime_at and cost > 0
+        for remaining in sorted({rem0 - 1, rem0, rem0 + 1, cost - 1, cost,
+                                 cost + 1, 2 * cost, cost // 2, 1}):
+            want = self.cold(n, remaining)
+            arith._factor_memo.clear()
+            factorize(n, Budget(prime_at))
+            spy.clear()
+            # spent before the call must not matter, only what remains
+            got = self.run(n, Budget(remaining + 1000, spent=1000))
+            assert got[:3] == want[:3], (n, prime_at, remaining)
+            assert got[3] - 1000 == want[3], (n, prime_at, remaining)
+            reused = remaining >= cost if fz.complete else remaining == rem0
+            assert (spy == []) == reused, (n, prime_at, remaining)
+
+    @pytest.fixture
+    def rho_calls(self, monkeypatch):
+        calls = []
+        rho = arith._rho_brent
+
+        def spy(n, budget):
+            calls.append(n)
+            return rho(n, budget)
+
+        monkeypatch.setattr(arith, "_rho_brent", spy)
+        return calls
+
+    def test_reuse_matches_cold_run(self, rho_calls):
+        for n in _two_prime_products():
+            cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
+            # complete at the default budget, and budgets running out in rho
+            for prime_at in (arith.DEFAULT_WORK_UNITS, cost, cost - 1,
+                             cost // 3, 40):
+                self.assert_reuse_exact(n, prime_at, rho_calls)
+
+    def test_three_prime_product_runs_out_between_splits(self, rho_calls):
+        p, q, r = (sympy.nextprime(1 << b) for b in (21, 22, 24))
+        n = p * q * r
+        cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
+        first_split = self.cold(p * q, arith.DEFAULT_WORK_UNITS)[3]
+        for prime_at in (cost, cost - 1, first_split, cost // 2):
+            self.assert_reuse_exact(n, prime_at, rho_calls)
+
+    def test_trial_only_calls_are_not_stored(self):
+        arith._factor_memo.clear()
+        for n in (2**40 * 3**7, 999983**3, sympy.nextprime(1 << 80),
+                  1009 * sympy.nextprime(1 << 70)):
+            assert factorize(n).complete
+        # rho could not charge a single unit
+        assert not factorize(_two_prime_products()[0], Budget(0)).complete
+        assert arith._factor_memo == {}
+
+    def test_entry_bound(self):
+        arith._factor_memo.clear()
+        size = arith._FACTOR_MEMO_SIZE
+        primes = [sympy.nextprime(TRIAL_DIVISION_LIMIT)]
+        while len(primes) < size + 11:
+            primes.append(sympy.nextprime(primes[-1]))
+        ns = [p * primes[0] for p in primes[1:]]
+        for n in ns:
+            factorize(n)
+        assert len(arith._factor_memo) == size
+        kept = {key[0] for key in arith._factor_memo}
+        assert kept == set(ns[-size:])
+        # storing a key again evicts nothing else
+        factorize(ns[-1], Budget(1))
+        assert len(arith._factor_memo) == size
+
+
 class TestBudget:
     def test_charge_raises_past_limit(self):
         b = Budget(10)

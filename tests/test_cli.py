@@ -268,6 +268,35 @@ class TestGlobalFlags:
         assert code == 0
 
 
+class TestFactorMemoAcrossCommands:
+    """Commands run one after another in one process print what they print
+    when each starts with an empty factorization memo."""
+
+    # 2**24 + 43 times 2**30 + 3: both factors need rho
+    SEMIPRIME = "18014444730712193"
+
+    # trial division alone splits 2**97 - 1, so nothing is stored for it
+    @pytest.mark.parametrize("commands, budgets, stored", [
+        ((["primover", "97"], ["table", "97", "97"]), [None, "10"], False),
+        ((["primover", "79"], ["table", "79", "79"]), [None, "20000"], True),
+        ((["classify", SEMIPRIME], ["witness", SEMIPRIME]), [None, "5000"], True),
+    ])
+    def test_same_output_as_cold_runs(self, capsys, commands, budgets, stored):
+        from overpseudo import arith
+
+        for budget in budgets:
+            flags = ["--format", "json"] + ([] if budget is None else
+                                            ["--budget", budget])
+            cold = []
+            for argv in commands:
+                arith._factor_memo.clear()
+                cold.append(run_cli(capsys, *argv, *flags))
+            arith._factor_memo.clear()
+            warm = [run_cli(capsys, *argv, *flags) for argv in commands]
+            assert warm == cold, (commands, budget)
+            assert bool(arith._factor_memo) == stored
+
+
 class TestEmit:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_ints_above_the_digit_limit(self, fmt):

@@ -55,6 +55,15 @@ class TestMultOrder:
         for n in range(3, 400, 2):
             assert brute_lambda(n) == sympy.reduced_totient(n)
 
+    def test_incomplete_factorization_is_redone_up_to_the_trial_bound(self):
+        # 999983 * 1000003 < TRIAL_DIVISION_LIMIT**2: trial division splits it
+        for n in (15, 999983 * 1000003):
+            stub = Factorization(n, (), False, n)
+            assert mult_order(2, n, factorization=stub) == sympy.n_order(2, n)
+        n = 1000003 * 1000033
+        with pytest.raises(EffortError):
+            mult_order(2, n, factorization=Factorization(n, (), False, n))
+
 
 class TestOrderDividing:
     def test_agrees_with_mult_order_at_fermat_exponent(self):
