@@ -7,7 +7,6 @@ no float enters any result that is meant to be exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -280,20 +279,19 @@ def _rho_brent(n: int, budget: Budget) -> int | None:
         c += 1
 
 
-# factorize results that ran rho: (n, trial_limit) -> (result, cost, rem0)
-_factor_memo: dict[tuple[int, int], tuple[Factorization, int, int]] = {}
+# factorize results that ran rho: n -> (result, cost, rem0)
+_factor_memo: dict[int, tuple[Factorization, int, int]] = {}
 _FACTOR_MEMO_SIZE = 1024
 
 
-def factorize(n: int, budget: Budget | None = None,
-              *, trial_limit: int = TRIAL_DIVISION_LIMIT) -> Factorization:
+def factorize(n: int, budget: Budget | None = None) -> Factorization:
     """Factor n >= 1; budget exhaustion yields an incomplete result, not an error.
 
-    Trial division by the primes up to trial_limit (at most the table below
-    TRIAL_DIVISION_LIMIT) goes block by block: one gcd of what is left with
-    the product of a block of _TRIAL_BLOCK primes, and a scan of that block
-    only when the gcd exceeds 1.  It stops at the first block whose least
-    prime p has p*p above what is left, or once a block leaves 1 or a prime.
+    Trial division by the primes below TRIAL_DIVISION_LIMIT goes block by
+    block: one gcd of what is left with the product of a block of
+    _TRIAL_BLOCK primes, and a scan of that block only when the gcd exceeds
+    1.  It stops at the first block whose least prime p has p*p above what
+    is left, or once a block leaves 1 or a prime.
     Brent's rho then splits what is left while the budget lasts; composite
     leftovers land multiplied into unfactored_cofactor.  Each cofactor is
     tested for primality once.
@@ -312,8 +310,7 @@ def factorize(n: int, budget: Budget | None = None,
         budget = Budget()
     if n == 1:
         return Factorization(1, (), True)
-    key = (n, trial_limit)
-    hit = _factor_memo.get(key)
+    hit = _factor_memo.get(n)
     if hit is not None:
         fz, cost, rem0 = hit
         if (budget.remaining >= cost) if fz.complete else (budget.remaining == rem0):
@@ -325,13 +322,12 @@ def factorize(n: int, budget: Budget | None = None,
     m, m_prime = n, is_prime(n)
     if not m_prime:
         primes = small_primes()
-        stop = bisect_right(primes, trial_limit)
-        for start in range(0, stop, _TRIAL_BLOCK):
+        for start in range(0, len(primes), _TRIAL_BLOCK):
             if primes[start] ** 2 > m:
                 # no prime below primes[start] divides m, so m is 1 or prime
                 m_prime = m > 1
                 break
-            end = min(start + _TRIAL_BLOCK, stop)
+            end = start + _TRIAL_BLOCK
             g = gcd(m, _block_product(start, end))
             if g == 1:
                 continue
@@ -373,8 +369,8 @@ def factorize(n: int, budget: Budget | None = None,
     fz = Factorization(n, tuple(sorted(found.items())), unfactored == 1, unfactored)
     cost = rem0 - budget.remaining
     if cost:
-        _factor_memo.pop(key, None)
+        _factor_memo.pop(n, None)
         if len(_factor_memo) >= _FACTOR_MEMO_SIZE:
             del _factor_memo[next(iter(_factor_memo))]  # the oldest entry
-        _factor_memo[key] = fz, cost, rem0
+        _factor_memo[n] = fz, cost, rem0
     return fz

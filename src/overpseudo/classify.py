@@ -14,7 +14,7 @@ from math import gcd
 
 from .arith import Budget, Factorization, _mr_witness, factorize, is_prime
 from .errors import ContractViolationError, EffortError
-from .order import _prime_unit_order, coset_count
+from .order import _complete_factorization, _prime_unit_order, coset_count
 
 VERDICT_DEFINITION = "definition"
 VERDICT_BOTH = "both"
@@ -67,13 +67,11 @@ def is_super_poulet(n: int, budget: Budget | None = None,
         return False
     if pow(2, n, n) != 2:
         return False
-    if budget is None:
-        budget = Budget()
-    fz = factorization if factorization is not None else factorize(n, budget)
-    if not fz.complete:
-        raise EffortError(f"incomplete factorization of {n}")
     if is_prime(n):
         return False
+    if budget is None:
+        budget = Budget()
+    fz = _complete_factorization(n, budget, factorization)
     return all(pow(2, d, d) == 2 for d in fz.divisors() if d > 1)
 
 
@@ -82,13 +80,11 @@ def is_carmichael(n: int, budget: Budget | None = None,
     """Korselt criterion: odd composite, squarefree, (p-1) | (n-1) for all p | n."""
     if n < 9 or n % 2 == 0:
         return False
-    if budget is None:
-        budget = Budget()
-    fz = factorization if factorization is not None else factorize(n, budget)
-    if not fz.complete:
-        raise EffortError(f"incomplete factorization of {n}")
     if is_prime(n):
         return False
+    if budget is None:
+        budget = Budget()
+    fz = _complete_factorization(n, budget, factorization)
     if any(e > 1 for _, e in fz.factors):
         return False
     return all((n - 1) % (p - 1) == 0 for p, _ in fz.factors)
@@ -125,11 +121,8 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
         return False
     if budget is None:
         budget = Budget()
-    fz = factorization if factorization is not None else factorize(n, budget)
-    if not fz.complete:
-        raise EffortError(f"incomplete factorization of {n}")
     t = None
-    for p, e in fz.factors:
+    for p, e in _complete_factorization(n, budget, factorization).factors:
         tp = _prime_unit_order(2, p, budget)
         if t is None:
             t = tp

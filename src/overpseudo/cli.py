@@ -189,9 +189,6 @@ def _cmd_table(args, budget):
         records.append(_record(
             "table", {"n": n}, {"n": n, "least": value}, budget, warnings,
         ))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_table_csv(records))
     return records
 
 
@@ -219,21 +216,14 @@ def _cmd_count(args, budget):
             warnings.append("member list exceeds the in-memory cap; counts only")
         else:
             result["members"] = list(record.members)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(bound_report_csv([_bound_row(record.x, record.ov)]))
     return [_record("count", {"x": args.x}, result, budget, warnings)]
 
 
 def _cmd_bound_report(args, budget):
     xs = [int(part) for part in args.xs.split(",") if part]
-    rows = bound_report(xs, budget)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(bound_report_csv(rows))
     return [
         _record("bound-report", {"x": row.x}, asdict(row), budget, [])
-        for row in rows
+        for row in bound_report(xs, budget)
     ]
 
 
@@ -347,8 +337,11 @@ def main(argv=None) -> int:
             raise ValueError(f"csv format is not defined for '{args.command}'")
         budget = Budget(args.budget)
         records = args.handler(args, budget)
+        if getattr(args, "csv", None):
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(_csv(args.command, records))
         if args.fmt == "csv":
-            _emit_csv(args, records)
+            sys.stdout.write(_csv(args.command, records))
         else:
             _emit(records, args.fmt, sys.stdout)
         return 0
@@ -363,13 +356,12 @@ def main(argv=None) -> int:
         return 3
 
 
-def _emit_csv(args, records) -> None:
-    if args.command == "table":
-        sys.stdout.write(_table_csv(records))
-    else:
-        rows = [_bound_row(rec["result"]["x"], rec["result"]["ov"])
-                for rec in records]
-        sys.stdout.write(bound_report_csv(rows))
+def _csv(command: str, records) -> str:
+    """The CSV of a table, count or bound-report run, for stdout or --csv."""
+    if command == "table":
+        return _table_csv(records)
+    return bound_report_csv([_bound_row(rec["result"]["x"], rec["result"]["ov"])
+                             for rec in records])
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x), so h is the order of some
 prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x),
 groups them by order, and finds the primes of order h up to x / p_min(h):
-factors of Phi_h(2) by trial division along q = 1 (mod h) when Phi_h(2) is
-small, else by an order test of each such q that survives a sieve by small
-primes and a mod-8 mask.  Either way every candidate q = 1 (mod h) costs one
-budget unit, so the sieve changes no charge.  Prime powers q**i dividing
+the prime factors of Phi_h(2) without its intrinsic prime, found by
+factorize as in primitive_part, when Phi_h(2) is small, else by an order
+test of each q = 1 (mod h) that survives a sieve by small primes and a
+mod-8 mask.  Either way each candidate q = 1 (mod h) below the limit (and
+below sqrt(Phi_h(2)) when factoring) costs one budget unit, so neither the
+sieve nor factorize changes the charge.  Prime powers q**i dividing
 2**h - 1 are admitted and every product of at least two slots is emitted.
 """
 
@@ -20,8 +22,8 @@ from itertools import compress
 
 from .arith import Budget, _primes_below, factorize, is_prime, small_primes
 from .errors import EffortError
-from .order import _prime_unit_order
-from .primover import _reduced_cyclotomic_value
+from .order import _prime_unit_order, _strip
+from .primover import _reduced_cyclotomic_value, _slots_of_order
 
 MEMBER_CAP = 1_000_000
 SIEVE_LIMIT = 2**12
@@ -32,17 +34,19 @@ SIEVE_MIN_CANDIDATES = 128
 def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     """All primes q <= limit with ord_q(2) == h, ascending.
 
-    Candidates are the odd q = 1 (mod h), one unit each, charged up front.
-    If phi(h) < 2 * bits(limit), c = Phi_h(2) without its intrinsic prime is
-    divided by the candidates up to sqrt(c).  Exact: every prime factor of c
-    has order h, a composite q cannot divide c once its smaller prime
-    factors are divided out, and what is left is 1 or a prime.  Otherwise
-    limit < 2**((h-1)/2), and each candidate's order of 2 is tested.  With
-    more than SIEVE_MIN_CANDIDATES candidates a sieve first drops the
-    multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit),
-    number of candidates) and, when (q-1)/h is even, the q = +-3 (mod 8),
-    which have no square root of 2.  The sieve drops only composites and
-    primes of another order; it charges nothing extra.
+    Candidates are the odd q = 1 (mod h).  If phi(h) < 2 * bits(limit), the
+    primes of order h are the prime factors of c = Phi_h(2) without its
+    intrinsic prime: c is factored by factorize, as in primitive_part, and
+    its primes <= limit are kept.  That path charges one unit per candidate
+    up to min(limit, sqrt(c)) up front, plus any rho units factorize spends,
+    and an incomplete factorization raises EffortError.  Otherwise
+    limit < 2**((h-1)/2), every candidate is charged one unit up front, and
+    each candidate's order of 2 is tested.  With more than
+    SIEVE_MIN_CANDIDATES candidates a sieve first drops the multiples >= r*r
+    of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit), number of
+    candidates) and, when (q-1)/h is even, the q = +-3 (mod 8), which have
+    no square root of 2.  The sieve drops only composites and primes of
+    another order; it charges nothing extra.
     """
     if h < 2:
         return []
@@ -52,29 +56,23 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
         return []
     h_primes = factorize(h, budget).primes()
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-    out = []
     if phi < 2 * limit.bit_length():
         c = _reduced_cyclotomic_value(h)
         budget.charge((min(limit, math.isqrt(c)) - start) // step + 1)
-        q = start
-        while q <= limit and q * q <= c:
-            if c % q == 0:
-                out.append(q)
-                while c % q == 0:
-                    c //= q
-            q += step
-        if 1 < c <= limit:
-            out.append(c)
-        return out
+        fz = factorize(c, budget)
+        if not fz.complete:
+            raise EffortError(f"cannot factor Phi_{h}(2) for the primes of order {h}")
+        return [q for q in fz.primes() if q <= limit]
     n = (limit - start) // step + 1
     budget.charge(n)
     candidates = range(start, limit + 1, step)
     if n > SIEVE_MIN_CANDIDATES:
         candidates = compress(candidates, _scan_sieve(h, start, step, n, limit))
+    out = []
     for q in candidates:
         if pow(2, h, q) != 1:
             continue
-        if is_prime(q) and all(pow(2, h // f, q) != 1 for f in h_primes):
+        if is_prime(q) and _strip(2, h, h_primes, q) == h:
             out.append(q)
     return out
 
@@ -100,18 +98,6 @@ def _scan_sieve(h: int, start: int, step: int, n: int, limit: int) -> bytearray:
         if (q - 1) // h % 2 == 0 and q % 8 in (3, 5):
             flags[k::4] = bytes(len(range(k, n, 4)))
     return flags
-
-
-def _slots_of_order(h: int, primes: list[int], x: int) -> list[tuple[int, int]]:
-    """Cap each prime's exponent at its admissible power q**i | 2**h - 1, q**i <= x."""
-    slots = []
-    for q in primes:
-        e, nq = 1, q * q
-        while nq <= x and pow(2, h, nq) == 1:
-            e += 1
-            nq *= q
-        slots.append((q, e))
-    return slots
 
 
 def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
@@ -240,14 +226,16 @@ def _bound_row(x: int, ov: int) -> BoundRow:
 def bound_report(xs, budget: Budget | None = None) -> list[BoundRow]:
     """One row per x: Ov(x) against x**(3/4), with the x**(1/2) reference column.
 
-    xs must be ascending; a single enumeration at the largest x serves all
-    rows.
+    xs must be ascending from 1 up; a single enumeration at the largest x
+    serves all rows.
     """
     xs = list(xs)
     if not xs:
         raise ValueError("xs must be nonempty")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be strictly ascending")
+    if xs[0] < 1:
+        raise ValueError("xs must be >= 1")
     if budget is None:
         budget = Budget()
     members = enumerate_overpseudoprimes(xs[-1], budget)

@@ -8,9 +8,8 @@ from math import gcd, lcm
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
 from .errors import EffortError
 
-# order of `base` mod p keyed by (base mod p, p); factored p-1 keyed by p
-_unit_order_cache: dict[tuple[int, int], int] = {}
-_lambda_cache: dict[int, tuple[tuple[int, int], ...]] = {}
+# primes of p - 1 keyed by p
+_lambda_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _validate(base: int, modulus: int) -> None:
@@ -22,28 +21,26 @@ def _validate(base: int, modulus: int) -> None:
         raise ValueError(f"base {base} shares a factor with modulus {modulus}")
 
 
+def _strip(base: int, t: int, primes, modulus: int) -> int:
+    """Order of base mod modulus, given base**t == 1 and every prime of t in primes."""
+    for f in primes:
+        while t % f == 0 and pow(base, t // f, modulus) == 1:
+            t //= f
+    return t
+
+
 def _prime_unit_order(base: int, p: int, budget: Budget) -> int:
     """Order of base modulo prime p, by stripping prime factors from p - 1."""
     b = base % p
     if b == 1:
         return 1
-    key = (b, p)
-    cached = _unit_order_cache.get(key)
-    if cached is not None:
-        return cached
     lam = _lambda_cache.get(p)
     if lam is None:
         fz = factorize(p - 1, budget)
         if not fz.complete:
             raise EffortError(f"cannot factor {p} - 1 to derive an order")
-        lam = fz.factors
-        _lambda_cache[p] = lam
-    t = p - 1
-    for f, _ in lam:
-        while t % f == 0 and pow(b, t // f, p) == 1:
-            t //= f
-    _unit_order_cache[key] = t
-    return t
+        lam = _lambda_cache[p] = fz.primes()
+    return _strip(b, p - 1, lam, p)
 
 
 def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -> int:
@@ -66,18 +63,18 @@ def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[
     return chain
 
 
-def _modulus_factorization(modulus: int, budget: Budget,
-                           factorization: Factorization | None) -> Factorization:
-    """The given or a fresh factorization of modulus; complete or EffortError.
+def _complete_factorization(n: int, budget: Budget,
+                            factorization: Factorization | None) -> Factorization:
+    """The given or a fresh factorization of n; complete or EffortError.
 
     An incomplete one is redone by trial division alone when that covers
-    sqrt(modulus), where it always completes.
+    sqrt(n), where it always completes.
     """
-    fz = factorization if factorization is not None else factorize(modulus, budget)
-    if not fz.complete and modulus <= TRIAL_DIVISION_LIMIT**2:
-        fz = factorize(modulus, Budget(0))
+    fz = factorization if factorization is not None else factorize(n, budget)
+    if not fz.complete and n <= TRIAL_DIVISION_LIMIT**2:
+        fz = factorize(n, Budget(0))
     if not fz.complete:
-        raise EffortError(f"incomplete factorization of modulus {modulus}")
+        raise EffortError(f"incomplete factorization of {n}")
     return fz
 
 
@@ -95,7 +92,7 @@ def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
     if budget is None:
         budget = Budget()
     h = 1
-    for p, e in _modulus_factorization(modulus, budget, factorization).factors:
+    for p, e in _complete_factorization(modulus, budget, factorization).factors:
         h = lcm(h, prime_power_order(base, p, e, budget))
     return h
 
@@ -116,11 +113,7 @@ def order_dividing(base: int, modulus: int, multiple: int,
     fz = factorize(multiple, budget)
     if not fz.complete:
         raise EffortError(f"cannot factor the order multiple {multiple}")
-    t = multiple
-    for f, _ in fz.factors:
-        while t % f == 0 and pow(base, t // f, modulus) == 1:
-            t //= f
-    return t
+    return _strip(base, multiple, fz.primes(), modulus)
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
         raise ValueError("modulus must be >= 3")
     if budget is None:
         budget = Budget()
-    fz = _modulus_factorization(modulus, budget, factorization)
+    fz = _complete_factorization(modulus, budget, factorization)
 
     # (phi(d), ord_d(base)) for every divisor d, built prime by prime
     divisor_data = [(1, 1)]

@@ -21,30 +21,24 @@ MERSENNE_PRIME = "prime"
 MERSENNE_OVERPSEUDOPRIME = "overpseudoprime"
 
 
-def _mobius(m: int) -> int:
-    fz = factorize(m)
-    if any(e > 1 for _, e in fz.factors):
-        return 0
-    return -1 if len(fz.factors) % 2 else 1
-
-
 def cyclotomic_value(n: int) -> int:
     """Value of the n-th cyclotomic polynomial at 2, exactly.
 
-    Computed as the product over divisors d of n of (2**d - 1)**mu(n/d);
-    numerator and denominator are kept separate and divided once.
+    Computed as the product over squarefree divisors d of n, built from the
+    distinct primes of n, of (2**(n/d) - 1)**((-1)**omega(d)); numerator and
+    denominator are kept separate and divided once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
+    terms = [(1, False)]  # (d, omega(d) odd)
+    for p in factorize(n).primes():
+        terms += [(d * p, not odd) for d, odd in terms]
     num = den = 1
-    for d in factorize(n).divisors():
-        mu = _mobius(n // d)
-        if mu == 1:
-            num *= (1 << d) - 1
-        elif mu == -1:
-            den *= (1 << d) - 1
+    for d, odd in terms:
+        if odd:
+            den *= (1 << n // d) - 1
+        else:
+            num *= (1 << n // d) - 1
     assert num % den == 0
     return num // den
 
@@ -83,6 +77,18 @@ class PrimitivePart:
         return out
 
 
+def _slots_of_order(h: int, primes, x: int) -> list[tuple[int, int]]:
+    """Cap each prime's exponent at its admissible power q**i | 2**h - 1, q**i <= x."""
+    slots = []
+    for q in primes:
+        e, nq = 1, q * q
+        while nq <= x and pow(2, h, nq) == 1:
+            e += 1
+            nq *= q
+        slots.append((q, e))
+    return slots
+
+
 def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
     """Extract the primitive prime powers of 2**n - 1 for n >= 2.
 
@@ -99,17 +105,14 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
     if value == 1:
         return PrimitivePart(n, (), 1, True, 1, False)
     fz = factorize(value, budget)
-    prim = []
-    cofactor = fz.unfactored_cofactor
-    for p, _ in fz.factors:
+    for p in fz.primes():
         if order_dividing(2, p, n, budget=budget) != n:
             raise ContractViolationError(
                 f"prime {p} of the reduced cyclotomic value has order != {n}"
             )
-        e = 1
-        while pow(2, n, p ** (e + 1)) == 1:
-            e += 1
-        prim.append((p, e))
+    prim = _slots_of_order(n, fz.primes(), (1 << n) - 1)
+    cofactor = fz.unfactored_cofactor
+    for p, e in prim:
         cofactor *= p**e
     omega = sum(e for _, e in prim)
     return PrimitivePart(

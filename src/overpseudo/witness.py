@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import Budget, Factorization, factorize, is_prime
-from .errors import EffortError
-from .order import coset_count
+from .order import _complete_factorization, coset_count
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,7 @@ def least_witness(n: int, budget: Budget | None = None) -> WitnessRecord:
     _validate_composite(n)
     if budget is None:
         budget = Budget()
-    fz = factorize(n, budget)
-    if not fz.complete:
-        raise EffortError(f"incomplete factorization of {n}", partial=None)
+    fz = _complete_factorization(n, budget, None)
     checked = skipped = 0
     for a in range(2, n - 1):
         if gcd(a, n) != 1:

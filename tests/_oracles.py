@@ -6,7 +6,6 @@ import sympy
 
 from overpseudo import is_overpseudoprime_def
 from overpseudo.arith import (
-    TRIAL_DIVISION_LIMIT,
     Budget,
     Factorization,
     _rho_brent,
@@ -58,11 +57,11 @@ def sympy_primes_of_order(h, limit):
             and sympy.n_order(2, q) == h]
 
 
-def per_prime_factorize(n, budget=None, *, trial_limit=TRIAL_DIVISION_LIMIT):
+def per_prime_factorize(n, budget=None):
     """Reference for factorize: m % p for each small prime in turn, then rho.
 
-    Trial division stops where factorize's does (p > trial_limit, p*p > m,
-    or a leftover of 1 or a prime); the rho phase is the library's.
+    Trial division stops where factorize's does (the end of the table,
+    p*p > m, or a leftover of 1 or a prime); the rho phase is the library's.
     """
     if budget is None:
         budget = Budget()
@@ -72,7 +71,7 @@ def per_prime_factorize(n, budget=None, *, trial_limit=TRIAL_DIVISION_LIMIT):
     m = n
     if not is_prime(m):
         for p in small_primes():
-            if p > trial_limit or p * p > m:
+            if p * p > m:
                 break
             if m % p:
                 continue

@@ -155,15 +155,15 @@ class TestBlockTrialDivision:
     """factorize against the per-prime trial-division loop it replaced."""
 
     @staticmethod
-    def assert_matches_loop(n, **kw):
+    def assert_matches_loop(n):
         for limit in (0, arith.DEFAULT_WORK_UNITS):
             budget, want_budget = Budget(limit), Budget(limit)
-            got = factorize(n, budget, **kw)
-            want = per_prime_factorize(n, want_budget, **kw)
+            got = factorize(n, budget)
+            want = per_prime_factorize(n, want_budget)
             assert (got.factors, got.complete, got.unfactored_cofactor,
                     budget.spent) == (want.factors, want.complete,
                                       want.unfactored_cofactor,
-                                      want_budget.spent), (n, kw)
+                                      want_budget.spent), n
 
     def test_random_below_2_80(self):
         rng = random.Random(2080)
@@ -194,10 +194,9 @@ class TestBlockTrialDivision:
         edge = primes[_TRIAL_BLOCK]
         middle = primes[_TRIAL_BLOCK + _TRIAL_BLOCK // 2]
         big = sympy.nextprime(1 << 40)
-        for limit in (edge - 1, edge, middle - 1, middle, 1, 2 * 10**6):
-            for n in (edge * middle * big, primes[_TRIAL_BLOCK - 1] * edge,
-                      3 * middle**2, edge * big, 1000003 * 1000033):
-                self.assert_matches_loop(n, trial_limit=limit)
+        for n in (edge * middle * big, primes[_TRIAL_BLOCK - 1] * edge,
+                  3 * middle**2, edge * big, 1000003 * 1000033):
+            self.assert_matches_loop(n)
 
 
 def _two_prime_products():
@@ -227,7 +226,7 @@ class TestFactorMemo:
         """Prime the memo at prime_at remaining, then compare nearby budgets."""
         arith._factor_memo.clear()
         factorize(n, Budget(prime_at))
-        fz, cost, rem0 = arith._factor_memo[n, TRIAL_DIVISION_LIMIT]
+        fz, cost, rem0 = arith._factor_memo[n]
         assert rem0 == prime_at and cost > 0
         for remaining in sorted({rem0 - 1, rem0, rem0 + 1, cost - 1, cost,
                                  cost + 1, 2 * cost, cost // 2, 1}):
@@ -289,8 +288,7 @@ class TestFactorMemo:
         for n in ns:
             factorize(n)
         assert len(arith._factor_memo) == size
-        kept = {key[0] for key in arith._factor_memo}
-        assert kept == set(ns[-size:])
+        assert set(arith._factor_memo) == set(ns[-size:])
         # storing a key again evicts nothing else
         factorize(ns[-1], Budget(1))
         assert len(arith._factor_memo) == size

@@ -225,6 +225,15 @@ class TestBoundReportCommand:
         code, _, _ = run_cli(capsys, "bound-report", "2047,1000")
         assert code == 1
 
+    def test_x_below_1_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bounds.csv"
+        for argv in (("0,100",), ("--format", "json", "--", "-5,100"),
+                     ("--csv", str(path), "0,100")):
+            code, out, err = run_cli(capsys, "bound-report", *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: "), argv
+        assert not path.exists()
+
 
 class TestWitnessCommands:
     def test_witness(self, capsys):

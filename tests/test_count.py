@@ -225,3 +225,10 @@ class TestBoundReport:
             bound_report([200, 100])
         with pytest.raises(ValueError):
             bound_report([])
+
+    def test_rejects_x_below_1(self):
+        for xs in ([0, 100], [-5, 100], [0]):
+            with pytest.raises(ValueError):
+                bound_report(xs)
+        row = bound_report([1, 100])[0]
+        assert (row.x, row.ov, row.x_3_4, row.ratio) == (1, 0, 1.0, 0.0)

@@ -6,6 +6,8 @@ import sympy
 
 from _oracles import MEMBERS_1E6
 from overpseudo import (
+    Budget,
+    EffortError,
     common_witness,
     is_overpseudoprime_base,
     least_witness,
@@ -95,6 +97,13 @@ class TestLeastWitness:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             least_witness(13)
+
+    def test_incomplete_factorization_raises(self):
+        # both primes lie above the trial-division table and rho gets no units
+        with pytest.raises(EffortError):
+            least_witness(1000003 * 1000033, Budget(0))
+        # below TRIAL_DIVISION_LIMIT**2 trial division alone completes
+        assert least_witness(999983 * 1000003, Budget(0)).witness == 2
 
 
 class TestCommonWitness:
