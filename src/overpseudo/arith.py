@@ -211,11 +211,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
-    def big_omega(self) -> int:
-        """Number of listed prime factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
-
     def rebuild(self) -> int:
         out = self.unfactored_cofactor
         for p, e in self.factors:

@@ -14,7 +14,8 @@ from math import gcd
 
 from .arith import Budget, Factorization, _mr_witness, factorize, is_prime
 from .errors import ContractViolationError, EffortError
-from .order import _complete_factorization, _prime_unit_order, coset_count
+from .order import (_complete_factorization, _coset_identity,
+                    _prime_unit_order, coset_count)
 
 VERDICT_DEFINITION = "definition"
 VERDICT_BOTH = "both"
@@ -93,18 +94,9 @@ def is_carmichael(n: int, budget: Budget | None = None,
 def is_overpseudoprime_def(n: int, budget: Budget | None = None,
                            *, factorization: Factorization | None = None) -> bool:
     """Definition route: odd composite n with n == r(n) * h(n) + 1 at base 2."""
-    if n < 9 or n % 2 == 0:
+    if n < 9 or n % 2 == 0 or is_prime(n):
         return False
-    # n == r*h + 1 forces h | n - 1, so failing the Fermat condition settles it
-    if pow(2, n - 1, n) != 1:
-        return False
-    if is_prime(n):
-        return False
-    if budget is None:
-        budget = Budget()
-    fz = factorization if factorization is not None else factorize(n, budget)
-    r, h = coset_count(2, n, budget=budget, factorization=fz)
-    return n == r * h + 1
+    return _coset_identity(2, n, budget, factorization)
 
 
 def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
@@ -115,14 +107,17 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
     equal to some t with p**e | 2**t - 1) force the order of every divisor
     of n to be t, which is the full sub-product condition.
     """
-    if n < 9 or n % 2 == 0:
-        return False
-    if is_prime(n):
+    if n < 9 or n % 2 == 0 or is_prime(n):
         return False
     if budget is None:
         budget = Budget()
+    return _one_order(_complete_factorization(n, budget, factorization), budget)
+
+
+def _one_order(fz: Factorization, budget: Budget) -> bool:
+    """The criterion on a complete factorization of an odd composite."""
     t = None
-    for p, e in _complete_factorization(n, budget, factorization).factors:
+    for p, e in fz.factors:
         tp = _prime_unit_order(2, p, budget)
         if t is None:
             t = tp
@@ -145,7 +140,8 @@ def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
     if budget is None:
         budget = Budget()
     fz = factorize(n, budget)
-    prime = is_prime(n)
+    # factorize lists n itself exactly when n is prime
+    prime = fz.factors == ((n, 1),)
     fermat = is_fermat_psp(n, 2)
     strong = is_strong_psp(n, 2)
     if not fz.complete:
@@ -159,7 +155,7 @@ def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
 
     r, h = coset_count(2, n, budget=budget, factorization=fz)
     over_def = (not prime) and n == r * h + 1
-    over_crit = is_overpseudoprime_criterion(n, budget, factorization=fz)
+    over_crit = (not prime) and _one_order(fz, budget)
     if over_def != over_crit:
         raise ContractViolationError(
             f"overpseudoprime routes disagree for {n}: "

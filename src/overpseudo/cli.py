@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .arith import DEFAULT_WORK_UNITS, PROBABLE_PRIME_THRESHOLD, Budget
 from .classify import classify
@@ -201,6 +202,12 @@ def _table_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bound_csv(records) -> str:
+    """The x,ov,x_3_4,ratio,x_1_2 CSV of a count or bound-report run."""
+    return bound_report_csv([_bound_row(rec["result"]["x"], rec["result"]["ov"])
+                             for rec in records])
+
+
 def _cmd_count(args, budget):
     record = ov_count(args.x, budget)
     result = {
@@ -249,6 +256,11 @@ def _cmd_common_witness(args, budget):
                     result, budget, warnings)]
 
 
+# the CSV writer of each command with a tabular schema; only these take --csv
+_CSV_WRITERS = {"table": _table_csv, "count": _bound_csv, "bound-report": _bound_csv}
+
+
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="overpseudo",
                      description="Overpseudoprime detection and counting toolkit")
@@ -257,9 +269,6 @@ def _build_parser() -> _Parser:
                         help="work-unit limit (default %(default)s)")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="text", dest="fmt", help="output format")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized drivers; core paths "
-                             "are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common],
@@ -293,7 +302,6 @@ def _build_parser() -> _Parser:
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--csv", default=None, help="also write rows to this file")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("count", parents=[common],
@@ -301,14 +309,11 @@ def _build_parser() -> _Parser:
     p.add_argument("x", type=int)
     p.add_argument("--members", action="store_true",
                    help="include the member list in the output")
-    p.add_argument("--csv", default=None,
-                   help="write a one-row x,ov,x_3_4,ratio,x_1_2 file")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("bound-report", parents=[common],
                        help="counting-function sweep against x**(3/4)")
     p.add_argument("xs", help="comma-separated ascending bounds")
-    p.add_argument("--csv", default=None, help="write the CSV to this file")
     p.set_defaults(handler=_cmd_bound_report)
 
     p = sub.add_parser("witness", parents=[common],
@@ -323,29 +328,29 @@ def _build_parser() -> _Parser:
                    help="largest base to try")
     p.set_defaults(handler=_cmd_common_witness)
 
+    for command in _CSV_WRITERS:
+        sub.choices[command].add_argument(
+            "--csv", default=None, help="also write the CSV to this file")
     return parser
 
 
-_CSV_COMMANDS = {"table", "count", "bound-report"}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.fmt == "csv" and args.command not in _CSV_COMMANDS:
+        args = _build_parser().parse_args(argv)
+        writer = _CSV_WRITERS.get(args.command)
+        if args.fmt == "csv" and writer is None:
             raise ValueError(f"csv format is not defined for '{args.command}'")
         budget = Budget(args.budget)
         records = args.handler(args, budget)
         if getattr(args, "csv", None):
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(_csv(args.command, records))
+                fh.write(writer(records))
         if args.fmt == "csv":
-            sys.stdout.write(_csv(args.command, records))
+            sys.stdout.write(writer(records))
         else:
             _emit(records, args.fmt, sys.stdout)
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EffortError as exc:
@@ -354,14 +359,6 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 3
-
-
-def _csv(command: str, records) -> str:
-    """The CSV of a table, count or bound-report run, for stdout or --csv."""
-    if command == "table":
-        return _table_csv(records)
-    return bound_report_csv([_bound_row(rec["result"]["x"], rec["result"]["ov"])
-                             for rec in records])
 
 
 if __name__ == "__main__":

@@ -194,3 +194,13 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
     for phi, o in divisor_data[1:]:
         r += phi // o
     return r, h
+
+
+def _coset_identity(base: int, n: int, budget: Budget | None,
+                    factorization: Factorization | None) -> bool:
+    """n == r * h + 1 for the cosets of base mod n; the caller validates both."""
+    # h | n - 1 is forced, so a failed Fermat condition decides early
+    if pow(base, n - 1, n) != 1:
+        return False
+    r, h = coset_count(base, n, budget=budget, factorization=factorization)
+    return n == r * h + 1

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .arith import Budget, factorize, is_prime
-from .classify import is_overpseudoprime_criterion, is_overpseudoprime_def
+from .classify import _one_order
 from .errors import ContractViolationError, EffortError
-from .order import order_dividing
+from .order import _coset_identity, order_dividing
 
 MERSENNE_PRIME = "prime"
 MERSENNE_OVERPSEUDOPRIME = "overpseudoprime"
@@ -132,13 +132,14 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
     if budget is None:
         budget = Budget()
     m = (1 << p) - 1
-    if is_prime(m):
-        return MERSENNE_PRIME
     fz = factorize(m, budget)
+    # factorize lists m itself exactly when m is prime
+    if fz.factors == ((m, 1),):
+        return MERSENNE_PRIME
     if not fz.complete:
         raise EffortError(f"cannot factor 2**{p} - 1 within budget")
-    by_def = is_overpseudoprime_def(m, budget, factorization=fz)
-    by_crit = is_overpseudoprime_criterion(m, budget, factorization=fz)
+    by_def = _coset_identity(2, m, budget, fz)
+    by_crit = _one_order(fz, budget)
     if by_def and by_crit:
         return MERSENNE_OVERPSEUDOPRIME
     raise ContractViolationError(

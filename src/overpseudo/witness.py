@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import Budget, Factorization, factorize, is_prime
-from .order import _complete_factorization, coset_count
+from .order import _complete_factorization, _coset_identity
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,7 @@ def is_overpseudoprime_base(n: int, a: int, budget: Budget | None = None,
         raise ValueError("base must lie in [1, n-1]")
     if gcd(a, n) != 1:
         raise ValueError("base must be coprime to n")
-    if budget is None:
-        budget = Budget()
-    # h_a | n - 1 is forced, so a failed Fermat condition decides early
-    if pow(a, n - 1, n) != 1:
-        return False
-    r, h = coset_count(a, n, budget=budget, factorization=factorization)
-    return n == r * h + 1
+    return _coset_identity(a, n, budget, factorization)
 
 
 def least_witness(n: int, budget: Budget | None = None) -> WitnessRecord:
@@ -64,7 +58,7 @@ def least_witness(n: int, budget: Budget | None = None) -> WitnessRecord:
             skipped += 1
             continue
         checked += 1
-        if not is_overpseudoprime_base(n, a, budget, factorization=fz):
+        if not _coset_identity(a, n, budget, fz):
             return WitnessRecord(n, a, checked, skipped)
     return WitnessRecord(n, None, checked, skipped)
 
@@ -88,8 +82,7 @@ def common_witness(ns, a_max: int, budget: Budget | None = None) -> int | None:
     def witnesses(a: int, n: int) -> bool:
         if gcd(a, n) != 1:
             return False
-        return not is_overpseudoprime_base(n, a % n, budget,
-                                           factorization=fzs[n])
+        return not _coset_identity(a % n, n, budget, fzs[n])
 
     for a in range(2, a_max + 1):
         if all(witnesses(a, n) for n in ns):

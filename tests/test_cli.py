@@ -271,10 +271,47 @@ class TestGlobalFlags:
         assert code == 0
         assert records[0]["effort_spent"] > 0
 
-    def test_seed_flag_accepted(self, capsys):
-        code, _, _ = run_cli(capsys, "count", "100", "--seed", "7",
-                             "--format", "json")
+    def test_seed_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "count", "100", "--seed", "7",
+                                 "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "100"),
+        ("table", "28", "44", "--step", "8"),
+        ("bound-report", "1000,2047"),
+    ])
+    def test_unwritable_csv_is_domain_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not path.exists()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's args."""
+
+    def test_csv_file_not_written_again(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        argv = ("table", "28", "44", "--step", "8")
+        code, out_with_csv, _ = run_cli(capsys, *argv, "--csv", str(path))
         assert code == 0
+        assert path.read_text() == "n,least_overpseudoprime\n28,3277\n36,4033\n44,838861\n"
+        path.unlink()
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, out_with_csv)
+        assert not path.exists()
+
+    def test_valid_call_after_usage_error(self, capsys):
+        argv = ("classify", "3277", "--format", "json")
+        before = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "classify", "3277", "--members")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert run_cli(capsys, *argv) == before
 
 
 class TestFactorMemoAcrossCommands:

@@ -107,6 +107,25 @@ class TestMersenneDichotomy:
             23: "overpseudoprime", 29: "overpseudoprime", 31: "prime",
         }
 
+    def test_mersenne_number_tested_for_primality_once(self, monkeypatch):
+        from overpseudo import arith, primover
+
+        tested = []
+
+        def spy(n):
+            tested.append(n)
+            return arith_is_prime(n)
+
+        arith_is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", spy)
+        monkeypatch.setattr(primover, "is_prime", spy)
+        m = (1 << 67) - 1
+        # both primes of 2**67 - 1 lie above the trial-division table
+        with pytest.raises(EffortError):
+            check_mersenne_dichotomy(67, Budget(10))
+        assert tested.count(m) == 1
+        assert tested.count(67) == 1
+
 
 class TestOmegaBound:
     def test_examples(self):

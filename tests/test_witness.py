@@ -8,6 +8,7 @@ from _oracles import MEMBERS_1E6
 from overpseudo import (
     Budget,
     EffortError,
+    WitnessRecord,
     common_witness,
     is_overpseudoprime_base,
     least_witness,
@@ -97,6 +98,27 @@ class TestLeastWitness:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             least_witness(13)
+
+    @pytest.mark.parametrize("n, record", [
+        (1541955409, WitnessRecord(1541955409, 3, 2, 0)),
+        # an overpseudoprime above 2**64
+        (2**67 - 1, WitnessRecord(2**67 - 1, 3, 2, 0)),
+    ])
+    def test_n_tested_for_primality_at_most_twice(self, monkeypatch, n, record):
+        from overpseudo import arith, witness
+
+        tested = []
+
+        def spy(m):
+            tested.append(m)
+            return arith_is_prime(m)
+
+        arith_is_prime = arith.is_prime
+        for module in (arith, witness):
+            monkeypatch.setattr(module, "is_prime", spy)
+        assert least_witness(n) == record
+        # once when validating n, once inside factorize
+        assert tested.count(n) <= 2
 
     def test_incomplete_factorization_raises(self):
         # both primes lie above the trial-division table and rho gets no units
