@@ -84,9 +84,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PROBABLE_PRIME_THRESHOLD = 1 << 64
 
 
-def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
-    """True if n passes one Miller-Rabin round at base a (n-1 = d * 2**s)."""
-    x = pow(a, d, n)
+def _mr_witness(n: int, a: int) -> bool:
+    """True if odd n > 1 passes one Miller-Rabin round at base a."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -157,14 +159,11 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
     if n < PROBABLE_PRIME_THRESHOLD:
         for bound, bases in _MR_LADDER:
             if n < bound:
-                return all(_mr_witness(n, a, d, s) for a in bases)
-    if not _mr_witness(n, 2, d, s):
+                return all(_mr_witness(n, a) for a in bases)
+    if not _mr_witness(n, 2):
         return False
     r = math.isqrt(n)
     if r * r == n:

@@ -45,50 +45,40 @@ class ClassificationReport:
 
 def is_fermat_psp(n: int, base: int) -> bool:
     """Composite odd n coprime to base with base**(n-1) == 1 (mod n)."""
-    if n < 9 or n % 2 == 0 or gcd(base, n) != 1:
-        return False
-    if pow(base, n - 1, n) != 1:
+    if n < 9 or n % 2 == 0 or gcd(base, n) != 1 or pow(base, n - 1, n) != 1:
         return False
     return not is_prime(n)
 
 
 def is_strong_psp(n: int, base: int) -> bool:
     """Composite odd n passing one Miller-Rabin round at the given base."""
-    if n < 9 or n % 2 == 0:
-        return False
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    return _mr_witness(n, base, d >> s, s) and not is_prime(n)
+    return n >= 9 and n % 2 == 1 and _mr_witness(n, base) and not is_prime(n)
 
 
 def is_super_poulet(n: int, budget: Budget | None = None,
                     *, factorization: Factorization | None = None) -> bool:
     """Odd composite n whose every divisor d satisfies d | 2**d - 2."""
-    if n < 9 or n % 2 == 0:
+    if n < 9 or n % 2 == 0 or pow(2, n, n) != 2 or is_prime(n):
         return False
-    if pow(2, n, n) != 2:
-        return False
-    if is_prime(n):
-        return False
-    if budget is None:
-        budget = Budget()
-    fz = _complete_factorization(n, budget, factorization)
+    return _super_poulet(_complete_factorization(n, budget, factorization))
+
+
+def _super_poulet(fz: Factorization) -> bool:
+    """Every divisor d > 1 of a complete factorization has d | 2**d - 2."""
     return all(pow(2, d, d) == 2 for d in fz.divisors() if d > 1)
 
 
 def is_carmichael(n: int, budget: Budget | None = None,
                   *, factorization: Factorization | None = None) -> bool:
     """Korselt criterion: odd composite, squarefree, (p-1) | (n-1) for all p | n."""
-    if n < 9 or n % 2 == 0:
+    if n < 9 or n % 2 == 0 or is_prime(n):
         return False
-    if is_prime(n):
-        return False
-    if budget is None:
-        budget = Budget()
-    fz = _complete_factorization(n, budget, factorization)
-    if any(e > 1 for _, e in fz.factors):
-        return False
-    return all((n - 1) % (p - 1) == 0 for p, _ in fz.factors)
+    return _korselt(n, _complete_factorization(n, budget, factorization))
+
+
+def _korselt(n: int, fz: Factorization) -> bool:
+    """Squarefree with (p-1) | (n-1) for every p, on a complete factorization of n."""
+    return all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fz.factors)
 
 
 def is_overpseudoprime_def(n: int, budget: Budget | None = None,
@@ -140,10 +130,10 @@ def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
     if budget is None:
         budget = Budget()
     fz = factorize(n, budget)
-    # factorize lists n itself exactly when n is prime
+    # factorize lists n itself exactly when n is prime; no flag tests it again
     prime = fz.factors == ((n, 1),)
-    fermat = is_fermat_psp(n, 2)
-    strong = is_strong_psp(n, 2)
+    fermat = not prime and pow(2, n - 1, n) == 1
+    strong = not prime and _mr_witness(n, 2)
     if not fz.complete:
         partial = ClassificationReport(
             n, fz, None, None,
@@ -165,8 +155,8 @@ def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
         prime=prime,
         fermat_psp_base2=fermat,
         strong_psp_base2=strong,
-        super_poulet=is_super_poulet(n, budget, factorization=fz),
-        carmichael=is_carmichael(n, budget, factorization=fz),
+        super_poulet=fermat and _super_poulet(fz),  # odd n: fermat iff 2**n == 2
+        carmichael=not prime and _korselt(n, fz),
         overpseudoprime_base2=over_def,
     )
     return ClassificationReport(n, fz, h, r, flags, VERDICT_BOTH)

@@ -337,6 +337,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.budget < 0:
+            raise ValueError("--budget must be >= 0")
         writer = _CSV_WRITERS.get(args.command)
         if args.fmt == "csv" and writer is None:
             raise ValueError(f"csv format is not defined for '{args.command}'")

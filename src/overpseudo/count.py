@@ -57,7 +57,7 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     h_primes = factorize(h, budget).primes()
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
     if phi < 2 * limit.bit_length():
-        c = _reduced_cyclotomic_value(h)
+        c = _reduced_cyclotomic_value(h, h_primes)
         budget.charge((min(limit, math.isqrt(c)) - start) // step + 1)
         fz = factorize(c, budget)
         if not fz.complete:
@@ -238,7 +238,8 @@ def bound_report(xs, budget: Budget | None = None) -> list[BoundRow]:
         raise ValueError("xs must be >= 1")
     if budget is None:
         budget = Budget()
-    members = enumerate_overpseudoprimes(xs[-1], budget)
+    # the least overpseudoprime is 2047, so a sweep to 3 serves any x < 3
+    members = enumerate_overpseudoprimes(max(xs[-1], 3), budget)
     return [_bound_row(x, bisect_right(members, x)) for x in xs]
 
 

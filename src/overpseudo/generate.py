@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
-from .classify import is_overpseudoprime_def
 from .errors import ContractViolationError, EffortError
-from .order import order_dividing
+from .order import _complete_factorization, _coset_identity, _has_order
 from .primover import primitive_part
 
 
@@ -60,10 +59,10 @@ def generate_trace(k: int, budget: Budget | None = None) -> GenerationTrace:
     """Run the bracket construction and keep the intermediate factorizations.
 
     The product of the smallest primitive divisor of each bracket is
-    verified overpseudoprime before being reported.  For k >= 3 both
-    brackets are guaranteed a primitive divisor, so absence raises
-    ContractViolationError; for k in {1, 2} absence is reported as a None
-    value.
+    verified overpseudoprime, on its two known primes, before being
+    reported.  For k >= 3 both brackets are guaranteed a primitive divisor,
+    so absence raises ContractViolationError; for k in {1, 2} absence is
+    reported as a None value.
     """
     pair = aurifeuillian_pair(k)
     if budget is None:
@@ -72,10 +71,9 @@ def generate_trace(k: int, budget: Budget | None = None) -> GenerationTrace:
     mf = factorize(pair.M, budget)
     if not (lf.complete and mf.complete):
         raise EffortError(f"cannot factor the Aurifeuillian brackets for k={k}")
-    prim_l = tuple(p for p in lf.primes()
-                   if order_dividing(2, p, pair.n, budget=budget) == pair.n)
-    prim_m = tuple(p for p in mf.primes()
-                   if order_dividing(2, p, pair.n, budget=budget) == pair.n)
+    n_primes = _complete_factorization(pair.n, budget, None).primes()
+    prim_l = tuple(p for p in lf.primes() if _has_order(2, p, pair.n, n_primes))
+    prim_m = tuple(p for p in mf.primes() if _has_order(2, p, pair.n, n_primes))
     if not (prim_l and prim_m):
         if k >= 3:
             raise ContractViolationError(
@@ -83,7 +81,8 @@ def generate_trace(k: int, budget: Budget | None = None) -> GenerationTrace:
             )
         return GenerationTrace(pair, lf, mf, prim_l, prim_m, None)
     value = prim_l[0] * prim_m[0]
-    if not is_overpseudoprime_def(value, budget):
+    fz = Factorization(value, tuple(sorted([(prim_l[0], 1), (prim_m[0], 1)])), True)
+    if not _coset_identity(2, value, budget, fz):
         raise ContractViolationError(
             f"constructed value {value} failed the overpseudoprime check"
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
-from .errors import EffortError
+from .errors import ContractViolationError, EffortError
 
 # primes of p - 1 keyed by p
 _lambda_cache: dict[int, tuple[int, ...]] = {}
@@ -27,6 +27,13 @@ def _strip(base: int, t: int, primes, modulus: int) -> int:
         while t % f == 0 and pow(base, t // f, modulus) == 1:
             t //= f
     return t
+
+
+def _has_order(base: int, p: int, n: int, n_primes) -> bool:
+    """ord_p(base) == n, given the primes of n; base**n == 1 (mod p) must hold."""
+    if pow(base, n, p) != 1:
+        raise ContractViolationError(f"the order of {base} mod {p} does not divide {n}")
+    return _strip(base, n, n_primes, p) == n
 
 
 def _prime_unit_order(base: int, p: int, budget: Budget) -> int:
@@ -63,7 +70,7 @@ def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[
     return chain
 
 
-def _complete_factorization(n: int, budget: Budget,
+def _complete_factorization(n: int, budget: Budget | None,
                             factorization: Factorization | None) -> Factorization:
     """The given or a fresh factorization of n; complete or EffortError.
 
@@ -101,19 +108,15 @@ def order_dividing(base: int, modulus: int, multiple: int,
                    *, budget: Budget | None = None) -> int:
     """Exact order of base mod modulus given that it divides `multiple`.
 
-    Avoids factoring modulus - 1; used when candidates are known to divide
-    2**n - 1 so their order divides n.
+    Factors `multiple` instead of modulus - 1, which pays off when the
+    modulus is known to divide base**multiple - 1.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if pow(base, multiple, modulus) != 1:
         raise ValueError(f"{multiple} is not a multiple of the order")
-    if budget is None:
-        budget = Budget()
-    fz = factorize(multiple, budget)
-    if not fz.complete:
-        raise EffortError(f"cannot factor the order multiple {multiple}")
-    return _strip(base, multiple, fz.primes(), modulus)
+    primes = _complete_factorization(multiple, budget, None).primes()
+    return _strip(base, multiple, primes, modulus)
 
 
 @dataclass(frozen=True)

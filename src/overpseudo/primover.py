@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .arith import Budget, factorize, is_prime
 from .classify import _one_order
 from .errors import ContractViolationError, EffortError
-from .order import _coset_identity, order_dividing
+from .order import _complete_factorization, _coset_identity, _has_order
 
 MERSENNE_PRIME = "prime"
 MERSENNE_OVERPSEUDOPRIME = "overpseudoprime"
@@ -30,8 +30,13 @@ def cyclotomic_value(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _cyclotomic_value(n, factorize(n).primes())
+
+
+def _cyclotomic_value(n: int, n_primes) -> int:
+    """cyclotomic_value(n), given the distinct primes of n."""
     terms = [(1, False)]  # (d, omega(d) odd)
-    for p in factorize(n).primes():
+    for p in n_primes:
         terms += [(d * p, not odd) for d, odd in terms]
     num = den = 1
     for d, odd in terms:
@@ -43,10 +48,10 @@ def cyclotomic_value(n: int) -> int:
     return num // den
 
 
-def _reduced_cyclotomic_value(n: int) -> int:
-    """Phi_n(2) without its intrinsic prime (the largest prime factor of n)."""
-    value = cyclotomic_value(n)
-    intrinsic = max(factorize(n).primes())
+def _reduced_cyclotomic_value(n: int, n_primes) -> int:
+    """Phi_n(2) without its intrinsic prime, the largest of n's primes n_primes."""
+    value = _cyclotomic_value(n, n_primes)
+    intrinsic = max(n_primes)
     while value % intrinsic == 0:
         value //= intrinsic
     return value
@@ -101,12 +106,13 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
         raise ValueError("n must be >= 2")
     if budget is None:
         budget = Budget()
-    value = _reduced_cyclotomic_value(n)
+    n_primes = _complete_factorization(n, budget, None).primes()
+    value = _reduced_cyclotomic_value(n, n_primes)
     if value == 1:
         return PrimitivePart(n, (), 1, True, 1, False)
     fz = factorize(value, budget)
     for p in fz.primes():
-        if order_dividing(2, p, n, budget=budget) != n:
+        if not _has_order(2, p, n, n_primes):
             raise ContractViolationError(
                 f"prime {p} of the reduced cyclotomic value has order != {n}"
             )

@@ -1,3 +1,4 @@
+import importlib
 from math import gcd
 
 import pytest
@@ -214,6 +215,41 @@ class TestClassify:
             rep = classify(p)
             assert rep.flags.prime is True
             assert rep.flags.overpseudoprime_base2 is False
+
+
+class TestClassifyFromOneFactorization:
+    """classify reads every flag off its factorization and one primality test."""
+
+    def test_n_tested_for_primality_once(self, monkeypatch):
+        from overpseudo import arith
+
+        # the package re-exports the function classify under the module's name
+        classify_module = importlib.import_module("overpseudo.classify")
+
+        tested = []
+
+        def spy(n):
+            tested.append(n)
+            return arith_is_prime(n)
+
+        arith_is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", spy)
+        monkeypatch.setattr(classify_module, "is_prime", spy)
+        # a memo hit would skip the one test inside factorize
+        monkeypatch.setattr(arith, "_factor_memo", {})
+        for n in (1541955409, (1 << 67) - 1):
+            tested.clear()
+            rep = classify(n)
+            assert rep.flags.overpseudoprime_base2 is True
+            assert tested.count(n) == 1, n
+
+    def test_flags_match_the_public_predicates(self):
+        for n in range(9, 5000, 2):
+            flags = classify(n).flags
+            assert (flags.fermat_psp_base2, flags.strong_psp_base2,
+                    flags.super_poulet, flags.carmichael) == (
+                is_fermat_psp(n, 2), is_strong_psp(n, 2),
+                is_super_poulet(n), is_carmichael(n)), n
 
 
 class TestImplicationChain:

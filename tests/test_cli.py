@@ -225,6 +225,11 @@ class TestBoundReportCommand:
         code, _, _ = run_cli(capsys, "bound-report", "2047,1000")
         assert code == 1
 
+    def test_bounds_below_3(self, capsys):
+        code, records, _ = run_json(capsys, "bound-report", "1,2")
+        assert code == 0
+        assert [(r["result"]["x"], r["result"]["ov"]) for r in records] == [(1, 0), (2, 0)]
+
     def test_x_below_1_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"
         for argv in (("0,100",), ("--format", "json", "--", "-5,100"),
@@ -276,6 +281,19 @@ class TestGlobalFlags:
                                  "--format", "json")
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "100000"),
+        ("primover", "97"),
+        ("classify", "341"),
+    ])
+    def test_negative_budget_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        # a zero budget is a budget, not a usage error
+        code, _, err = run_cli(capsys, *argv, "--budget", "0")
+        assert code != 1, err
 
     @pytest.mark.parametrize("argv", [
         ("count", "100"),

@@ -48,9 +48,9 @@ class TestPrimesOfOrder:
         factored = []
         reduced = count_module._reduced_cyclotomic_value
 
-        def spy(h):
+        def spy(h, h_primes):
             factored.append(h)
-            return reduced(h)
+            return reduced(h, h_primes)
 
         monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", spy)
         orders = range(2, 121)
@@ -96,9 +96,9 @@ class TestPrimesOfOrder:
             sieved.append(n)
             return sieve(h, start, step, n, limit)
 
-        def reduced_spy(h):
+        def reduced_spy(h, h_primes):
             factored.append(h)
-            return reduced(h)
+            return reduced(h, h_primes)
 
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
@@ -225,6 +225,14 @@ class TestBoundReport:
             bound_report([200, 100])
         with pytest.raises(ValueError):
             bound_report([])
+
+    def test_bounds_below_3(self):
+        # no overpseudoprime lies below 2047; the enumeration itself starts at 3
+        for xs in ([1], [2], [1, 2], [2, 3], [1, 2, 2047]):
+            rows = bound_report(xs)
+            assert [(r.x, r.ov) for r in rows] == [(x, int(x == 2047)) for x in xs]
+        with pytest.raises(ValueError):
+            enumerate_overpseudoprimes(2)
 
     def test_rejects_x_below_1(self):
         for xs in ([0, 100], [-5, 100], [0]):

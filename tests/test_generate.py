@@ -82,6 +82,41 @@ class TestGenerate:
                 assert gcd(values[k1], values[k2]) == 1
 
 
+class TestGenerateFromKnownFactors:
+    """generate_trace checks its value on the two primes it has certified."""
+
+    @pytest.mark.parametrize("k", [27, 31])
+    def test_completes_at_budget_100000(self, k):
+        # factoring the value p * q would take rho past this budget
+        assert generate_trace(k, Budget(100_000)) == generate_trace(k)
+
+    def test_k14_spends_nothing(self):
+        budget = Budget(100_000)
+        assert generate_trace(14, budget).value is not None
+        assert budget.spent == 0
+
+    def test_values_pass_the_definition_on_a_fresh_factorization(self):
+        for k in range(3, 27):
+            assert is_overpseudoprime_def(generate_overpseudoprime(k)), k
+
+    def test_order_factored_once_and_value_never(self, monkeypatch):
+        from overpseudo import arith, generate, order
+
+        factored = []
+
+        def spy(n, budget=None):
+            factored.append(n)
+            return arith_factorize(n, budget)
+
+        arith_factorize = arith.factorize
+        monkeypatch.setattr(generate, "factorize", spy)
+        monkeypatch.setattr(order, "factorize", spy)
+        trace = generate_trace(10)
+        assert trace.value == GENERATED[10]
+        assert factored.count(84) == 1
+        assert trace.value not in factored
+
+
 class TestLeastWithOrder:
     def test_golden_values(self):
         for n, expected in LEAST_BY_ORDER.items():

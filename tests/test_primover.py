@@ -5,6 +5,7 @@ import sympy
 
 from overpseudo import (
     Budget,
+    ContractViolationError,
     EffortError,
     check_mersenne_dichotomy,
     cyclotomic_value,
@@ -75,6 +76,33 @@ class TestPrimitivePart:
         assert factors[4733] == 1
         assert part.unfactored > 1
         assert part.cofactor % 1093**2 == 0
+
+    @pytest.mark.parametrize("stray", [7, 127])
+    def test_prime_of_another_order_is_a_contract_violation(self, monkeypatch, stray):
+        # ord_7(2) = 3 does not divide 28; ord_127(2) = 7 divides 28 but is not 28
+        from overpseudo import primover
+
+        reduced = primover._reduced_cyclotomic_value
+        monkeypatch.setattr(primover, "_reduced_cyclotomic_value",
+                            lambda n, n_primes: reduced(n, n_primes) * stray)
+        with pytest.raises(ContractViolationError):
+            primitive_part(28)
+
+    def test_order_factored_once(self, monkeypatch):
+        from overpseudo import arith, order, primover
+
+        factored = []
+
+        def spy(n, budget=None):
+            factored.append(n)
+            return arith_factorize(n, budget)
+
+        arith_factorize = arith.factorize
+        monkeypatch.setattr(primover, "factorize", spy)
+        monkeypatch.setattr(order, "factorize", spy)
+        part = primitive_part(300)
+        assert len(part.primitive_factors) > 1
+        assert factored.count(300) == 1
 
     def test_sweep_2_to_120(self, primitive_parts_120):
         for n, part in primitive_parts_120.items():
