@@ -14,8 +14,8 @@ from math import gcd
 
 from .arith import Budget, Factorization, _mr_witness, factorize, is_prime
 from .errors import ContractViolationError, EffortError
-from .order import (_complete_factorization, _coset_identity,
-                    _prime_unit_order, coset_count)
+from .order import (_complete_factorization, _coset_identity, _one_order,
+                    _order_chains, _two_routes)
 
 VERDICT_DEFINITION = "definition"
 VERDICT_BOTH = "both"
@@ -101,21 +101,8 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
         return False
     if budget is None:
         budget = Budget()
-    return _one_order(_complete_factorization(n, budget, factorization), budget)
-
-
-def _one_order(fz: Factorization, budget: Budget) -> bool:
-    """The criterion on a complete factorization of an odd composite."""
-    t = None
-    for p, e in fz.factors:
-        tp = _prime_unit_order(2, p, budget)
-        if t is None:
-            t = tp
-        elif tp != t:
-            return False
-        if pow(2, t, p**e) != 1:
-            return False
-    return True
+    fz = _complete_factorization(n, budget, factorization)
+    return _one_order(_order_chains(2, fz, budget))
 
 
 def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
@@ -143,9 +130,8 @@ def classify(n: int, budget: Budget | None = None) -> ClassificationReport:
         )
         raise EffortError(f"incomplete factorization of {n}", partial=partial)
 
-    r, h = coset_count(2, n, budget=budget, factorization=fz)
-    over_def = (not prime) and n == r * h + 1
-    over_crit = (not prime) and _one_order(fz, budget)
+    r, h, by_def, by_crit = _two_routes(n, fz, budget)
+    over_def, over_crit = not prime and by_def, not prime and by_crit
     if over_def != over_crit:
         raise ContractViolationError(
             f"overpseudoprime routes disagree for {n}: "

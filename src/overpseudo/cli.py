@@ -4,12 +4,14 @@ Each invocation emits self-contained records: line-delimited JSON objects
 in json mode (one per row for streaming commands), CSV where a tabular
 schema exists, and a human-oriented text rendering otherwise.  Exit codes:
 0 success, 1 domain error, 2 work-budget exhaustion, 3 contract violation.
+A reader that closes stdout early still gets 0, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -351,6 +353,11 @@ def main(argv=None) -> int:
             sys.stdout.write(writer(records))
         else:
             _emit(records, args.fmt, sys.stdout)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader is gone; aim stdout at devnull so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x), so h is the order of some
 prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x),
-groups them by order, and finds the primes of order h up to x / p_min(h):
+groups them by order, one factorization of p - 1 giving each p its order h
+and h its primes, and finds the primes of order h up to x / p_min(h):
 the prime factors of Phi_h(2) without its intrinsic prime, found by
 factorize as in primitive_part, when Phi_h(2) is small, else by an order
 test of each q = 1 (mod h) that survives a sieve by small primes and a
@@ -27,12 +28,10 @@ from .primover import _reduced_cyclotomic_value, _slots_of_order
 
 MEMBER_CAP = 1_000_000
 SIEVE_LIMIT = 2**12
-# up to this many candidates the order test alone is cheaper than the sieve
-SIEVE_MIN_CANDIDATES = 128
 
 
-def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
-    """All primes q <= limit with ord_q(2) == h, ascending.
+def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
+    """All primes q <= limit with ord_q(2) == h, ascending, given h's primes h_primes.
 
     Candidates are the odd q = 1 (mod h).  If phi(h) < 2 * bits(limit), the
     primes of order h are the prime factors of c = Phi_h(2) without its
@@ -41,12 +40,11 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     up to min(limit, sqrt(c)) up front, plus any rho units factorize spends,
     and an incomplete factorization raises EffortError.  Otherwise
     limit < 2**((h-1)/2), every candidate is charged one unit up front, and
-    each candidate's order of 2 is tested.  With more than
-    SIEVE_MIN_CANDIDATES candidates a sieve first drops the multiples >= r*r
-    of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit), number of
-    candidates) and, when (q-1)/h is even, the q = +-3 (mod 8), which have
-    no square root of 2.  The sieve drops only composites and primes of
-    another order; it charges nothing extra.
+    each candidate's order of 2 is tested.  A sieve first drops the
+    multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit),
+    number of candidates) and, when (q-1)/h is even, the q = +-3 (mod 8),
+    which have no square root of 2.  The sieve drops only composites and
+    primes of another order; it charges nothing extra.
     """
     if h < 2:
         return []
@@ -54,7 +52,6 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
     start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
     if limit < start:
         return []
-    h_primes = factorize(h, budget).primes()
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
     if phi < 2 * limit.bit_length():
         c = _reduced_cyclotomic_value(h, h_primes)
@@ -65,11 +62,9 @@ def _primes_of_order(h: int, limit: int, budget: Budget) -> list[int]:
         return [q for q in fz.primes() if q <= limit]
     n = (limit - start) // step + 1
     budget.charge(n)
-    candidates = range(start, limit + 1, step)
-    if n > SIEVE_MIN_CANDIDATES:
-        candidates = compress(candidates, _scan_sieve(h, start, step, n, limit))
+    flags = _scan_sieve(h, start, step, n, limit)
     out = []
-    for q in candidates:
+    for q in compress(range(start, limit + 1, step), flags):
         if pow(2, h, q) != 1:
             continue
         if is_prime(q) and _strip(2, h, h_primes, q) == h:
@@ -122,28 +117,32 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
     return sorted(out)
 
 
-def _enumerate_groups(x: int, budget: Budget, *, only_order: int | None = None,
+def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None = None,
                       max_order: int | None = None) -> dict[int, list[int]]:
     """Members grouped by order h; orders processed ascending for determinism."""
     if x < 3:
         raise ValueError("x must be >= 3")
+    if budget is None:
+        budget = Budget()
     root = math.isqrt(x)
+    # order_min maps each order h to its least prime and the primes of h
     if only_order is not None:
         h = only_order
-        seeds = _primes_of_order(h, root, budget)
-        order_min = {h: seeds[0]} if seeds else {}
+        # no candidate q = 1 (mod h) is <= root unless h < root
+        h_primes = factorize(h, budget).primes() if h < root else ()
+        seeds = _primes_of_order(h, h_primes, root, budget)
+        order_min = {h: (seeds[0], h_primes)} if seeds else {}
     else:
         order_min = {}
-        for p in _primes_below(root + 1):
-            if p == 2:
-                continue
-            h = _prime_unit_order(2, p, budget)
+        for p in _primes_below(root + 1)[1:]:
+            h, h_primes = _prime_unit_order(2, p, budget)
             if (max_order is None or h <= max_order) and h not in order_min:
-                order_min[h] = p
+                order_min[h] = p, h_primes
     groups: dict[int, list[int]] = {}
     for h in sorted(order_min):
+        p_min, h_primes = order_min[h]
         try:
-            qs = _primes_of_order(h, x // order_min[h], budget)
+            qs = _primes_of_order(h, h_primes, x // p_min, budget)
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:
             raise EffortError(
@@ -156,8 +155,6 @@ def _enumerate_groups(x: int, budget: Budget, *, only_order: int | None = None,
 
 def enumerate_overpseudoprimes(x: int, budget: Budget | None = None) -> list[int]:
     """Exactly the overpseudoprimes <= x, sorted ascending."""
-    if budget is None:
-        budget = Budget()
     groups = _enumerate_groups(x, budget)
     return sorted(m for members in groups.values() for m in members)
 
@@ -176,8 +173,6 @@ class CountRecord:
 
 def ov_count(x: int, budget: Budget | None = None,
              *, members_cap: int = MEMBER_CAP) -> CountRecord:
-    if budget is None:
-        budget = Budget()
     groups = _enumerate_groups(x, budget)
     members = sorted(m for lst in groups.values() for m in lst)
     ov = len(members)
@@ -193,8 +188,6 @@ def ov_count_by_order(x: int, n: int, budget: Budget | None = None) -> int:
     """Number of overpseudoprimes m <= x with order of 2 exactly n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if budget is None:
-        budget = Budget()
     groups = _enumerate_groups(x, budget, only_order=n)
     return len(groups.get(n, []))
 
@@ -203,8 +196,6 @@ def ov_count_upto_order(x: int, n: int, budget: Budget | None = None) -> int:
     """Number of overpseudoprimes m <= x whose order of 2 is at most n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if budget is None:
-        budget = Budget()
     groups = _enumerate_groups(x, budget, max_order=n)
     return sum(len(v) for v in groups.values())
 
@@ -236,8 +227,6 @@ def bound_report(xs, budget: Budget | None = None) -> list[BoundRow]:
         raise ValueError("xs must be strictly ascending")
     if xs[0] < 1:
         raise ValueError("xs must be >= 1")
-    if budget is None:
-        budget = Budget()
     # the least overpseudoprime is 2047, so a sweep to 3 serves any x < 3
     members = enumerate_overpseudoprimes(max(xs[-1], 3), budget)
     return [_bound_row(x, bisect_right(members, x)) for x in xs]

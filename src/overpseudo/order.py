@@ -8,9 +8,6 @@ from math import gcd, lcm
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
 from .errors import ContractViolationError, EffortError
 
-# primes of p - 1 keyed by p
-_lambda_cache: dict[int, tuple[int, ...]] = {}
-
 
 def _validate(base: int, modulus: int) -> None:
     if modulus < 1 or modulus % 2 == 0:
@@ -36,18 +33,16 @@ def _has_order(base: int, p: int, n: int, n_primes) -> bool:
     return _strip(base, n, n_primes, p) == n
 
 
-def _prime_unit_order(base: int, p: int, budget: Budget) -> int:
-    """Order of base modulo prime p, by stripping prime factors from p - 1."""
+def _prime_unit_order(base: int, p: int, budget: Budget) -> tuple[int, tuple[int, ...]]:
+    """(t, primes of t) for t = ord_p(base), p prime; factors p - 1 on every call."""
     b = base % p
     if b == 1:
-        return 1
-    lam = _lambda_cache.get(p)
-    if lam is None:
-        fz = factorize(p - 1, budget)
-        if not fz.complete:
-            raise EffortError(f"cannot factor {p} - 1 to derive an order")
-        lam = _lambda_cache[p] = fz.primes()
-    return _strip(b, p - 1, lam, p)
+        return 1, ()
+    fz = factorize(p - 1, budget)
+    if not fz.complete:
+        raise EffortError(f"cannot factor {p} - 1 to derive an order")
+    t = _strip(b, p - 1, fz.primes(), p)
+    return t, tuple(f for f in fz.primes() if t % f == 0)
 
 
 def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -> int:
@@ -59,7 +54,7 @@ def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -
 
 def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[int]:
     """Orders of base mod p, p**2, ..., p**e (nondecreasing)."""
-    t = _prime_unit_order(base, p, budget)
+    t = _prime_unit_order(base, p, budget)[0]
     chain = [t]
     pk = p
     for _ in range(1, e):
@@ -176,12 +171,20 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
     if budget is None:
         budget = Budget()
     fz = _complete_factorization(modulus, budget, factorization)
+    return _chain_coset_count(fz, _order_chains(base, fz, budget))
 
+
+def _order_chains(base: int, fz: Factorization, budget: Budget):
+    """Lazily, the order chain of base mod p, ..., p**e for each (p, e) of fz."""
+    return (_prime_power_order_chain(base, p, e, budget) for p, e in fz.factors)
+
+
+def _chain_coset_count(fz: Factorization, chains) -> tuple[int, int]:
+    """coset_count's (r, h) from the order chains of a complete factorization."""
     # (phi(d), ord_d(base)) for every divisor d, built prime by prime
     divisor_data = [(1, 1)]
     h = 1
-    for p, e in fz.factors:
-        chain = _prime_power_order_chain(base, p, e, budget)
+    for (p, e), chain in zip(fz.factors, chains):
         h = lcm(h, chain[-1])
         rows = []
         phi, pk = p - 1, 1
@@ -197,6 +200,23 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
     for phi, o in divisor_data[1:]:
         r += phi // o
     return r, h
+
+
+def _one_order(chains) -> bool:
+    """Every chain constant and all equal (the criterion); stops at the first not."""
+    t = None
+    for chain in chains:
+        if chain[-1] != chain[0] or t not in (None, chain[0]):
+            return False
+        t = chain[0]
+    return True
+
+
+def _two_routes(n: int, fz: Factorization, budget: Budget) -> tuple[int, int, bool, bool]:
+    """(r, h, n == r*h + 1, _one_order) at base 2 from one set of order chains of fz."""
+    chains = list(_order_chains(2, fz, budget))
+    r, h = _chain_coset_count(fz, chains)
+    return r, h, n == r * h + 1, _one_order(chains)
 
 
 def _coset_identity(base: int, n: int, budget: Budget | None,

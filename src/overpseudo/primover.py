@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import Budget, factorize, is_prime
-from .classify import _one_order
 from .errors import ContractViolationError, EffortError
-from .order import _complete_factorization, _coset_identity, _has_order
+from .order import _complete_factorization, _has_order, _two_routes
 
 MERSENNE_PRIME = "prime"
 MERSENNE_OVERPSEUDOPRIME = "overpseudoprime"
@@ -144,8 +143,7 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
         return MERSENNE_PRIME
     if not fz.complete:
         raise EffortError(f"cannot factor 2**{p} - 1 within budget")
-    by_def = _coset_identity(2, m, budget, fz)
-    by_crit = _one_order(fz, budget)
+    _, _, by_def, by_crit = _two_routes(m, fz, budget)
     if by_def and by_crit:
         return MERSENNE_OVERPSEUDOPRIME
     raise ContractViolationError(

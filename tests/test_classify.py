@@ -252,6 +252,25 @@ class TestClassifyFromOneFactorization:
                 is_super_poulet(n), is_carmichael(n)), n
 
 
+class TestNoOrderStateAcrossCalls:
+    """A repeated call charges what it charges in a fresh process."""
+
+    def test_repeat_spends_the_same(self):
+        # 83 * 203906404052574012401; p - 1 of the large prime needs rho
+        spent = []
+        for _ in range(2):
+            budget = Budget()
+            classify(16924231536363643029283, budget)
+            spent.append(budget.spent)
+        assert spent == [1790, 1790]
+
+    def test_charge_of_a_fresh_process(self):
+        # 5 * 233678182821636762067; the criterion reuses the definition's orders
+        budget = Budget()
+        classify(1168390914108183810335, budget)
+        assert budget.spent == 26622
+
+
 class TestImplicationChain:
     def test_members_below_1e6_are_super_poulet_and_strong(self):
         for n in MEMBERS_1E6:

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +362,43 @@ class TestFactorMemoAcrossCommands:
             warm = [run_cli(capsys, *argv, *flags) for argv in commands]
             assert warm == cold, (commands, budget)
             assert bool(arith._factor_memo) == stored
+
+
+class TestNoOrderStateAcrossCommands:
+    # 3 * 563045318627147; the large prime's p - 1 needs rho
+    N = "1689135955881441"
+
+    def test_small_budget_fails_again_after_a_full_run(self, capsys):
+        seen = []
+        for flags in (["--budget", "1000"], [], ["--budget", "1000"], []):
+            code, records, err = run_json(capsys, "classify", self.N, *flags)
+            seen.append(records[0]["effort_spent"] if code == 0 else code)
+        assert seen == [2, 12542, 2, 12542]
+
+
+class TestClosedStdout:
+    """A reader that is gone before any output leaves exit code 0 and no error."""
+
+    # the small record waits in the buffer for the interpreter's final flush;
+    # the large one overflows the buffer while it is written
+    @pytest.mark.parametrize("argv", [
+        ["classify", "15", "--format", "json"],
+        ["cosets", "20001"],
+    ])
+    def test_exit_zero_and_silent(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "overpseudo.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestEmit:

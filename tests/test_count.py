@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from sympy import primefactors, primerange
 
 from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
 from overpseudo import count as count_module
@@ -57,7 +58,7 @@ class TestPrimesOfOrder:
         for limit in (10**3, 10**5, 10**6):
             factored.clear()
             for h in orders:
-                got = count_module._primes_of_order(h, limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
             # every order has a candidate below these limits, so the orders
             # that were not factored went through the order-test scan
@@ -66,53 +67,59 @@ class TestPrimesOfOrder:
     def test_charges_fewer_units_than_candidates(self):
         # Phi_28(2) = 29 * 113: two candidates, not every q = 1 (mod 28) to 2**28
         budget = Budget()
-        assert count_module._primes_of_order(28, (1 << 28) - 1, budget) == [29, 113]
+        got = count_module._primes_of_order(28, (2, 7), (1 << 28) - 1, budget)
+        assert got == [29, 113]
         assert budget.spent == 2
 
     def test_sieve_keeps_sieving_primes_that_are_candidates(self):
         # both take the order-test scan, and 53 and 101 are sieving primes
-        assert count_module._primes_of_order(52, 4000, Budget()) == [53, 157, 1613]
-        assert count_module._primes_of_order(100, 10**5, Budget()) == [101, 8101]
+        primes_of_order = count_module._primes_of_order
+        assert primes_of_order(52, (2, 13), 4000, Budget()) == [53, 157, 1613]
+        assert primes_of_order(100, (2, 5), 10**5, Budget()) == [101, 8101]
 
     def test_scan_charges_every_candidate(self):
         # h = 100 up to 1e5 takes the scan path: q = 101, 201, ..., 99901
         budget = Budget()
-        count_module._primes_of_order(100, 10**5, budget)
+        count_module._primes_of_order(100, (2, 5), 10**5, budget)
         assert budget.spent == (10**5 - 101) // 100 + 1
 
     def test_sieved_scan_matches_oracle(self):
-        # limits where isqrt(limit) and the candidate count bound the sieve
-        for limit in (4000, 16383):
+        # limits from a handful of candidates per order, where the candidate
+        # count bounds the sieve, up to limits where isqrt(limit) does
+        for limit in (200, 1000, 4000, 16383):
             for h in range(2, 121):
-                got = count_module._primes_of_order(h, limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
 
-    def test_scan_without_sieve_matches_oracle(self, monkeypatch):
-        sieved, factored = [], []
-        sieve = count_module._scan_sieve
-        reduced = count_module._reduced_cyclotomic_value
 
-        def sieve_spy(h, start, step, n, limit):
-            sieved.append(n)
-            return sieve(h, start, step, n, limit)
+class TestSweepFactorsOnce:
+    def test_each_p_minus_1_once_and_no_order_alone(self, monkeypatch):
+        from overpseudo import arith
+        from overpseudo import order as order_module
 
-        def reduced_spy(h, h_primes):
-            factored.append(h)
-            return reduced(h, h_primes)
+        calls = []  # (order whose primes are being found, or None; value)
+        active = []
+        factorize = arith.factorize
+        primes_of_order = count_module._primes_of_order
 
-        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
-        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
-        direct = 0
-        for limit in (200, 1000, 4000):
-            for h in range(2, 121):
-                sieved.clear()
-                factored.clear()
-                got = count_module._primes_of_order(h, limit, Budget())
-                assert got == sympy_primes_of_order(h, limit), (h, limit)
-                assert all(n > count_module.SIEVE_MIN_CANDIDATES for n in sieved)
-                first = 2 * h + 1 if h % 2 else h + 1
-                direct += first <= limit and not sieved and not factored
-        assert direct > 100
+        def factorize_spy(n, budget=None):
+            calls.append((active[-1] if active else None, n))
+            return factorize(n, budget)
+
+        def primes_of_order_spy(h, *args):
+            active.append(h)
+            try:
+                return primes_of_order(h, *args)
+            finally:
+                active.pop()
+
+        for module in (order_module, count_module):
+            monkeypatch.setattr(module, "factorize", factorize_spy)
+        monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
+        assert ov_count(10**8).ov == 266
+        swept = [n for h, n in calls if h is None]
+        assert swept == [p - 1 for p in primerange(3, 10**4 + 1)]
+        assert all(n != h for h, n in calls if h is not None)
 
 
 class TestOvCount:
