@@ -84,12 +84,45 @@ class TestPrimesOfOrder:
         assert budget.spent == (10**5 - 101) // 100 + 1
 
     def test_sieved_scan_matches_oracle(self):
-        # limits from a handful of candidates per order, where the candidate
-        # count bounds the sieve, up to limits where isqrt(limit) does
-        for limit in (200, 1000, 4000, 16383):
+        # limits where isqrt(limit) and the candidate count bound the sieve
+        for limit in (4000, 16383):
             for h in range(2, 121):
                 got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
+
+    def test_scan_without_sieve_matches_oracle(self, monkeypatch):
+        # scans of a handful of candidates, where the sieve has (almost) no
+        # primes below its bound min(SIEVE_LIMIT, isqrt(limit), n) to drop by
+        sieved, factored = [], []
+        sieve = count_module._scan_sieve
+        reduced = count_module._reduced_cyclotomic_value
+
+        def sieve_spy(h, start, step, n, limit):
+            sieved.append(n)
+            return sieve(h, start, step, n, limit)
+
+        def reduced_spy(h, h_primes):
+            factored.append(h)
+            return reduced(h, h_primes)
+
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
+        small = 0
+        for limit in (200, 1000, 4000):
+            for h in range(2, 121):
+                sieved.clear()
+                factored.clear()
+                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                assert got == sympy_primes_of_order(h, limit), (h, limit)
+                first = 2 * h + 1 if h % 2 else h + 1
+                n = (limit - first) // (first - 1) + 1
+                if first > limit or factored:
+                    assert sieved == []
+                else:
+                    # every scan runs the sieve once over all its candidates
+                    assert sieved == [n], (h, limit)
+                    small += n <= 128
+        assert small > 100
 
 
 class TestSweepFactorsOnce:
