@@ -53,7 +53,6 @@ from .order import (
     coset_count,
     cyclotomic_cosets,
     mult_order,
-    order_dividing,
     prime_power_order,
 )
 from .primover import (
@@ -119,7 +118,6 @@ __all__ = [
     "least_witness",
     "mult_order",
     "omega_bound_report",
-    "order_dividing",
     "ov_count",
     "ov_count_by_order",
     "ov_count_upto_order",

@@ -14,8 +14,8 @@ from math import gcd
 
 from .arith import Budget, Factorization, _mr_witness, factorize, is_prime
 from .errors import ContractViolationError, EffortError
-from .order import (_complete_factorization, _coset_identity, _one_order,
-                    _order_chains, _two_routes)
+from .order import (_complete_factorization, _one_order, _Orders, _two_routes,
+                    coset_count)
 
 VERDICT_DEFINITION = "definition"
 VERDICT_BOTH = "both"
@@ -84,9 +84,11 @@ def _korselt(n: int, fz: Factorization) -> bool:
 def is_overpseudoprime_def(n: int, budget: Budget | None = None,
                            *, factorization: Factorization | None = None) -> bool:
     """Definition route: odd composite n with n == r(n) * h(n) + 1 at base 2."""
-    if n < 9 or n % 2 == 0 or is_prime(n):
+    # h | n - 1 is forced, so a failed Fermat condition decides early
+    if n < 9 or n % 2 == 0 or pow(2, n - 1, n) != 1 or is_prime(n):
         return False
-    return _coset_identity(2, n, budget, factorization)
+    r, h = coset_count(2, n, budget=budget, factorization=factorization)
+    return n == r * h + 1
 
 
 def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
@@ -99,10 +101,7 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
     """
     if n < 9 or n % 2 == 0 or is_prime(n):
         return False
-    if budget is None:
-        budget = Budget()
-    fz = _complete_factorization(n, budget, factorization)
-    return _one_order(_order_chains(2, fz, budget))
+    return _one_order(_Orders(n, budget, factorization).chains(2))
 
 
 def classify(n: int, budget: Budget | None = None) -> ClassificationReport:

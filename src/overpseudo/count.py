@@ -135,9 +135,9 @@ def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None =
     else:
         order_min = {}
         for p in _primes_below(root + 1)[1:]:
-            h, h_primes = _prime_unit_order(2, p, budget)
+            h, p_primes = _prime_unit_order(2, p, budget)
             if (max_order is None or h <= max_order) and h not in order_min:
-                order_min[h] = p, h_primes
+                order_min[h] = p, tuple(f for f in p_primes if h % f == 0)
     groups: dict[int, list[int]] = {}
     for h in sorted(order_min):
         p_min, h_primes = order_min[h]

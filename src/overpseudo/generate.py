@@ -13,7 +13,7 @@ from math import gcd
 
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
 from .errors import ContractViolationError, EffortError
-from .order import _complete_factorization, _coset_identity, _has_order
+from .order import _complete_factorization, _has_order, _one_order, _Orders
 from .primover import primitive_part
 
 
@@ -82,7 +82,7 @@ def generate_trace(k: int, budget: Budget | None = None) -> GenerationTrace:
         return GenerationTrace(pair, lf, mf, prim_l, prim_m, None)
     value = prim_l[0] * prim_m[0]
     fz = Factorization(value, tuple(sorted([(prim_l[0], 1), (prim_m[0], 1)])), True)
-    if not _coset_identity(2, value, budget, fz):
+    if not _one_order(_Orders(value, budget, fz).chains(2)):
         raise ContractViolationError(
             f"constructed value {value} failed the overpseudoprime check"
         )

@@ -33,36 +33,26 @@ def _has_order(base: int, p: int, n: int, n_primes) -> bool:
     return _strip(base, n, n_primes, p) == n
 
 
-def _prime_unit_order(base: int, p: int, budget: Budget) -> tuple[int, tuple[int, ...]]:
-    """(t, primes of t) for t = ord_p(base), p prime; factors p - 1 on every call."""
+def _prime_unit_order(base: int, p: int, budget: Budget,
+                      primes: tuple | None = None) -> tuple[int, tuple | None]:
+    """(ord_p(base), primes of p - 1), p prime; factors p - 1 unless primes are given.
+
+    base == 1 (mod p) factors nothing and passes the given primes through.
+    """
     b = base % p
     if b == 1:
-        return 1, ()
-    fz = factorize(p - 1, budget)
-    if not fz.complete:
-        raise EffortError(f"cannot factor {p} - 1 to derive an order")
-    t = _strip(b, p - 1, fz.primes(), p)
-    return t, tuple(f for f in fz.primes() if t % f == 0)
+        return 1, primes
+    if primes is None:
+        fz = factorize(p - 1, budget)
+        if not fz.complete:
+            raise EffortError(f"cannot factor {p} - 1 to derive an order")
+        primes = fz.primes()
+    return _strip(b, p - 1, primes, p), primes
 
 
 def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -> int:
     """Order of base modulo p**e for odd prime p coprime to base."""
-    if budget is None:
-        budget = Budget()
-    return _prime_power_order_chain(base, p, e, budget)[-1]
-
-
-def _prime_power_order_chain(base: int, p: int, e: int, budget: Budget) -> list[int]:
-    """Orders of base mod p, p**2, ..., p**e (nondecreasing)."""
-    t = _prime_unit_order(base, p, budget)[0]
-    chain = [t]
-    pk = p
-    for _ in range(1, e):
-        pk *= p
-        if pow(base, t, pk) != 1:
-            t *= p
-        chain.append(t)
-    return chain
+    return _Orders(p**e, budget).chain(base, p, e)[-1]
 
 
 def _complete_factorization(n: int, budget: Budget | None,
@@ -80,6 +70,39 @@ def _complete_factorization(n: int, budget: Budget | None,
     return fz
 
 
+class _Orders:
+    """Orders at any base modulo the prime powers of n, for one call.
+
+    n's factorization is completed on first need; the primes of each p - 1
+    are kept once found, so no p - 1 is factored twice.
+    """
+
+    def __init__(self, n: int, budget: Budget | None,
+                 factorization: Factorization | None = None):
+        self.n, self.fz = n, factorization
+        self.budget = Budget() if budget is None else budget
+        self._unit_primes: dict[int, tuple[int, ...] | None] = {}
+
+    def chain(self, base: int, p: int, e: int) -> list[int]:
+        """Orders of base mod p, p**2, ..., p**e (nondecreasing)."""
+        t, self._unit_primes[p] = _prime_unit_order(base, p, self.budget,
+                                                    self._unit_primes.get(p))
+        chain = [t]
+        pk = p
+        for _ in range(1, e):
+            pk *= p
+            if pow(base, t, pk) != 1:
+                t *= p
+            chain.append(t)
+        return chain
+
+    def chains(self, base: int):
+        """Lazily, the chain of base for each (p, e) of n's factorization."""
+        self.fz = _complete_factorization(self.n, self.budget, self.fz)
+        for p, e in self.fz.factors:
+            yield self.chain(base, p, e)
+
+
 def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
                factorization: Factorization | None = None) -> int:
     """Least t >= 1 with base**t == 1 (mod modulus); mult_order(a, 1) == 1.
@@ -91,27 +114,8 @@ def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
     _validate(base, modulus)
     if modulus == 1 or base % modulus == 1:
         return 1
-    if budget is None:
-        budget = Budget()
-    h = 1
-    for p, e in _complete_factorization(modulus, budget, factorization).factors:
-        h = lcm(h, prime_power_order(base, p, e, budget))
-    return h
-
-
-def order_dividing(base: int, modulus: int, multiple: int,
-                   *, budget: Budget | None = None) -> int:
-    """Exact order of base mod modulus given that it divides `multiple`.
-
-    Factors `multiple` instead of modulus - 1, which pays off when the
-    modulus is known to divide base**multiple - 1.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if pow(base, multiple, modulus) != 1:
-        raise ValueError(f"{multiple} is not a multiple of the order")
-    primes = _complete_factorization(multiple, budget, None).primes()
-    return _strip(base, multiple, primes, modulus)
+    chains = _Orders(modulus, budget, factorization).chains(base)
+    return lcm(*(chain[-1] for chain in chains))
 
 
 @dataclass(frozen=True)
@@ -168,15 +172,9 @@ def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
     _validate(base, modulus)
     if modulus < 3:
         raise ValueError("modulus must be >= 3")
-    if budget is None:
-        budget = Budget()
-    fz = _complete_factorization(modulus, budget, factorization)
-    return _chain_coset_count(fz, _order_chains(base, fz, budget))
-
-
-def _order_chains(base: int, fz: Factorization, budget: Budget):
-    """Lazily, the order chain of base mod p, ..., p**e for each (p, e) of fz."""
-    return (_prime_power_order_chain(base, p, e, budget) for p, e in fz.factors)
+    orders = _Orders(modulus, budget, factorization)
+    chains = list(orders.chains(base))
+    return _chain_coset_count(orders.fz, chains)
 
 
 def _chain_coset_count(fz: Factorization, chains) -> tuple[int, int]:
@@ -214,16 +212,7 @@ def _one_order(chains) -> bool:
 
 def _two_routes(n: int, fz: Factorization, budget: Budget) -> tuple[int, int, bool, bool]:
     """(r, h, n == r*h + 1, _one_order) at base 2 from one set of order chains of fz."""
-    chains = list(_order_chains(2, fz, budget))
+    chains = list(_Orders(n, budget, fz).chains(2))
     r, h = _chain_coset_count(fz, chains)
     return r, h, n == r * h + 1, _one_order(chains)
 
-
-def _coset_identity(base: int, n: int, budget: Budget | None,
-                    factorization: Factorization | None) -> bool:
-    """n == r * h + 1 for the cosets of base mod n; the caller validates both."""
-    # h | n - 1 is forced, so a failed Fermat condition decides early
-    if pow(base, n - 1, n) != 1:
-        return False
-    r, h = coset_count(base, n, budget=budget, factorization=factorization)
-    return n == r * h + 1

@@ -14,7 +14,6 @@ from overpseudo.order import (
     coset_count,
     cyclotomic_cosets,
     mult_order,
-    order_dividing,
     prime_power_order,
 )
 
@@ -63,16 +62,6 @@ class TestMultOrder:
         n = 1000003 * 1000033
         with pytest.raises(EffortError):
             mult_order(2, n, factorization=Factorization(n, (), False, n))
-
-
-class TestOrderDividing:
-    def test_agrees_with_mult_order_at_fermat_exponent(self):
-        for p in sympy.primerange(3, 3000):
-            assert order_dividing(2, p, p - 1) == mult_order(2, p)
-
-    def test_rejects_non_multiple(self):
-        with pytest.raises(ValueError):
-            order_dividing(2, 7, 2)
 
 
 def test_prime_power_order_wieferich():

@@ -10,6 +10,8 @@ from overpseudo import (
     EffortError,
     WitnessRecord,
     common_witness,
+    coset_count,
+    cyclotomic_cosets,
     is_overpseudoprime_base,
     least_witness,
 )
@@ -56,6 +58,26 @@ class TestIsOverpseudoprimeBase:
             if sympy.isprime(n):
                 continue
             assert is_overpseudoprime_base(n, 2) == is_overpseudoprime_def(n)
+
+    @staticmethod
+    def small_cases(limit):
+        for n in range(9, limit, 2):
+            if sympy.isprime(n):
+                continue
+            for a in range(2, min(20, n - 2) + 1):
+                if gcd(a, n) == 1:
+                    yield n, a
+
+    def test_criterion_matches_coset_identity_below_1e4(self):
+        for n, a in self.small_cases(10**4):
+            r, h = coset_count(a, n)
+            assert is_overpseudoprime_base(n, a) == (n == r * h + 1), (n, a)
+
+    def test_criterion_matches_coset_enumeration_below_1000(self):
+        # cyclotomic_cosets walks the orbits and derives no order chains
+        for n, a in self.small_cases(1000):
+            dec = cyclotomic_cosets(a, n)
+            assert is_overpseudoprime_base(n, a) == (n == dec.r * dec.h + 1), (n, a)
 
 
 class TestLeastWitness:
@@ -151,3 +173,19 @@ class TestCommonWitness:
     def test_empty_domain_error(self):
         with pytest.raises(ValueError):
             common_witness([], 10)
+
+    def test_each_p_minus_1_factored_once(self, monkeypatch):
+        from overpseudo import order
+
+        factored = []
+        factorize = order.factorize
+
+        def spy(n, budget=None):
+            factored.append(n)
+            return factorize(n, budget)
+
+        monkeypatch.setattr(order, "factorize", spy)
+        assert common_witness([561, 2047], 10) == 5
+        # 561 = 3 * 11 * 17: every base stops at 11, so 16 is never factored;
+        # 2047 = 23 * 89: bases 2 and 4 share the primes of 22 and 88
+        assert sorted(factored) == [2, 10, 22, 88]
