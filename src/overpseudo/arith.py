@@ -18,6 +18,18 @@ DEFAULT_WORK_UNITS = 20_000_000
 TRIAL_DIVISION_LIMIT = 1_000_000
 
 _RHO_BLOCK = 128
+# rho's share of a split: its stages r = 1, 2, ..., 4096 cost 2r units each,
+# 16382 in all, when no batched gcd overshoots
+_RHO_UNITS = 1 << 14
+# ECM after rho: stage-1 bound, stage-2 bound and giant-step width D
+_ECM_B1, _ECM_B2, _ECM_D = 400, 20_000, 210
+# ECM's units, measured so that each costs at most the wall time of a rho
+# unit at 64-400-bit n: 8 per ladder bit (11 modular products), 6 per point
+# addition or normalization, and 3 per 2 prime pairs of stage 2 (2 products
+# each); ladder bits are charged _ECM_BLOCK at a time
+_ECM_BIT_UNITS = 8
+_ECM_ADD_UNITS = 6
+_ECM_BLOCK = 32
 # primes per trial-division block: one gcd with their product per block
 _TRIAL_BLOCK = 256
 
@@ -25,6 +37,9 @@ _TRIAL_BLOCK = 256
 @dataclass
 class Budget:
     """Abstract work meter; one unit is roughly one Pollard-rho iteration.
+
+    ECM's charges (per ladder bit, point addition and giant step) are set
+    so that an ECM unit takes no more time than a rho iteration.
 
     A shared Budget threads through an operation so that callers can bound
     and report effort deterministically (never wall-clock).
@@ -273,7 +288,189 @@ def _rho_brent(n: int, budget: Budget) -> int | None:
         c += 1
 
 
-# factorize results that ran rho: n -> (result, cost, rem0)
+def _xadd(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int,
+          n: int) -> tuple[int, int]:
+    """x-only sum of two points on a Montgomery curve, given their difference."""
+    u = (x1 - z1) * (x2 + z2) % n
+    v = (x1 + z1) * (x2 - z2) % n
+    return zd * ((u + v) ** 2 % n) % n, xd * ((u - v) ** 2 % n) % n
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """x-only double on the Montgomery curve with a24 = (A + 2) / 4."""
+    s = (x + z) ** 2 % n
+    d = (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t % n) % n
+
+
+def _ladder(k: int, x: int, a24: int, n: int,
+            budget: Budget) -> tuple[int, int, int, int] | None:
+    """Montgomery's ladder: (x:z) of k*P and (k+1)*P for P = (x:1), k >= 1.
+
+    Charges _ECM_BIT_UNITS per bit of k, a block of bits at a time; None
+    once the budget runs out.
+    """
+    x0, z0 = x, 1
+    x1, z1 = _xdbl(x, 1, a24, n)
+    bits = bin(k)[3:]
+    for start in range(0, len(bits), _ECM_BLOCK):
+        block = bits[start:start + _ECM_BLOCK]
+        if not budget.try_charge(_ECM_BIT_UNITS * len(block)):
+            return None
+        for bit in block:
+            # _xdbl and _xadd inlined: (R0, R1) -> (2 R0, R0 + R1), with R0
+            # and R1 swapped around it when the bit is 1; R1 - R0 == P
+            if bit == "1":
+                x0, z0, x1, z1 = x1, z1, x0, z0
+            a, b = x0 + z0, x0 - z0
+            u = b * (x1 + z1) % n
+            v = a * (x1 - z1) % n
+            w = u + v
+            x1 = w * w % n
+            w = u - v
+            z1 = x * (w * w % n) % n
+            s = a * a % n
+            d = b * b % n
+            t = s - d
+            x0 = s * d % n
+            z0 = t * (d + a24 * t % n) % n
+            if bit == "1":
+                x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0, x1, z1
+
+
+@lru_cache(maxsize=1)
+def _ecm_plan() -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """(lcm(1..B1), baby steps j, first giant step m0, baby indices per giant step).
+
+    Every prime q in (B1, B2] is m*D +- j for one m and one j < D/2 prime to
+    D; giant step m0 + i lists the indices of the j that pair with it.
+    """
+    babies = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
+    index = {j: i for i, j in enumerate(babies)}
+    pairs: dict[int, set[int]] = {}
+    for q in small_primes():
+        if q > _ECM_B2:
+            break
+        if q > _ECM_B1:
+            m = (q + _ECM_D // 2) // _ECM_D
+            pairs.setdefault(m, set()).add(index[abs(q - m * _ECM_D)])
+    m0 = min(pairs)
+    steps = tuple(tuple(sorted(pairs.get(m, ()))) for m in range(m0, max(pairs) + 1))
+    return lcm(*range(1, _ECM_B1 + 1)), babies, m0, steps
+
+
+def _inverses(values: list[int], n: int) -> tuple[int, list[int]]:
+    """(1, inverses mod n of values) by one inversion.
+
+    (g, []) instead when g = gcd(product of values, n) exceeds 1.
+    """
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % n)
+    g = gcd(prefix[-1], n)
+    if g != 1:
+        return g, []
+    inv = pow(prefix[-1], -1, n)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % n
+        inv = inv * values[i] % n
+    return 1, out
+
+
+def _ecm(n: int, budget: Budget) -> int | None:
+    """Lenstra's ECM on Montgomery curves: a nontrivial factor of n, or None.
+
+    Curves follow Suyama's parametrization at sigma = 6, 7, 8, ... in turn,
+    so the outcome never depends on randomness; a curve whose gcd is n
+    itself gives way to the next one.  None once the budget is exhausted.
+    """
+    sigma = 6
+    while True:
+        g = _ecm_curve(n, sigma, budget)
+        if g is None or 1 < g < n:
+            return g
+        sigma += 1
+
+
+def _ecm_curve(n: int, sigma: int, budget: Budget) -> int | None:
+    """gcd(n, what one curve finds): 1 or n when it splits nothing.
+
+    None once the budget runs out.  Stage 1 multiplies the starting point
+    by lcm(1..B1) with Montgomery's ladder; stage 2 covers every prime in
+    (B1, B2] by baby steps j*Q and giant steps m*D*Q (Montgomery, Math.
+    Comp. 48, 1987).  Ladder bits, point additions and giant steps are
+    charged before they run.
+    """
+    k, babies, m0, steps = _ecm_plan()
+    u, v = sigma * sigma - 5, 4 * sigma
+    # x = u^3 / v^3 and a24 = (v - u)^3 (3u + v) / (16 u^3 v)
+    g, inv = _inverses([16 * u**3 * v**3 % n], n)
+    if g != 1:
+        return g
+    x = 16 * u**6 * inv[0] % n
+    a24 = (v - u) ** 3 * (3 * u + v) * v * v * inv[0] % n
+    stage1 = _ladder(k, x, a24, n, budget)
+    if stage1 is None:
+        return None
+    xq, zq = stage1[:2]
+    g = gcd(zq, n)
+    if g != 1:
+        return g
+
+    # odd multiples j*Q up to D/2 and G = D*Q, then the baby steps and G
+    # brought to z = 1
+    if not budget.try_charge(_ECM_ADD_UNITS * (_ECM_D // 4 + 2 + len(babies))):
+        return None
+    x2, z2 = _xdbl(xq, zq, a24, n)
+    odd = [(xq, zq), _xadd(x2, z2, xq, zq, xq, zq, n)]
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(*odd[-1], x2, z2, *odd[-2], n))
+    points = [odd[j // 2] for j in babies] + [_xdbl(*odd[-1], a24, n)]
+    g, inv = _inverses([z for _, z in points], n)
+    if g != 1:
+        return g
+    bx = [x * i % n for (x, _), i in zip(points, inv)]
+    xg = bx.pop()
+    giant = _ladder(m0, xg, a24, n, budget)
+    if giant is None:
+        return None
+    x0, z0, x1, z1 = giant
+    acc = 1
+    for js in steps:
+        # x(m*D*Q) == x(j*Q) mod p exactly when m*D +- j kills Q mod p
+        if not budget.try_charge(_ECM_ADD_UNITS + (3 * len(js) + 1) // 2):
+            return None
+        for i in js:
+            acc = acc * (x0 - bx[i] * z0) % n
+        x0, z0, x1, z1 = x1, z1, *_xadd(x1, z1, xg, 1, x0, z0, n)
+    return gcd(acc, n)
+
+
+def _split(n: int, budget: Budget) -> int | None:
+    """A nontrivial factor of composite n, or None once the budget is exhausted.
+
+    Brent's rho runs first, for at most _RHO_UNITS units.  When it finds
+    nothing there, the whole _RHO_UNITS is charged and ECM goes on with
+    what remains.  Charging the cap makes a split that needed ECM cost at
+    least _RHO_UNITS, so any budget that could pay for it gives rho the
+    same cap; charges depend only on n and the remaining budget.  With
+    less than _RHO_UNITS left, rho alone runs on what remains.
+    """
+    if budget.remaining < _RHO_UNITS:
+        return _rho_brent(n, budget)
+    rho = Budget(_RHO_UNITS)
+    d = _rho_brent(n, rho)
+    if d is not None:
+        budget.spent += rho.spent
+        return d
+    budget.spent += _RHO_UNITS
+    return _ecm(n, budget)
+
+
+# factorize results that ran a split: n -> (result, cost, rem0)
 _factor_memo: dict[int, tuple[Factorization, int, int]] = {}
 _FACTOR_MEMO_SIZE = 1024
 
@@ -286,13 +483,15 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     _TRIAL_BLOCK primes, and a scan of that block only when the gcd exceeds
     1.  It stops at the first block whose least prime p has p*p above what
     is left, or once a block leaves 1 or a prime.
-    Brent's rho then splits what is left while the budget lasts; composite
-    leftovers land multiplied into unfactored_cofactor.  Each cofactor is
-    tested for primality once.
+    Each composite cofactor is then split while the budget lasts (_split):
+    Brent's rho for up to _RHO_UNITS units, then ECM on Montgomery curves,
+    charged per ladder bit and giant step.  Composite leftovers land
+    multiplied into unfactored_cofactor.  Each cofactor is tested for
+    primality once.
 
-    A call that charged rho units is kept in a per-process memo of
+    A call that charged split units is kept in a per-process memo of
     _FACTOR_MEMO_SIZE entries with its cost and the budget remaining at the
-    call.  Rho's charges depend only on n and the remaining budget, so a
+    call.  The charges depend only on n and the remaining budget, so a
     later call reuses the stored result, charging the same cost, when that
     result was complete and cost fits in what remains, or when it was
     incomplete and exactly rem0 remains; results and Budget.spent are those
@@ -350,7 +549,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
-        d = _rho_brent(c, budget)
+        d = _split(c, budget)
         if d is None:
             unfactored *= c
             continue

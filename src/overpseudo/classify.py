@@ -97,9 +97,11 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
 
     Equal orders on the maximal prime powers p**e (checked as ord_p(2) all
     equal to some t with p**e | 2**t - 1) force the order of every divisor
-    of n to be t, which is the full sub-product condition.
+    of n to be t, which is the full sub-product condition.  They also give
+    2**t == 1 (mod n) and n == 1 (mod t), so n failing the base-2 Fermat
+    check is decided before anything is factored.
     """
-    if n < 9 or n % 2 == 0 or is_prime(n):
+    if n < 9 or n % 2 == 0 or pow(2, n - 1, n) != 1 or is_prime(n):
         return False
     return _one_order(_Orders(n, budget, factorization).chains(2))
 

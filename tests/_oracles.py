@@ -8,7 +8,7 @@ from overpseudo import is_overpseudoprime_def
 from overpseudo.arith import (
     Budget,
     Factorization,
-    _rho_brent,
+    _split,
     is_prime,
     small_primes,
 )
@@ -58,10 +58,11 @@ def sympy_primes_of_order(h, limit):
 
 
 def per_prime_factorize(n, budget=None):
-    """Reference for factorize: m % p for each small prime in turn, then rho.
+    """Reference for factorize: m % p for each small prime in turn, then splits.
 
     Trial division stops where factorize's does (the end of the table,
-    p*p > m, or a leftover of 1 or a prime); the rho phase is the library's.
+    p*p > m, or a leftover of 1 or a prime); each split of a composite
+    leftover (rho, then ECM) is the library's.
     """
     if budget is None:
         budget = Budget()
@@ -89,7 +90,7 @@ def per_prime_factorize(n, budget=None):
         if is_prime(c):
             found[c] = found.get(c, 0) + 1
             continue
-        d = _rho_brent(c, budget)
+        d = _split(c, budget)
         if d is None:
             unfactored *= c
             continue

@@ -242,32 +242,42 @@ class TestFactorMemo:
             assert (spy == []) == reused, (n, prime_at, remaining)
 
     @pytest.fixture
-    def rho_calls(self, monkeypatch):
+    def split_calls(self, monkeypatch):
         calls = []
-        rho = arith._rho_brent
+        split = arith._split
 
         def spy(n, budget):
             calls.append(n)
-            return rho(n, budget)
+            return split(n, budget)
 
-        monkeypatch.setattr(arith, "_rho_brent", spy)
+        monkeypatch.setattr(arith, "_split", spy)
         return calls
 
-    def test_reuse_matches_cold_run(self, rho_calls):
+    def test_reuse_matches_cold_run(self, split_calls):
         for n in _two_prime_products():
             cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
             # complete at the default budget, and budgets running out in rho
             for prime_at in (arith.DEFAULT_WORK_UNITS, cost, cost - 1,
                              cost // 3, 40):
-                self.assert_reuse_exact(n, prime_at, rho_calls)
+                self.assert_reuse_exact(n, prime_at, split_calls)
 
-    def test_three_prime_product_runs_out_between_splits(self, rho_calls):
+    def test_three_prime_product_runs_out_between_splits(self, split_calls):
         p, q, r = (sympy.nextprime(1 << b) for b in (21, 22, 24))
         n = p * q * r
         cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
         first_split = self.cold(p * q, arith.DEFAULT_WORK_UNITS)[3]
         for prime_at in (cost, cost - 1, first_split, cost // 2):
-            self.assert_reuse_exact(n, prime_at, rho_calls)
+            self.assert_reuse_exact(n, prime_at, split_calls)
+
+    def test_reuse_after_ecm(self, split_calls):
+        # rho gives up on the 31-bit factor; the first curve finds it
+        n = 1100109161 * 672031721171
+        cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
+        assert cost > arith._RHO_UNITS
+        # complete, and budgets running out in ECM's stage 1 and at its end
+        for prime_at in (arith.DEFAULT_WORK_UNITS, cost, cost - 1,
+                         arith._RHO_UNITS + 2000):
+            self.assert_reuse_exact(n, prime_at, split_calls)
 
     def test_trial_only_calls_are_not_stored(self):
         arith._factor_memo.clear()
@@ -292,6 +302,87 @@ class TestFactorMemo:
         # storing a key again evicts nothing else
         factorize(ns[-1], Budget(1))
         assert len(arith._factor_memo) == size
+
+
+def _ecm_products():
+    """Semiprimes and 3-prime products with least factors of 25-50 bits."""
+    rng = random.Random(1987)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    semiprimes = [prime(b) * prime(70) for b in (25, 30, 35, 40, 45, 50)]
+    triples = [prime(b) * prime(b + 5) * prime(60) for b in (25, 35, 40)]
+    return semiprimes, triples
+
+
+class TestSplit:
+    """The split of a composite cofactor: rho up to its cap, then ECM."""
+
+    # (6k + 1)(12k + 1)(18k + 1) with k = 1025300833811: three 43-44-bit primes
+    CHERNICK = 1396879465676400832469271696291467558089
+
+    @pytest.fixture
+    def ecm_results(self, monkeypatch):
+        results = []
+        ecm = arith._ecm
+
+        def spy(n, budget):
+            results.append(ecm(n, budget))
+            return results[-1]
+
+        monkeypatch.setattr(arith, "_ecm", spy)
+        return results
+
+    def test_matches_sympy(self, ecm_results):
+        semiprimes, triples = _ecm_products()
+        for n in semiprimes + triples + [self.CHERNICK]:
+            fz = factorize(n)
+            assert fz.complete, n
+            if n in triples:
+                # sympy's factorint takes seconds here; prime factors whose
+                # product is n are its answer, by unique factorization
+                assert fz.rebuild() == n and all(map(sympy.isprime, fz.primes()))
+            else:
+                assert dict(fz.factors) == sympy.factorint(n), n
+        # every factor of 35 bits or more came from ECM
+        assert len(ecm_results) >= 10 and None not in ecm_results
+
+    def test_cold_runs_repeat_exactly(self):
+        for n in (self.CHERNICK, _ecm_products()[0][4]):
+            runs = []
+            for _ in range(2):
+                arith._factor_memo.clear()
+                budget = Budget()
+                runs.append((factorize(n, budget), budget.spent))
+            assert runs[0] == runs[1]
+            assert runs[0][1] > arith._RHO_UNITS
+
+    def test_budget_runs_out_inside_each_stage(self, monkeypatch):
+        ladders = []
+        ladder = arith._ladder
+
+        def spy(*args):
+            out = ladder(*args)
+            ladders.append(out is not None)
+            return out
+
+        monkeypatch.setattr(arith, "_ladder", spy)
+        n = _ecm_products()[0][5]  # a 50-bit factor: no curve finds it at once
+        k = arith._ecm_plan()[0]
+        stage1 = arith._ECM_BIT_UNITS * (k.bit_length() - 1)
+        # the budget ends in the first stage-1 ladder, then in the giant steps
+        for extra, want in ((stage1 // 2, [False]), (stage1 + 1000, [True, True])):
+            arith._factor_memo.clear()
+            ladders.clear()
+            limit = arith._RHO_UNITS + extra
+            budget = Budget(limit)
+            fz = factorize(n, budget)
+            assert (fz.complete, fz.unfactored_cofactor) == (False, n)
+            # no more than one charge (a block of ladder bits at most) is left
+            block = arith._ECM_BIT_UNITS * arith._ECM_BLOCK
+            assert limit - block < budget.spent <= limit
+            assert ladders == want
 
 
 class TestBudget:

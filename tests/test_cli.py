@@ -257,14 +257,14 @@ class TestWitnessCommands:
         assert records[0]["result"]["witness"] == 2
 
     def test_common_witness_charge(self, capsys):
-        # rho on the 130-bit n and on p - 1 of its large primes, each p - 1
-        # factored once for the whole scan rather than once per base
+        # rho, then ECM, on the 130-bit n and on p - 1 of its large primes,
+        # each p - 1 factored once for the whole scan rather than once per base
         code, records, _ = run_json(
             capsys, "common-witness",
             "1396879465676400832469271696291467558089,2047", "--max", "5")
         assert code == 0
         assert records[0]["result"]["witness"] == 3
-        assert records[0]["effort_spent"] == 10501624
+        assert records[0]["effort_spent"] == 310756
 
     def test_common_witness_absent(self, capsys):
         code, records, _ = run_json(capsys, "common-witness", "1541955409",
