@@ -4,7 +4,9 @@ Covers Fermat and strong pseudoprimes to base 2, super-Poulet numbers,
 Carmichael numbers (Korselt criterion), and overpseudoprimality through two
 independent routes: the coset-count identity n == r(n) * h(n) + 1, and the
 criterion that every prime-power divisor shares one multiplicative order
-of 2.  Even, prime, or unit inputs return False from every predicate.
+of 2.  Even, prime, or unit inputs return False from every predicate; a
+predicate that needs n's factorization factors n under its budget and
+raises EffortError when that factorization does not complete.
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ def is_strong_psp(n: int, base: int) -> bool:
     return n >= 9 and n % 2 == 1 and _mr_witness(n, base) and not is_prime(n)
 
 
-def is_super_poulet(n: int, budget: Budget | None = None,
-                    *, factorization: Factorization | None = None) -> bool:
+def is_super_poulet(n: int, budget: Budget | None = None) -> bool:
     """Odd composite n whose every divisor d satisfies d | 2**d - 2."""
     if n < 9 or n % 2 == 0 or pow(2, n, n) != 2 or is_prime(n):
         return False
-    return _super_poulet(_complete_factorization(n, budget, factorization))
+    return _super_poulet(_complete_factorization(n, budget))
 
 
 def _super_poulet(fz: Factorization) -> bool:
@@ -68,12 +69,11 @@ def _super_poulet(fz: Factorization) -> bool:
     return all(pow(2, d, d) == 2 for d in fz.divisors() if d > 1)
 
 
-def is_carmichael(n: int, budget: Budget | None = None,
-                  *, factorization: Factorization | None = None) -> bool:
+def is_carmichael(n: int, budget: Budget | None = None) -> bool:
     """Korselt criterion: odd composite, squarefree, (p-1) | (n-1) for all p | n."""
     if n < 9 or n % 2 == 0 or is_prime(n):
         return False
-    return _korselt(n, _complete_factorization(n, budget, factorization))
+    return _korselt(n, _complete_factorization(n, budget))
 
 
 def _korselt(n: int, fz: Factorization) -> bool:
@@ -81,18 +81,16 @@ def _korselt(n: int, fz: Factorization) -> bool:
     return all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fz.factors)
 
 
-def is_overpseudoprime_def(n: int, budget: Budget | None = None,
-                           *, factorization: Factorization | None = None) -> bool:
+def is_overpseudoprime_def(n: int, budget: Budget | None = None) -> bool:
     """Definition route: odd composite n with n == r(n) * h(n) + 1 at base 2."""
     # h | n - 1 is forced, so a failed Fermat condition decides early
     if n < 9 or n % 2 == 0 or pow(2, n - 1, n) != 1 or is_prime(n):
         return False
-    r, h = coset_count(2, n, budget=budget, factorization=factorization)
+    r, h = coset_count(2, n, budget=budget)
     return n == r * h + 1
 
 
-def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
-                                 *, factorization: Factorization | None = None) -> bool:
+def is_overpseudoprime_criterion(n: int, budget: Budget | None = None) -> bool:
     """Criterion route: every prime-power divisor of n has one order of 2.
 
     Equal orders on the maximal prime powers p**e (checked as ord_p(2) all
@@ -103,7 +101,7 @@ def is_overpseudoprime_criterion(n: int, budget: Budget | None = None,
     """
     if n < 9 or n % 2 == 0 or pow(2, n - 1, n) != 1 or is_prime(n):
         return False
-    return _one_order(_Orders(n, budget, factorization).chains(2))
+    return _one_order(_Orders(n, budget).chains(2))
 
 
 def classify(n: int, budget: Budget | None = None) -> ClassificationReport:

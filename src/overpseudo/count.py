@@ -171,8 +171,8 @@ class CountRecord:
     members: tuple[int, ...] | None
 
 
-def ov_count(x: int, budget: Budget | None = None,
-             *, members_cap: int = MEMBER_CAP) -> CountRecord:
+def ov_count(x: int, budget: Budget | None = None) -> CountRecord:
+    """Ov(x) by order; members is None when Ov(x) exceeds MEMBER_CAP."""
     groups = _enumerate_groups(x, budget)
     members = sorted(m for lst in groups.values() for m in lst)
     ov = len(members)
@@ -180,7 +180,7 @@ def ov_count(x: int, budget: Budget | None = None,
     return CountRecord(
         x, ov, bound, ov / bound,
         {h: len(groups[h]) for h in sorted(groups)},
-        tuple(members) if ov <= members_cap else None,
+        tuple(members) if ov <= MEMBER_CAP else None,
     )
 
 

@@ -71,7 +71,7 @@ def generate_trace(k: int, budget: Budget | None = None) -> GenerationTrace:
     mf = factorize(pair.M, budget)
     if not (lf.complete and mf.complete):
         raise EffortError(f"cannot factor the Aurifeuillian brackets for k={k}")
-    n_primes = _complete_factorization(pair.n, budget, None).primes()
+    n_primes = _complete_factorization(pair.n, budget).primes()
     prim_l = tuple(p for p in lf.primes() if _has_order(2, p, pair.n, n_primes))
     prim_m = tuple(p for p in mf.primes() if _has_order(2, p, pair.n, n_primes))
     if not (prim_l and prim_m):
@@ -105,8 +105,8 @@ def least_overpseudoprime_with_order(n: int, budget: Budget | None = None) -> in
     fewer than two slots exist, meaning no overpseudoprime has this order.
 
     With an incomplete factorization the minimum is still returned when it
-    is provable: every unknown factor exceeds the trial-division limit, so
-    a small enough known product cannot be beaten.
+    is provable: every unknown prime exceeds the trial-division limit, so
+    it cannot undercut a second known slot at or below that limit.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -114,15 +114,10 @@ def least_overpseudoprime_with_order(n: int, budget: Budget | None = None) -> in
         budget = Budget()
     part = primitive_part(n, budget)
     slots = part.slots()
-    if part.complete:
-        if len(slots) < 2:
-            return None
+    if len(slots) >= 2 and (part.complete or slots[1] <= TRIAL_DIVISION_LIMIT):
         return slots[0] * slots[1]
-    if len(slots) >= 2:
-        candidate = slots[0] * slots[1]
-        floor = TRIAL_DIVISION_LIMIT
-        if candidate <= floor * min(slots[0], floor):
-            return candidate
+    if part.complete:
+        return None
     raise EffortError(
         f"cannot prove the least overpseudoprime of order {n} within budget"
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
+from .arith import Budget, Factorization, factorize
 from .errors import ContractViolationError, EffortError
 
 
@@ -56,15 +56,10 @@ def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -
 
 
 def _complete_factorization(n: int, budget: Budget | None,
-                            factorization: Factorization | None) -> Factorization:
-    """The given or a fresh factorization of n; complete or EffortError.
-
-    An incomplete one is redone by trial division alone when that covers
-    sqrt(n), where it always completes.
-    """
-    fz = factorization if factorization is not None else factorize(n, budget)
-    if not fz.complete and n <= TRIAL_DIVISION_LIMIT**2:
-        fz = factorize(n, Budget(0))
+                            fz: Factorization | None = None) -> Factorization:
+    """The given or a fresh factorization of n; complete or EffortError."""
+    if fz is None:
+        fz = factorize(n, budget)
     if not fz.complete:
         raise EffortError(f"incomplete factorization of {n}")
     return fz
@@ -103,18 +98,17 @@ class _Orders:
             yield self.chain(base, p, e)
 
 
-def mult_order(base: int, modulus: int, *, budget: Budget | None = None,
-               factorization: Factorization | None = None) -> int:
+def mult_order(base: int, modulus: int, *, budget: Budget | None = None) -> int:
     """Least t >= 1 with base**t == 1 (mod modulus); mult_order(a, 1) == 1.
 
     Works through the factorization of the modulus so that large prime
     moduli cost a handful of modular exponentiations instead of O(modulus)
-    steps.
+    steps; EffortError when that factorization does not complete.
     """
     _validate(base, modulus)
     if modulus == 1 or base % modulus == 1:
         return 1
-    chains = _Orders(modulus, budget, factorization).chains(base)
+    chains = _Orders(modulus, budget).chains(base)
     return lcm(*(chain[-1] for chain in chains))
 
 
@@ -161,18 +155,19 @@ def cyclotomic_cosets(base: int, modulus: int) -> CosetDecomposition:
     return CosetDecomposition(modulus, base % modulus, tuple(cosets), len(cosets), h)
 
 
-def coset_count(base: int, modulus: int, *, budget: Budget | None = None,
-                factorization: Factorization | None = None) -> tuple[int, int]:
+def coset_count(base: int, modulus: int, *,
+                budget: Budget | None = None) -> tuple[int, int]:
     """(r, h) without materializing cosets.
 
     r is the sum over divisors d > 1 of the modulus of phi(d) / ord_d(base);
     every orbit inside the units of Z/d has size ord_d(base), which is why
-    the division is exact.
+    the division is exact.  EffortError when the modulus does not factor
+    completely.
     """
     _validate(base, modulus)
     if modulus < 3:
         raise ValueError("modulus must be >= 3")
-    orders = _Orders(modulus, budget, factorization)
+    orders = _Orders(modulus, budget)
     chains = list(orders.chains(base))
     return _chain_coset_count(orders.fz, chains)
 

@@ -105,11 +105,8 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
         raise ValueError("n must be >= 2")
     if budget is None:
         budget = Budget()
-    n_primes = _complete_factorization(n, budget, None).primes()
-    value = _reduced_cyclotomic_value(n, n_primes)
-    if value == 1:
-        return PrimitivePart(n, (), 1, True, 1, False)
-    fz = factorize(value, budget)
+    n_primes = _complete_factorization(n, budget).primes()
+    fz = factorize(_reduced_cyclotomic_value(n, n_primes), budget)
     for p in fz.primes():
         if not _has_order(2, p, n, n_primes):
             raise ContractViolationError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import Budget, Factorization, factorize, is_prime
+from .arith import Budget, factorize, is_prime
 from .order import _complete_factorization, _one_order, _Orders
 
 
@@ -35,8 +35,7 @@ def _validate_composite(n: int) -> None:
         raise ValueError("n must be an odd composite")
 
 
-def is_overpseudoprime_base(n: int, a: int, budget: Budget | None = None,
-                            *, factorization: Factorization | None = None) -> bool:
+def is_overpseudoprime_base(n: int, a: int, budget: Budget | None = None) -> bool:
     """True iff n == r_a(n) * h_a(n) + 1 for the coset structure of base a.
 
     r_a = sum of phi(d) / ord_d(a) over d | n, d > 1, and those phi(d) sum
@@ -47,7 +46,7 @@ def is_overpseudoprime_base(n: int, a: int, budget: Budget | None = None,
         raise ValueError("base must lie in [1, n-1]")
     if gcd(a, n) != 1:
         raise ValueError("base must be coprime to n")
-    return _passes(a, _Orders(n, budget, factorization))
+    return _passes(a, _Orders(n, budget))
 
 
 def _passes(a: int, orders: _Orders) -> bool:
@@ -65,7 +64,7 @@ def least_witness(n: int, budget: Budget | None = None) -> WitnessRecord:
     _validate_composite(n)
     if budget is None:
         budget = Budget()
-    orders = _Orders(n, budget, _complete_factorization(n, budget, None))
+    orders = _Orders(n, budget, _complete_factorization(n, budget))
     checked = skipped = 0
     for a in range(2, n - 1):
         if gcd(a, n) != 1:

@@ -11,7 +11,6 @@ from overpseudo import (
     Budget,
     ContractViolationError,
     EffortError,
-    Factorization,
     classify,
     is_carmichael,
     is_fermat_psp,
@@ -141,36 +140,22 @@ class TestCarmichael:
 
 
 class TestIncompleteFactorizationGuard:
-    """Predicates given an incomplete factorization, as mult_order is."""
-
-    @staticmethod
-    def stub(n):
-        return Factorization(n, (), False, n)
-
-    def test_redone_up_to_the_trial_bound(self):
-        assert is_carmichael(561, factorization=self.stub(561))
-        assert is_super_poulet(341, factorization=self.stub(341))
-        assert is_overpseudoprime_criterion(3277, factorization=self.stub(3277))
-        # 999983 * 1000003 < TRIAL_DIVISION_LIMIT**2: trial division splits it
-        n = 999983 * 1000003
-        for predicate in (is_carmichael, is_super_poulet,
-                          is_overpseudoprime_criterion):
-            assert predicate(n, factorization=self.stub(n)) == predicate(n), predicate
+    """Predicates whose factorization of n does not complete, as mult_order's."""
 
     def test_raises_above_the_trial_bound(self):
-        # 2**41 - 1 = 13367 * 164511353 > 10**12 passes the Fermat pre-check
-        # of is_super_poulet
-        n = (1 << 41) - 1
+        # 2**67 - 1 = 193707721 * 761838257287 > 10**12 passes the Fermat
+        # pre-checks; trial division alone cannot split it
+        n = (1 << 67) - 1
         for predicate in (is_carmichael, is_super_poulet,
-                          is_overpseudoprime_criterion):
+                          is_overpseudoprime_criterion, is_overpseudoprime_def):
             with pytest.raises(EffortError):
-                predicate(n, factorization=self.stub(n))
+                predicate(n, Budget(0))
 
     def test_primes_skip_the_factorization(self):
         p = 1000003
         for predicate in (is_carmichael, is_super_poulet,
                           is_overpseudoprime_criterion):
-            assert predicate(p, factorization=self.stub(p)) is False
+            assert predicate(p, Budget(0)) is False
 
 
 class TestClassify:

@@ -198,8 +198,9 @@ class TestOvCount:
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1404111
 
-    def test_member_cap_drops_list_keeps_counts(self):
-        rec = ov_count(10**5, members_cap=3)
+    def test_member_cap_drops_list_keeps_counts(self, monkeypatch):
+        monkeypatch.setattr(count_module, "MEMBER_CAP", 3)
+        rec = ov_count(10**5)
         assert rec.members is None
         assert rec.ov == 8
 

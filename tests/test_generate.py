@@ -4,12 +4,14 @@ import pytest
 
 from overpseudo import (
     Budget,
+    EffortError,
     aurifeuillian_pair,
     generate_overpseudoprime,
     generate_trace,
     is_overpseudoprime_def,
     least_overpseudoprime_with_order,
     mult_order,
+    primitive_part,
 )
 
 # smallest primitive divisor of each bracket, multiplied
@@ -137,6 +139,17 @@ class TestLeastWithOrder:
 
     def test_wieferich_square_is_least_for_order_364(self):
         assert least_overpseudoprime_with_order(364, Budget(2_000_000)) == 1194649
+
+    def test_incomplete_part_proven_by_trial_division(self):
+        # the second slot 593 is below the trial-division limit, so the
+        # unfactored cofactor's primes cannot undercut 149 * 593
+        part = primitive_part(148, Budget(0))
+        assert not part.complete and part.slots()[:2] == [149, 593]
+        assert least_overpseudoprime_with_order(148, Budget(0)) == 88357
+
+    def test_incomplete_part_unproven_raises(self):
+        with pytest.raises(EffortError):
+            least_overpseudoprime_with_order(111, Budget(0))
 
     def test_least_for_order_52_matches_brute_force(self, oracle_members_1e5):
         of_order_52 = [n for n in oracle_members_1e5 if mult_order(2, n) == 52]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_lambda, brute_order
-from overpseudo.arith import Budget, Factorization
+from overpseudo.arith import Budget
 from overpseudo.errors import EffortError
 from overpseudo.order import (
     CosetDecomposition,
@@ -54,14 +54,10 @@ class TestMultOrder:
         for n in range(3, 400, 2):
             assert brute_lambda(n) == sympy.reduced_totient(n)
 
-    def test_incomplete_factorization_is_redone_up_to_the_trial_bound(self):
-        # 999983 * 1000003 < TRIAL_DIVISION_LIMIT**2: trial division splits it
-        for n in (15, 999983 * 1000003):
-            stub = Factorization(n, (), False, n)
-            assert mult_order(2, n, factorization=stub) == sympy.n_order(2, n)
-        n = 1000003 * 1000033
+    def test_incomplete_factorization_raises(self):
+        # 2**67 - 1 = 193707721 * 761838257287: trial division cannot split it
         with pytest.raises(EffortError):
-            mult_order(2, n, factorization=Factorization(n, (), False, n))
+            mult_order(2, (1 << 67) - 1, budget=Budget(0))
 
 
 def test_prime_power_order_wieferich():
@@ -126,15 +122,9 @@ class TestCosetCount:
             assert len(sizes) == 1
             assert p == dec.r * dec.h + 1
 
-    def test_incomplete_factorization_falls_back_for_small_moduli(self):
-        stub = Factorization(15, (), False, 15)
-        assert coset_count(2, 15, factorization=stub) == (4, 4)
-
     def test_incomplete_factorization_raises_for_large_moduli(self):
-        n = (2**61 - 1) * (2**31 - 1)
-        stub = Factorization(n, (), False, n)
         with pytest.raises(EffortError):
-            coset_count(2, n, factorization=stub)
+            coset_count(2, (1 << 67) - 1, budget=Budget(0))
 
     @given(st.integers(3, 10**4))
     @settings(max_examples=60)
