@@ -8,10 +8,12 @@ and h its primes, and finds the primes of order h up to x / p_min(h):
 the prime factors of Phi_h(2) without its intrinsic prime, found by
 factorize as in primitive_part, when Phi_h(2) is small, else by an order
 test of each q = 1 (mod h) that survives a sieve by small primes and a
-mod-8 mask.  Either way each candidate q = 1 (mod h) below the limit (and
-below sqrt(Phi_h(2)) when factoring) costs one budget unit, so neither the
-sieve nor factorize changes the charge.  Prime powers q**i dividing
-2**h - 1 are admitted and every product of at least two slots is emitted.
+mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS, else 2**h = 1
+(mod q) and no smaller order.  Either way each candidate q = 1 (mod h)
+below the limit (and below sqrt(Phi_h(2)) when factoring) costs one budget
+unit, so neither the sieve nor factorize changes the charge.  Prime powers
+q**i dividing 2**h - 1 are admitted and every product of at least two
+slots is emitted.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from itertools import compress
 from .arith import Budget, _primes_below, factorize, is_prime, small_primes
 from .errors import EffortError
 from .order import _prime_unit_order, _strip
-from .primover import _reduced_cyclotomic_value, _slots_of_order
+from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_order
 
 MEMBER_CAP = 1_000_000
 SIEVE_LIMIT = 2**12
+REMAINDER_BITS = 2048
 
 
 def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
@@ -40,11 +43,14 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
     up to min(limit, sqrt(c)) up front, plus any rho units factorize spends,
     and an incomplete factorization raises EffortError.  Otherwise
     limit < 2**((h-1)/2), every candidate is charged one unit up front, and
-    each candidate's order of 2 is tested.  A sieve first drops the
-    multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT, sqrt(limit),
-    number of candidates) and, when (q-1)/h is even, the q = +-3 (mod 8),
-    which have no square root of 2.  The sieve drops only composites and
-    primes of another order; it charges nothing extra.
+    each candidate's order of 2 is tested.  A candidate never divides h, so
+    a prime q has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS
+    one remainder of Phi_h(2) decides it, and above that, where the
+    remainder costs more than a pow, 2**h = 1 (mod q) and no smaller order
+    do.  Both tests keep only primes, since a composite of primes of order
+    h (88357 = 149 * 593 for h = 148) can pass either.  A sieve (see
+    _scan_sieve) first drops composites and primes of another order; it
+    charges nothing extra.
     """
     if h < 2:
         return []
@@ -62,23 +68,27 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
         return [q for q in fz.primes() if q <= limit]
     n = (limit - start) // step + 1
     budget.charge(n)
-    flags = _scan_sieve(h, start, step, n, limit)
-    out = []
-    for q in compress(range(start, limit + 1, step), flags):
-        if pow(2, h, q) != 1:
-            continue
-        if is_prime(q) and _strip(2, h, h_primes, q) == h:
-            out.append(q)
-    return out
+    qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n, limit))
+    if phi < REMAINDER_BITS:
+        c = _cyclotomic_value(h, h_primes)
+        return [q for q in qs if c % q == 0 and is_prime(q)]
+    return [q for q in qs
+            if pow(2, h, q) == 1 and is_prime(q) and _strip(2, h, h_primes, q) == h]
 
 
 def _scan_sieve(h: int, start: int, step: int, n: int, limit: int) -> bytearray:
-    """Flags of the n candidates q = start + k*step that may have order h."""
+    """Flags of the n candidates q = start + k*step that may have order h.
+
+    It drops the multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT,
+    sqrt(limit), n // 16) and, when (q-1)/h is even, the q = +-3 (mod 8),
+    which have no square root of 2.  A prime r strikes about n/r
+    candidates and pays only when that beats its set-up, about 16 tests.
+    """
     # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
     # divides no candidate, and q = 0 (mod r) iff k = -1 - step**-1 (mod r)
     flags = bytearray(b"\x01") * n
     primes = small_primes()
-    bound = min(SIEVE_LIMIT, math.isqrt(limit), n)
+    bound = min(SIEVE_LIMIT, math.isqrt(limit), n // 16)
     for r in primes[1:bisect_right(primes, bound)]:
         if step % r == 0:
             continue

@@ -90,9 +90,35 @@ class TestPrimesOfOrder:
                 got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
 
+    def test_remainder_and_pow_tests_match_oracle(self, monkeypatch):
+        # REMAINDER_BITS = 0 sends every scan to the pow test and 10**6 every
+        # scan to the remainder of Phi_h(2); the default sits between 2039
+        # (phi 2038) and 2053, 2063 (phi 2052, 2062)
+        cases = [(h, limit) for limit in (10**4, 10**5) for h in range(2, 401)]
+        cases += [(h, 10**6) for h in (2039, 2053, 2063)]
+        expected = {case: sympy_primes_of_order(*case) for case in cases}
+        # 88357 = 149 * 593 passes both order tests but is no prime
+        assert expected[148, 10**5] == [149, 593]
+        remainder = []
+        cyclotomic = count_module._cyclotomic_value
+
+        def spy(h, h_primes):
+            remainder.append(h)
+            return cyclotomic(h, h_primes)
+
+        monkeypatch.setattr(count_module, "_cyclotomic_value", spy)
+        for bits in (0, count_module.REMAINDER_BITS, 10**6):
+            monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
+            remainder.clear()
+            for h, limit in cases:
+                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                assert got == expected[h, limit], (bits, h, limit)
+            assert (148 in remainder) == (bits > 0)
+            assert (2039 in remainder, 2063 in remainder) == (bits > 2038, bits > 2062)
+
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
         # scans of a handful of candidates, where the sieve has (almost) no
-        # primes below its bound min(SIEVE_LIMIT, isqrt(limit), n) to drop by
+        # primes below its bound min(SIEVE_LIMIT, isqrt(limit), n // 16) to drop by
         sieved, factored = [], []
         sieve = count_module._scan_sieve
         reduced = count_module._reduced_cyclotomic_value
@@ -197,6 +223,27 @@ class TestOvCount:
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1404111
+
+    def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch):
+        # self-computed regression pin: the values this implementation gives,
+        # not checked against an outside source
+        tests = {"remainder": 0, "pow": 0}
+        cyclotomic, strip = count_module._cyclotomic_value, count_module._strip
+
+        def cyclotomic_spy(*args):
+            tests["remainder"] += 1
+            return cyclotomic(*args)
+
+        def strip_spy(*args):
+            tests["pow"] += 1
+            return strip(*args)
+
+        monkeypatch.setattr(count_module, "_cyclotomic_value", cyclotomic_spy)
+        monkeypatch.setattr(count_module, "_strip", strip_spy)
+        budget = Budget()
+        assert ov_count(10**10, budget).ov == 1730
+        assert budget.spent == 11075357
+        assert tests["remainder"] > 0 and tests["pow"] > 0
 
     def test_member_cap_drops_list_keeps_counts(self, monkeypatch):
         monkeypatch.setattr(count_module, "MEMBER_CAP", 3)
