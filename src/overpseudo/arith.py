@@ -78,13 +78,11 @@ def pow_mod(base: int, exponent: int, modulus: int) -> int:
 
 
 # Smallest strong pseudoprime to the listed bases exceeds the bound, so each
-# rung is a deterministic primality test below its bound.
+# rung is a deterministic primality test below its bound; no rung is covered
+# by a later one with as few bases (Jaeschke, Math. Comp. 61, 1993).
 _MR_LADDER = (
     (2_047, (2,)),
-    (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),

@@ -219,13 +219,9 @@ def _cmd_count(args, budget):
         "ratio": record.ratio,
         "by_order": [[h, c] for h, c in record.by_order.items()],
     }
-    warnings = []
     if args.members:
-        if record.members is None:
-            warnings.append("member list exceeds the in-memory cap; counts only")
-        else:
-            result["members"] = list(record.members)
-    return [_record("count", {"x": args.x}, result, budget, warnings)]
+        result["members"] = list(record.members)
+    return [_record("count", {"x": args.x}, result, budget, [])]
 
 
 def _cmd_bound_report(args, budget):

@@ -7,13 +7,13 @@ groups them by order, one factorization of p - 1 giving each p its order h
 and h its primes, and finds the primes of order h up to x / p_min(h):
 the prime factors of Phi_h(2) without its intrinsic prime, found by
 factorize as in primitive_part, when Phi_h(2) is small, else by an order
-test of each q = 1 (mod h) that survives a sieve by small primes and a
+test of each q = 1 (mod h) that survives a sieve sized by the scan and a
 mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS, else 2**h = 1
 (mod q) and no smaller order.  Either way each candidate q = 1 (mod h)
 below the limit (and below sqrt(Phi_h(2)) when factoring) costs one budget
 unit, so neither the sieve nor factorize changes the charge.  Prime powers
 q**i dividing 2**h - 1 are admitted and every product of at least two
-slots is emitted.
+slots is emitted; ov_count sorts them once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .errors import EffortError
 from .order import _prime_unit_order, _strip
 from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_order
 
-MEMBER_CAP = 1_000_000
-SIEVE_LIMIT = 2**12
 REMAINDER_BITS = 2048
 
 
@@ -48,9 +46,9 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
     one remainder of Phi_h(2) decides it, and above that, where the
     remainder costs more than a pow, 2**h = 1 (mod q) and no smaller order
     do.  Both tests keep only primes, since a composite of primes of order
-    h (88357 = 149 * 593 for h = 148) can pass either.  A sieve (see
-    _scan_sieve) first drops composites and primes of another order; it
-    charges nothing extra.
+    h (88357 = 149 * 593 for h = 148) can pass either.  A sieve sized by
+    the scan (see _scan_sieve) first drops composites and primes of another
+    order; it charges nothing extra.
     """
     if h < 2:
         return []
@@ -68,7 +66,7 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
         return [q for q in fz.primes() if q <= limit]
     n = (limit - start) // step + 1
     budget.charge(n)
-    qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n, limit))
+    qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n))
     if phi < REMAINDER_BITS:
         c = _cyclotomic_value(h, h_primes)
         return [q for q in qs if c % q == 0 and is_prime(q)]
@@ -76,19 +74,20 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
             if pow(2, h, q) == 1 and is_prime(q) and _strip(2, h, h_primes, q) == h]
 
 
-def _scan_sieve(h: int, start: int, step: int, n: int, limit: int) -> bytearray:
+def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
     """Flags of the n candidates q = start + k*step that may have order h.
 
-    It drops the multiples >= r*r of the odd primes r <= min(SIEVE_LIMIT,
-    sqrt(limit), n // 16) and, when (q-1)/h is even, the q = +-3 (mod 8),
-    which have no square root of 2.  A prime r strikes about n/r
-    candidates and pays only when that beats its set-up, about 16 tests.
+    It drops the multiples >= r*r of the odd primes r <= min(sqrt(q_last),
+    n // 64), q_last the last candidate, and, when (q-1)/h is even, the
+    q = +-3 (mod 8), which have no square root of 2.  A prime above
+    sqrt(q_last) strikes nothing; below it, r strikes about n/r candidates
+    and pays only when that beats its set-up, about 64 tests.
     """
     # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
     # divides no candidate, and q = 0 (mod r) iff k = -1 - step**-1 (mod r)
     flags = bytearray(b"\x01") * n
     primes = small_primes()
-    bound = min(SIEVE_LIMIT, math.isqrt(limit), n // 16)
+    bound = min(math.isqrt(start + (n - 1) * step), n // 64)
     for r in primes[1:bisect_right(primes, bound)]:
         if step % r == 0:
             continue
@@ -106,7 +105,7 @@ def _scan_sieve(h: int, start: int, step: int, n: int, limit: int) -> bytearray:
 
 
 def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
-    """All products <= x of at least two slots (primes ascending, capped exponents)."""
+    """All products <= x, unsorted, of at least two slots (ascending, capped powers)."""
     out: list[int] = []
 
     def rec(i: int, prod: int, omega: int) -> None:
@@ -124,12 +123,12 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
                 rec(j + 1, v, omega + a)
 
     rec(0, 1, 0)
-    return sorted(out)
+    return out
 
 
 def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None = None,
                       max_order: int | None = None) -> dict[int, list[int]]:
-    """Members grouped by order h; orders processed ascending for determinism."""
+    """Members grouped by order h, unsorted within a group; orders ascending."""
     if x < 3:
         raise ValueError("x must be >= 3")
     if budget is None:
@@ -165,8 +164,7 @@ def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None =
 
 def enumerate_overpseudoprimes(x: int, budget: Budget | None = None) -> list[int]:
     """Exactly the overpseudoprimes <= x, sorted ascending."""
-    groups = _enumerate_groups(x, budget)
-    return sorted(m for members in groups.values() for m in members)
+    return list(ov_count(x, budget).members)
 
 
 @dataclass(frozen=True)
@@ -178,20 +176,16 @@ class CountRecord:
     bound: float
     ratio: float
     by_order: dict[int, int]
-    members: tuple[int, ...] | None
+    members: tuple[int, ...]
 
 
 def ov_count(x: int, budget: Budget | None = None) -> CountRecord:
-    """Ov(x) by order; members is None when Ov(x) exceeds MEMBER_CAP."""
+    """Ov(x) by order, with the members ascending."""
     groups = _enumerate_groups(x, budget)
-    members = sorted(m for lst in groups.values() for m in lst)
-    ov = len(members)
-    bound = float(x) ** 0.75
-    return CountRecord(
-        x, ov, bound, ov / bound,
-        {h: len(groups[h]) for h in sorted(groups)},
-        tuple(members) if ov <= MEMBER_CAP else None,
-    )
+    members = tuple(sorted(m for lst in groups.values() for m in lst))
+    row = _bound_row(x, len(members))
+    return CountRecord(x, row.ov, row.x_3_4, row.ratio,
+                       {h: len(v) for h, v in groups.items()}, members)
 
 
 def ov_count_by_order(x: int, n: int, budget: Budget | None = None) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import Budget, Factorization, factorize
+from .arith import Budget, Factorization, factorize, is_prime
 from .errors import ContractViolationError, EffortError
 
 
@@ -51,7 +51,10 @@ def _prime_unit_order(base: int, p: int, budget: Budget,
 
 
 def prime_power_order(base: int, p: int, e: int, budget: Budget | None = None) -> int:
-    """Order of base modulo p**e for odd prime p coprime to base."""
+    """Order of base modulo p**e for odd prime p coprime to base and e >= 1."""
+    _validate(base, p)
+    if e < 1 or not is_prime(p):
+        raise ValueError(f"need an odd prime p and e >= 1, got p = {p}, e = {e}")
     return _Orders(p**e, budget).chain(base, p, e)[-1]
 
 

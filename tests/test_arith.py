@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import per_prime_factorize
-from overpseudo import arith
+from overpseudo import arith, enumerate_overpseudoprimes
 from overpseudo.arith import (
     Budget,
     Factorization,
@@ -75,6 +75,24 @@ class TestIsPrime:
     def test_perfect_squares_above_64_bits(self):
         p = sympy.nextprime(1 << 40)
         assert not is_prime(p * p)
+
+    def test_ladder_bounds_are_composite(self):
+        # each is the least strong pseudoprime to the bases of a ladder rung
+        for n in (1373653, 25326001, 3215031751, 9080191, 4759123141):
+            assert not is_prime(n), n
+
+    def test_no_overpseudoprime_tests_prime(self):
+        # every overpseudoprime is a base-2 strong pseudoprime
+        members = enumerate_overpseudoprimes(10**10)
+        assert len(members) == 1730
+        assert sum(9_080_191 <= m < 4_759_123_141 for m in members) == 1156
+        assert not any(is_prime(m) for m in members)
+
+    def test_matches_sympy_in_the_2_7_61_range(self):
+        rng = random.Random(61)
+        for _ in range(20000):
+            n = rng.randrange(9_080_191, 4_759_123_141)
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestFactorize:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from sympy import primefactors, primerange
+from sympy import isprime, primefactors, primerange
 
 from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
 from overpseudo import count as count_module
@@ -118,14 +118,14 @@ class TestPrimesOfOrder:
 
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
         # scans of a handful of candidates, where the sieve has (almost) no
-        # primes below its bound min(SIEVE_LIMIT, isqrt(limit), n // 16) to drop by
+        # primes below its bound min(isqrt(q_last), n // 64) to drop by
         sieved, factored = [], []
         sieve = count_module._scan_sieve
         reduced = count_module._reduced_cyclotomic_value
 
-        def sieve_spy(h, start, step, n, limit):
+        def sieve_spy(h, start, step, n):
             sieved.append(n)
-            return sieve(h, start, step, n, limit)
+            return sieve(h, start, step, n)
 
         def reduced_spy(h, h_primes):
             factored.append(h)
@@ -149,6 +149,23 @@ class TestPrimesOfOrder:
                     assert sieved == [n], (h, limit)
                     small += n <= 128
         assert small > 100
+
+    def test_sieve_bound_comes_from_the_scan(self):
+        # q_last = 19200001 and n // 64 = 4687, so the bound is isqrt(q_last)
+        h, start, step, n = 64, 65, 64, 300000
+        q_last = start + (n - 1) * step
+        bound = min(math.isqrt(q_last), n // 64)
+        assert bound == 4381
+        flags = count_module._scan_sieve(h, start, step, n)
+        assert len(flags) == n
+        for r in primerange(3, bound + 1):
+            # candidate k is q = start + k*step, a multiple of r for these k
+            k0 = -start * pow(step, -1, r) % r
+            kept = [start + k * step for k in range(k0, n, r) if flags[k]]
+            assert all(q < r * r for q in kept), (r, kept[:3])
+        for k in range(n):
+            q = start + k * step
+            assert flags[k] or not isprime(q), q
 
 
 class TestSweepFactorsOnce:
@@ -245,12 +262,6 @@ class TestOvCount:
         assert budget.spent == 11075357
         assert tests["remainder"] > 0 and tests["pow"] > 0
 
-    def test_member_cap_drops_list_keeps_counts(self, monkeypatch):
-        monkeypatch.setattr(count_module, "MEMBER_CAP", 3)
-        rec = ov_count(10**5)
-        assert rec.members is None
-        assert rec.ov == 8
-
     def test_distinct_primes_per_order_stay_under_omega_bound(self):
         from sympy import factorint
 
@@ -278,6 +289,18 @@ class TestByOrder:
         assert ov_count_upto_order(10**5, math.isqrt(10**5)) == total
         by_hand = sum(ov_count_by_order(10**5, h) for h in (11, 28, 36, 48, 52, 60))
         assert ov_count_upto_order(10**5, 60) == by_hand
+
+    @pytest.mark.parametrize("x", [10**5, 1194649, 10**6])
+    def test_seed_scan_matches_the_sweep(self, x):
+        # by order, the least prime of h comes from a scan, not the sweep of p <= sqrt(x)
+        by_order = ov_count(x).by_order
+        for h in range(1, math.isqrt(x) + 1):
+            assert ov_count_by_order(x, h) == by_order.get(h, 0), h
+        running = 0
+        for h, c in by_order.items():
+            running += c
+            assert ov_count_upto_order(x, h) == running, h
+            assert ov_count_upto_order(x, h - 1) == running - c, h
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,27 @@ def test_prime_power_order_wieferich():
     assert prime_power_order(2, 3, 2) == 6
 
 
+@pytest.mark.parametrize("base, p, e", [
+    (2, 9, 1),   # 9 is no prime; ord_9(2) = 6
+    (2, 3, 0),
+    (3, 3, 2),   # base shares a factor with p
+    (2, 2, 3),
+    (0, 3, 1),
+    (2, 3, -1),
+])
+def test_prime_power_order_rejects_bad_inputs(base, p, e):
+    with pytest.raises(ValueError):
+        prime_power_order(base, p, e)
+
+
+def test_prime_power_order_matches_mult_order():
+    for p in sympy.primerange(3, 60):
+        for e in range(1, 4):
+            for a in range(2, 8):
+                if a % p:
+                    assert prime_power_order(a, p, e) == mult_order(a, p**e), (a, p, e)
+
+
 class TestCyclotomicCosets:
     def test_worked_example_base2_mod15(self):
         dec = cyclotomic_cosets(2, 15)
