@@ -2,18 +2,20 @@
 
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x), so h is the order of some
-prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x),
+prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x) and
 groups them by order, one factorization of p - 1 giving each p its order h
-and h its primes, and finds the primes of order h up to x / p_min(h):
-the prime factors of Phi_h(2) without its intrinsic prime, found by
-factorize as in primitive_part, when Phi_h(2) is small, else by an order
-test of each q = 1 (mod h) that survives a sieve sized by the scan and a
-mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS, else 2**h = 1
+and h its primes.  Its lists P_h hold the primes of order h up to sqrt(x),
+so only those in (sqrt(x), x / p_min(h)] remain to be found: the prime
+factors of Phi_h(2) without its intrinsic prime, found by factorize as in
+primitive_part, when Phi_h(2) is small, else by an order test of each
+q = 1 (mod h) in that interval that survives a sieve sized by the scan and
+a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS, else 2**h = 1
 (mod q) and no smaller order.  Either way each candidate q = 1 (mod h)
-below the limit (and below sqrt(Phi_h(2)) when factoring) costs one budget
-unit, so neither the sieve nor factorize changes the charge.  Prime powers
-q**i dividing 2**h - 1 are admitted and every product of at least two
-slots is emitted; ov_count sorts them once.
+below x / p_min(h) (and below sqrt(Phi_h(2)) when factoring) costs one
+budget unit, those below sqrt(x) included, so neither the sweep, the sieve
+nor factorize changes the charge.  Prime powers q**i dividing 2**h - 1 are
+admitted and every product of at least two slots is emitted; ov_count
+sorts them once.
 """
 
 from __future__ import annotations
@@ -31,24 +33,26 @@ from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_or
 REMAINDER_BITS = 2048
 
 
-def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
-    """All primes q <= limit with ord_q(2) == h, ascending, given h's primes h_primes.
+def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
+    """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
     Candidates are the odd q = 1 (mod h).  If phi(h) < 2 * bits(limit), the
     primes of order h are the prime factors of c = Phi_h(2) without its
     intrinsic prime: c is factored by factorize, as in primitive_part, and
-    its primes <= limit are kept.  That path charges one unit per candidate
-    up to min(limit, sqrt(c)) up front, plus any rho units factorize spends,
-    and an incomplete factorization raises EffortError.  Otherwise
-    limit < 2**((h-1)/2), every candidate is charged one unit up front, and
-    each candidate's order of 2 is tested.  A candidate never divides h, so
-    a prime q has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS
-    one remainder of Phi_h(2) decides it, and above that, where the
-    remainder costs more than a pow, 2**h = 1 (mod q) and no smaller order
-    do.  Both tests keep only primes, since a composite of primes of order
-    h (88357 = 149 * 593 for h = 148) can pass either.  A sieve sized by
-    the scan (see _scan_sieve) first drops composites and primes of another
-    order; it charges nothing extra.
+    its primes in (lo, limit] are kept.  That path charges one unit per
+    candidate up to min(limit, sqrt(c)) up front, plus any rho units
+    factorize spends, and an incomplete factorization raises EffortError.
+    Otherwise limit < 2**((h-1)/2), every candidate up to limit, those up to
+    lo included, is charged one unit up front, and the order of 2 is tested
+    for each candidate above lo; with none there, nothing is built.  A
+    candidate never divides h, so a prime q has order h iff q | Phi_h(2):
+    while phi(h) < REMAINDER_BITS one remainder of Phi_h(2) decides it, and
+    above that, where the remainder costs more than a pow, 2**h = 1 (mod q)
+    and no smaller order do.  Both tests keep only primes, since a
+    composite of primes of order h (88357 = 149 * 593 for h = 148) can pass
+    either.  A sieve sized by the scan (see _scan_sieve) first drops
+    composites and primes of another order; it charges nothing extra, and
+    on either path the charge does not depend on lo.
     """
     if h < 2:
         return []
@@ -63,9 +67,12 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
         fz = factorize(c, budget)
         if not fz.complete:
             raise EffortError(f"cannot factor Phi_{h}(2) for the primes of order {h}")
-        return [q for q in fz.primes() if q <= limit]
+        return [q for q in fz.primes() if lo < q <= limit]
+    budget.charge((limit - start) // step + 1)
+    start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
+    if limit < start:
+        return []
     n = (limit - start) // step + 1
-    budget.charge(n)
     qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n))
     if phi < REMAINDER_BITS:
         c = _cyclotomic_value(h, h_primes)
@@ -77,14 +84,14 @@ def _primes_of_order(h: int, h_primes, limit: int, budget: Budget) -> list[int]:
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
     """Flags of the n candidates q = start + k*step that may have order h.
 
-    It drops the multiples >= r*r of the odd primes r <= min(sqrt(q_last),
-    n // 64), q_last the last candidate, and, when (q-1)/h is even, the
-    q = +-3 (mod 8), which have no square root of 2.  A prime above
-    sqrt(q_last) strikes nothing; below it, r strikes about n/r candidates
-    and pays only when that beats its set-up, about 64 tests.
+    start = 1 (mod step).  It drops the multiples >= r*r of the odd primes
+    r <= min(sqrt(q_last), n // 64), q_last the last candidate, and, when
+    (q-1)/h is even, the q = +-3 (mod 8), which have no square root of 2.
+    A prime above sqrt(q_last) strikes nothing; below it, r strikes about
+    n/r candidates and pays only when that beats its set-up, about 64 tests.
     """
     # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
-    # divides no candidate, and q = 0 (mod r) iff k = -1 - step**-1 (mod r)
+    # divides no candidate, and q = 0 (mod r) iff k = -start * step**-1 (mod r)
     flags = bytearray(b"\x01") * n
     primes = small_primes()
     bound = min(math.isqrt(start + (n - 1) * step), n // 64)
@@ -92,8 +99,8 @@ def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
         if step % r == 0:
             continue
         # first candidate >= r*r, so that r itself survives
-        k_min = max(0, -(-(r * r - 1) // step) - 1)
-        k = k_min + (-1 - pow(step, -1, r) - k_min) % r
+        k_min = max(0, -((start - r * r) // step))
+        k = k_min + (-start * pow(step, -1, r) - k_min) % r
         flags[k::r] = bytes(len(range(k, n, r)))
     # ord_q(2) = h | (q-1)/2 makes 2 a square mod q, so q = +-1 (mod 8);
     # parity of (q-1)/h and q mod 8 have period 4 in k since step is even
@@ -134,24 +141,26 @@ def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None =
     if budget is None:
         budget = Budget()
     root = math.isqrt(x)
-    # order_min maps each order h to its least prime and the primes of h
+    # orders maps each order h to P_h, its primes <= root ascending, and h's primes
     if only_order is not None:
         h = only_order
         # no candidate q = 1 (mod h) is <= root unless h < root
         h_primes = factorize(h, budget).primes() if h < root else ()
-        seeds = _primes_of_order(h, h_primes, root, budget)
-        order_min = {h: (seeds[0], h_primes)} if seeds else {}
+        seeds = _primes_of_order(h, h_primes, 0, root, budget)
+        orders = {h: (seeds, h_primes)} if seeds else {}
     else:
-        order_min = {}
+        orders = {}
         for p in _primes_below(root + 1)[1:]:
             h, p_primes = _prime_unit_order(2, p, budget)
-            if (max_order is None or h <= max_order) and h not in order_min:
-                order_min[h] = p, tuple(f for f in p_primes if h % f == 0)
+            if max_order is None or h <= max_order:
+                if h not in orders:
+                    orders[h] = [], tuple(f for f in p_primes if h % f == 0)
+                orders[h][0].append(p)
     groups: dict[int, list[int]] = {}
-    for h in sorted(order_min):
-        p_min, h_primes = order_min[h]
+    for h in sorted(orders):
+        seeds, h_primes = orders[h]
         try:
-            qs = _primes_of_order(h, h_primes, x // p_min, budget)
+            qs = seeds + _primes_of_order(h, h_primes, root, x // seeds[0], budget)
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:
             raise EffortError(

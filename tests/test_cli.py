@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -208,6 +209,32 @@ class TestCountCommand:
         assert code == 0
         assert with_csv[0]["effort_spent"] == plain[0]["effort_spent"]
         assert path.read_text() == bound_report_csv(bound_report([100000]))
+
+    def test_bytes_at_1e8(self, capsys):
+        # the whole stdout, effort_spent included: prefix and suffix spelled
+        # out, the by_order list between them held by length and digest
+        code, out, err = run_cli(capsys, "count", "100000000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            '{"command": "count", "effort_spent": 174368, "input": {"x": 100000000}, '
+            '"result": {"by_order": [[11, 1], [23, 1], [25, 1], [28, 1], [29, 3], '
+        )
+        assert out.endswith(
+            '[4482, 1], [4812, 1], [5748, 1]], "ov": 266, "ratio": 0.000266, '
+            '"x": 100000000, "x_3_4": 1000000.0}, "warnings": []}\n'
+        )
+        assert len(out.encode()) == 2089
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ced19b42416cf4cb1e1c2ba02ee5aa37669e43c9e9f22afda3f1881964235f1c"
+        )
+
+    def test_budget_exhaustion_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "count", "1000000", "--budget", "40")
+        assert (code, out) == (2, "")
+        assert err == (
+            "effort exhausted: work budget exhausted (65 of 40 units); "
+            "orders below 23 were completed: [11]\n"
+        )
 
 
 class TestBoundReportCommand:

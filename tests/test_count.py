@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from sympy import isprime, primefactors, primerange
@@ -58,36 +59,87 @@ class TestPrimesOfOrder:
         for limit in (10**3, 10**5, 10**6):
             factored.clear()
             for h in orders:
-                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
             # every order has a candidate below these limits, so the orders
             # that were not factored went through the order-test scan
             assert 0 < len(factored) < len(orders)
 
+    def test_interval_matches_oracle_and_charge_ignores_lo(self, monkeypatch):
+        # the primes of order h in (lo, limit] on both paths; the charge
+        # counts every candidate up to limit whatever lo is
+        factored, sieved = [], []
+        reduced, sieve = count_module._reduced_cyclotomic_value, count_module._scan_sieve
+
+        def reduced_spy(h, h_primes):
+            factored.append(h)
+            return reduced(h, h_primes)
+
+        def sieve_spy(h, start, step, n):
+            sieved.append((start, step, n))
+            return sieve(h, start, step, n)
+
+        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        cases = [(h, limit) for limit in (10**3, 10**5, 10**6) for h in range(2, 121)]
+        cases += [(h, 10**5) for h in range(121, 401)]
+        paths = {"cofactor": 0, "scan": 0}
+        for h, limit in cases:
+            expected = sympy_primes_of_order(h, limit)
+            first = 2 * h + 1 if h % 2 else h + 1
+            candidates = range(first, limit + 1, first - 1)
+            charges = set()
+            for lo in (0, math.isqrt(limit), limit // 3):
+                above = candidates[bisect_right(candidates, lo):]
+                factored.clear()
+                sieved.clear()
+                budget = Budget()
+                got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
+                assert got == [q for q in expected if q > lo], (h, lo, limit)
+                charges.add(budget.spent)
+                # a scan sieves exactly the candidates in (lo, limit]
+                for start, step, n in sieved:
+                    assert range(start, start + n * step, step) == above, (h, lo, limit)
+                paths["cofactor"] += bool(factored)
+                paths["scan"] += bool(sieved)
+            assert len(charges) == 1, (h, limit, charges)
+        assert paths["cofactor"] > 0 and paths["scan"] > 0, paths
+
+    def test_empty_interval_builds_nothing(self, monkeypatch):
+        # h = 100 up to 1e5 takes the scan path; 99901 is its last candidate
+        built = []
+        for name in ("_cyclotomic_value", "_scan_sieve"):
+            monkeypatch.setattr(count_module, name, lambda *args, name=name: built.append(name))
+        for lo in (99901, 10**5):
+            budget = Budget()
+            assert count_module._primes_of_order(100, (2, 5), lo, 10**5, budget) == []
+            assert budget.spent == (10**5 - 101) // 100 + 1
+        assert built == []
+
     def test_charges_fewer_units_than_candidates(self):
         # Phi_28(2) = 29 * 113: two candidates, not every q = 1 (mod 28) to 2**28
         budget = Budget()
-        got = count_module._primes_of_order(28, (2, 7), (1 << 28) - 1, budget)
+        got = count_module._primes_of_order(28, (2, 7), 0, (1 << 28) - 1, budget)
         assert got == [29, 113]
         assert budget.spent == 2
 
     def test_sieve_keeps_sieving_primes_that_are_candidates(self):
         # both take the order-test scan, and 53 and 101 are sieving primes
         primes_of_order = count_module._primes_of_order
-        assert primes_of_order(52, (2, 13), 4000, Budget()) == [53, 157, 1613]
-        assert primes_of_order(100, (2, 5), 10**5, Budget()) == [101, 8101]
+        assert primes_of_order(52, (2, 13), 0, 4000, Budget()) == [53, 157, 1613]
+        assert primes_of_order(100, (2, 5), 0, 10**5, Budget()) == [101, 8101]
 
     def test_scan_charges_every_candidate(self):
         # h = 100 up to 1e5 takes the scan path: q = 101, 201, ..., 99901
         budget = Budget()
-        count_module._primes_of_order(100, (2, 5), 10**5, budget)
+        count_module._primes_of_order(100, (2, 5), 0, 10**5, budget)
         assert budget.spent == (10**5 - 101) // 100 + 1
 
     def test_sieved_scan_matches_oracle(self):
         # limits where isqrt(limit) and the candidate count bound the sieve
         for limit in (4000, 16383):
             for h in range(2, 121):
-                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
 
     def test_remainder_and_pow_tests_match_oracle(self, monkeypatch):
@@ -111,7 +163,7 @@ class TestPrimesOfOrder:
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             remainder.clear()
             for h, limit in cases:
-                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == expected[h, limit], (bits, h, limit)
             assert (148 in remainder) == (bits > 0)
             assert (2039 in remainder, 2063 in remainder) == (bits > 2038, bits > 2062)
@@ -138,7 +190,7 @@ class TestPrimesOfOrder:
             for h in range(2, 121):
                 sieved.clear()
                 factored.clear()
-                got = count_module._primes_of_order(h, primefactors(h), limit, Budget())
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
                 first = 2 * h + 1 if h % 2 else h + 1
                 n = (limit - first) // (first - 1) + 1
@@ -235,6 +287,23 @@ class TestOvCount:
         rec = ov_count(10**8)
         assert rec.ov == 266
         assert sum(rec.by_order.values()) == rec.ov
+
+    def test_no_prime_up_to_sqrt_x_tested_again(self, monkeypatch):
+        # the sweep lists the primes <= sqrt(x) with their order; the scan
+        # tests only candidates above sqrt(x), for the same count and charge
+        x = 10**8
+        tested = []
+        is_prime = count_module.is_prime
+
+        def spy(q):
+            tested.append(q)
+            return is_prime(q)
+
+        monkeypatch.setattr(count_module, "is_prime", spy)
+        budget = Budget()
+        assert ov_count(x, budget).ov == 266
+        assert budget.spent == 174368
+        assert tested and min(tested) > math.isqrt(x)
 
     def test_count_and_units_at_1e9(self):
         budget = Budget()
