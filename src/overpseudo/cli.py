@@ -58,25 +58,16 @@ def _record(command: str, inputs: dict, result, budget: Budget,
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
-    # results are exact, and a primitive part of 2**n - 1 can exceed the
-    # int-to-str digit limit that Python 3.11 sets; lift it while writing
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            for rec in records:
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
-            return
+    if fmt == "json":
         for rec in records:
-            out.write(f"# {rec['command']} {rec['input']}\n")
-            _emit_text(rec["result"], out, indent="")
-            for warning in rec["warnings"]:
-                out.write(f"warning: {warning}\n")
-            out.write(f"effort spent: {rec['effort_spent']} work units\n")
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
+        return
+    for rec in records:
+        out.write(f"# {rec['command']} {rec['input']}\n")
+        _emit_text(rec["result"], out, indent="")
+        for warning in rec["warnings"]:
+            out.write(f"warning: {warning}\n")
+        out.write(f"effort spent: {rec['effort_spent']} work units\n")
 
 
 def _emit_text(value, out, indent: str) -> None:
@@ -342,14 +333,24 @@ def main(argv=None) -> int:
             raise ValueError(f"csv format is not defined for '{args.command}'")
         budget = Budget(args.budget)
         records = args.handler(args, budget)
-        if getattr(args, "csv", None):
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(writer(records))
-        if args.fmt == "csv":
-            sys.stdout.write(writer(records))
-        else:
-            _emit(records, args.fmt, sys.stdout)
-        sys.stdout.flush()
+        # exact results (a primitive part of 2**n - 1) can exceed the
+        # int-to-str digit limit that Python 3.11 sets; lift it for every write
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        set_limit(0)
+        try:
+            path = getattr(args, "csv", None)
+            text = writer(records) if path or args.fmt == "csv" else None
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            if args.fmt == "csv":
+                sys.stdout.write(text)
+            else:
+                _emit(records, args.fmt, sys.stdout)
+            sys.stdout.flush()
+        finally:
+            set_limit(digit_limit)
         return 0
     except BrokenPipeError:
         # the reader is gone; aim stdout at devnull so the final flush is quiet

@@ -1,21 +1,20 @@
-"""Exhaustive enumeration of overpseudoprimes below a bound.
+"""Exhaustive enumeration of overpseudoprimes below a bound, in two steps.
 
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
-and its least prime factor is at most sqrt(x), so h is the order of some
-prime below sqrt(x).  The sweep therefore sieves primes up to sqrt(x) and
-groups them by order, one factorization of p - 1 giving each p its order h
-and h its primes.  Its lists P_h hold the primes of order h up to sqrt(x),
-so only those in (sqrt(x), x / p_min(h)] remain to be found: the prime
-factors of Phi_h(2) without its intrinsic prime, found by factorize as in
-primitive_part, when Phi_h(2) is small, else by an order test of each
-q = 1 (mod h) in that interval that survives a sieve sized by the scan and
-a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS, else 2**h = 1
-(mod q) and no smaller order.  Either way each candidate q = 1 (mod h)
+and its least prime factor is at most sqrt(x).  The sweep gives every prime
+p <= sqrt(x) its order h (one factorization of p - 1 gives both h and h's
+primes) and lists them by order as P_h.  The completion pass takes any map
+of such lists and finds the primes of each order h in
+(sqrt(x), x / p_min(h)]: the prime factors of Phi_h(2) without its
+intrinsic prime, by factorize as in primitive_part, when Phi_h(2) is small,
+else an order test of each q = 1 (mod h) there that survives a sieve sized
+by the scan and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS,
+else 2**h = 1 (mod q) and no smaller order.  Each candidate q = 1 (mod h)
 below x / p_min(h) (and below sqrt(Phi_h(2)) when factoring) costs one
-budget unit, those below sqrt(x) included, so neither the sweep, the sieve
-nor factorize changes the charge.  Prime powers q**i dividing 2**h - 1 are
-admitted and every product of at least two slots is emitted; ov_count
-sorts them once.
+unit, whichever step decides it.  Prime powers q**i dividing 2**h - 1 are
+admitted; every product of at least two slots is a member.  ov_count
+completes the sweep's orders, ov_count_upto_order those up to n, and
+ov_count_by_order the one order n, its P_n from a scan up to sqrt(x).
 """
 
 from __future__ import annotations
@@ -48,11 +47,11 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     candidate never divides h, so a prime q has order h iff q | Phi_h(2):
     while phi(h) < REMAINDER_BITS one remainder of Phi_h(2) decides it, and
     above that, where the remainder costs more than a pow, 2**h = 1 (mod q)
-    and no smaller order do.  Both tests keep only primes, since a
-    composite of primes of order h (88357 = 149 * 593 for h = 148) can pass
-    either.  A sieve sized by the scan (see _scan_sieve) first drops
-    composites and primes of another order; it charges nothing extra, and
-    on either path the charge does not depend on lo.
+    and no smaller order do.  A composite of primes of order h (88357 =
+    149 * 593 for h = 148) can pass either, so primality is tested last,
+    once per prime, by its own order.  A sieve sized by the scan (see
+    _scan_sieve) first drops composites and primes of another order; it
+    charges nothing extra, and on either path the charge ignores lo.
     """
     if h < 2:
         return []
@@ -78,7 +77,7 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
         c = _cyclotomic_value(h, h_primes)
         return [q for q in qs if c % q == 0 and is_prime(q)]
     return [q for q in qs
-            if pow(2, h, q) == 1 and is_prime(q) and _strip(2, h, h_primes, q) == h]
+            if pow(2, h, q) == 1 and _strip(2, h, h_primes, q) == h and is_prime(q)]
 
 
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
@@ -133,29 +132,23 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
     return out
 
 
-def _enumerate_groups(x: int, budget: Budget | None, *, only_order: int | None = None,
-                      max_order: int | None = None) -> dict[int, list[int]]:
-    """Members grouped by order h, unsorted within a group; orders ascending."""
+def _sweep(x: int, budget: Budget) -> dict:
+    """Every prime p <= sqrt(x) by its order h: {h: (P_h ascending, h's primes)}."""
+    orders = {}
+    # x < 0 sweeps nothing; _complete refuses every x < 3
+    for p in _primes_below(math.isqrt(max(x, 0)) + 1)[1:]:
+        h, p_primes = _prime_unit_order(2, p, budget)
+        if h not in orders:
+            orders[h] = [], tuple(f for f in p_primes if h % f == 0)
+        orders[h][0].append(p)
+    return orders
+
+
+def _complete(x: int, orders: dict, budget: Budget) -> dict[int, list[int]]:
+    """Members <= x by order, h ascending, for each h of a map like _sweep's that has any."""
     if x < 3:
         raise ValueError("x must be >= 3")
-    if budget is None:
-        budget = Budget()
     root = math.isqrt(x)
-    # orders maps each order h to P_h, its primes <= root ascending, and h's primes
-    if only_order is not None:
-        h = only_order
-        # no candidate q = 1 (mod h) is <= root unless h < root
-        h_primes = factorize(h, budget).primes() if h < root else ()
-        seeds = _primes_of_order(h, h_primes, 0, root, budget)
-        orders = {h: (seeds, h_primes)} if seeds else {}
-    else:
-        orders = {}
-        for p in _primes_below(root + 1)[1:]:
-            h, p_primes = _prime_unit_order(2, p, budget)
-            if max_order is None or h <= max_order:
-                if h not in orders:
-                    orders[h] = [], tuple(f for f in p_primes if h % f == 0)
-                orders[h][0].append(p)
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
         seeds, h_primes = orders[h]
@@ -190,7 +183,8 @@ class CountRecord:
 
 def ov_count(x: int, budget: Budget | None = None) -> CountRecord:
     """Ov(x) by order, with the members ascending."""
-    groups = _enumerate_groups(x, budget)
+    budget = Budget() if budget is None else budget
+    groups = _complete(x, _sweep(x, budget), budget)
     members = tuple(sorted(m for lst in groups.values() for m in lst))
     row = _bound_row(x, len(members))
     return CountRecord(x, row.ov, row.x_3_4, row.ratio,
@@ -201,16 +195,21 @@ def ov_count_by_order(x: int, n: int, budget: Budget | None = None) -> int:
     """Number of overpseudoprimes m <= x with order of 2 exactly n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    groups = _enumerate_groups(x, budget, only_order=n)
-    return len(groups.get(n, []))
+    budget = Budget() if budget is None else budget
+    root = math.isqrt(max(x, 0))
+    # P_n from a scan up to sqrt(x); no candidate q = 1 (mod n) is <= root unless n < root
+    n_primes = factorize(n, budget).primes() if n < root else ()
+    seeds = _primes_of_order(n, n_primes, 0, root, budget)
+    return len(_complete(x, {n: (seeds, n_primes)} if seeds else {}, budget).get(n, []))
 
 
 def ov_count_upto_order(x: int, n: int, budget: Budget | None = None) -> int:
     """Number of overpseudoprimes m <= x whose order of 2 is at most n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    groups = _enumerate_groups(x, budget, max_order=n)
-    return sum(len(v) for v in groups.values())
+    budget = Budget() if budget is None else budget
+    orders = {h: group for h, group in _sweep(x, budget).items() if h <= n}
+    return sum(len(v) for v in _complete(x, orders, budget).values())
 
 
 @dataclass(frozen=True)

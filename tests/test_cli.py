@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from overpseudo.cli import _emit, main
+from overpseudo.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -439,13 +438,43 @@ class TestClosedStdout:
 
 
 class TestEmit:
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_ints_above_the_digit_limit(self, fmt):
-        big = 7 * 10**4999 + 1
-        rec = {"command": "primover", "input": {"n": 1}, "result": {"cofactor": big},
-               "effort_spent": 0, "warnings": []}
+    # exact results can exceed Python's int-to-str digit limit; each output
+    # format writes them in full and leaves the limit as it was
+    BIG = 10**5000 + 1
+    DIGITS = "1" + "0" * 4999 + "1"
+
+    @pytest.fixture
+    def big_table(self, monkeypatch):
+        from overpseudo import cli
+
+        monkeypatch.setattr(cli, "least_overpseudoprime_with_order",
+                            lambda n, budget: self.BIG)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_ints_above_the_digit_limit(self, capsys, big_table, fmt):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        out = io.StringIO()
-        _emit([rec], fmt, out)
-        assert "7" + "0" * 4998 + "1" in out.getvalue()
+        code, out, err = run_cli(capsys, "table", "28", "28", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert self.DIGITS in out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_csv_file_and_stdout_agree(self, capsys, tmp_path, monkeypatch, big_table):
+        from overpseudo import cli
+
+        built = []
+        writer = cli._CSV_WRITERS["table"]
+
+        def spy(records):
+            built.append(records)
+            return writer(records)
+
+        monkeypatch.setitem(cli._CSV_WRITERS, "table", spy)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        path = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "table", "28", "28", "--format", "csv",
+                                 "--csv", str(path))
+        assert (code, err) == (0, "")
+        assert len(built) == 1  # one CSV text serves the file and stdout
+        assert path.read_bytes() == out.encode()
+        assert out == f"n,least_overpseudoprime\n28,{self.DIGITS}\n"
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -305,10 +305,22 @@ class TestOvCount:
         assert budget.spent == 174368
         assert tested and min(tested) > math.isqrt(x)
 
-    def test_count_and_units_at_1e9(self):
+    def test_count_and_units_at_1e9(self, monkeypatch):
+        # and no candidate is tested for primality twice: the order test
+        # comes first, so a prime of order d is not tested again by every
+        # order h that d divides
+        tested = []
+        is_prime = count_module.is_prime
+
+        def spy(q):
+            tested.append(q)
+            return is_prime(q)
+
+        monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1404111
+        assert tested and len(tested) == len(set(tested))
 
     def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch):
         # self-computed regression pin: the values this implementation gives,
@@ -343,6 +355,30 @@ class TestOvCount:
             assert len(primes) < h / math.log2(h), h
 
 
+class TestTwoSteps:
+    def test_sweep_lists_each_prime_up_to_sqrt_x_by_order(self):
+        x = 10**6
+        orders = count_module._sweep(x, Budget())
+        for h, (seeds, h_primes) in orders.items():
+            assert seeds == sorted(seeds)
+            assert all(mult_order(2, p) == h for p in seeds), h
+            assert tuple(h_primes) == tuple(primefactors(h)), h
+        listed = sorted(p for seeds, _ in orders.values() for p in seeds)
+        assert listed == list(primerange(3, math.isqrt(x) + 1))
+
+    def test_completion_of_any_subset_of_orders(self):
+        # completing some orders of the sweep gives exactly their groups
+        x = 10**6
+        full = ov_count(x)
+        orders = count_module._sweep(x, Budget())
+        odd = {h: group for h, group in orders.items() if h % 2}
+        groups = count_module._complete(x, odd, Budget())
+        assert {h: len(v) for h, v in groups.items()} == {
+            h: c for h, c in full.by_order.items() if h % 2}
+        members = sorted(m for v in groups.values() for m in v)
+        assert members == [m for m in full.members if mult_order(2, m) % 2]
+
+
 class TestByOrder:
     def test_examples(self):
         assert ov_count_by_order(10**4, 28) == 1
@@ -371,9 +407,34 @@ class TestByOrder:
             assert ov_count_upto_order(x, h) == running, h
             assert ov_count_upto_order(x, h - 1) == running - c, h
 
+    @pytest.mark.parametrize("x, n, count, spent", [
+        (1194649, 364, 1, 6), (10**6, 28, 1, 4), (10**8, 1000, 0, 33)])
+    def test_by_order_charge(self, x, n, count, spent):
+        # self-computed regression pins: the seed scan up to sqrt(x), then
+        # the completion of the one order
+        budget = Budget()
+        assert ov_count_by_order(x, n, budget) == count
+        assert budget.spent == spent
+
+    @pytest.mark.parametrize("x, n, count, spent", [
+        (1194649, 364, 28, 2766), (10**8, 1000, 168, 167650)])
+    def test_upto_order_charge(self, x, n, count, spent):
+        # self-computed regression pins: the whole sweep, then the
+        # completion of the orders up to n
+        budget = Budget()
+        assert ov_count_upto_order(x, n, budget) == count
+        assert budget.spent == spent
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ov_count_by_order(10**4, 0)
+        for x in (-5, 2):
+            with pytest.raises(ValueError, match="x must be >= 3"):
+                ov_count(x)
+            with pytest.raises(ValueError, match="x must be >= 3"):
+                ov_count_by_order(x, 28)
+            with pytest.raises(ValueError, match="x must be >= 3"):
+                ov_count_upto_order(x, 28)
 
 
 class TestBoundReport:
