@@ -7,6 +7,7 @@ no float enters any result that is meant to be exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -30,6 +31,10 @@ _ECM_B1, _ECM_B2, _ECM_D = 400, 20_000, 210
 _ECM_BIT_UNITS = 8
 _ECM_ADD_UNITS = 6
 _ECM_BLOCK = 32
+# Pollard p-1 ahead of rho when the primes of n are known to be 1 (mod known):
+# stage-1 bound, stage-2 bound, and stage-2 primes per charge and gcd
+_PM1_B1, _PM1_B2 = 1000, 50_000
+_PM1_BLOCK = 512
 # primes per trial-division block: one gcd with their product per block
 _TRIAL_BLOCK = 256
 
@@ -447,6 +452,53 @@ def _ecm_curve(n: int, sigma: int, budget: Budget) -> int | None:
     return gcd(acc, n)
 
 
+@lru_cache(maxsize=1)
+def _pm1_plan() -> tuple[int, tuple[int, ...]]:
+    """(lcm(1..B1), the primes in (B1, B2]) for Pollard's p-1."""
+    primes = small_primes()
+    return (lcm(*range(1, _PM1_B1 + 1)),
+            primes[bisect_right(primes, _PM1_B1):bisect_right(primes, _PM1_B2)])
+
+
+def _pm1(n: int, known: int, budget: Budget) -> int | None:
+    """Pollard's p-1 on n whose primes are all 1 (mod known): gcd(n, what it finds).
+
+    1 or n when it splits nothing; None once the budget runs out.  Stage 1
+    raises 3 to known * lcm(1..B1), for one unit per bit of that exponent;
+    it finds each prime q of n with (q - 1) / known B1-smooth.  Stage 2
+    then raises the result to each prime in (B1, B2] in turn, one unit per
+    prime, charged and gcd-tested _PM1_BLOCK primes at a time (Pollard,
+    1974).  Every charge is made before its work runs.
+    """
+    k, qs = _pm1_plan()
+    e = known * k
+    if not budget.try_charge(e.bit_length()):
+        return None
+    a = pow(3, e, n)
+    g = gcd(a - 1, n)
+    if g != 1:
+        return g
+    # x = a**q for the current prime q, stepped by powers a**gap cached by gap
+    steps: dict[int, int] = {}
+    x, prev = 1, 0
+    for start in range(0, len(qs), _PM1_BLOCK):
+        block = qs[start:start + _PM1_BLOCK]
+        if not budget.try_charge(len(block)):
+            return None
+        acc = 1
+        for q in block:
+            gap = q - prev
+            if gap not in steps:
+                steps[gap] = pow(a, gap, n)
+            x = x * steps[gap] % n
+            prev = q
+            acc = acc * (x - 1) % n
+        g = gcd(acc, n)
+        if g != 1:
+            return g
+    return 1
+
+
 def _split(n: int, budget: Budget) -> int | None:
     """A nontrivial factor of composite n, or None once the budget is exhausted.
 
@@ -468,40 +520,48 @@ def _split(n: int, budget: Budget) -> int | None:
     return _ecm(n, budget)
 
 
-# factorize results that ran a split: n -> (result, cost, rem0)
-_factor_memo: dict[int, tuple[Factorization, int, int]] = {}
+# factorize results that charged units: (n, known) -> (result, cost, rem0)
+_factor_memo: dict[tuple[int, int], tuple[Factorization, int, int]] = {}
 _FACTOR_MEMO_SIZE = 1024
 
 
-def factorize(n: int, budget: Budget | None = None) -> Factorization:
+def factorize(n: int, budget: Budget | None = None, known: int = 1) -> Factorization:
     """Factor n >= 1; budget exhaustion yields an incomplete result, not an error.
 
-    Trial division by the primes below TRIAL_DIVISION_LIMIT goes block by
-    block: one gcd of what is left with the product of a block of
-    _TRIAL_BLOCK primes, and a scan of that block only when the gcd exceeds
-    1.  It stops at the first block whose least prime p has p*p above what
-    is left, or once a block leaves 1 or a prime.
-    Each composite cofactor is then split while the budget lasts (_split):
-    Brent's rho for up to _RHO_UNITS units, then ECM on Montgomery curves,
-    charged per ladder bit and giant step.  Composite leftovers land
-    multiplied into unfactored_cofactor.  Each cofactor is tested for
-    primality once.
+    known > 1 promises that every prime factor of n is 1 (mod known), as
+    for the primes of order h, which are 1 (mod lcm(2, h)).  Trial division
+    by the primes below TRIAL_DIVISION_LIMIT goes block by block: one gcd
+    of what is left with the product of a block of _TRIAL_BLOCK primes, and
+    a scan of that block only when the gcd exceeds 1.  It stops at the
+    first block whose least prime p has p*p above what is left, or once a
+    block leaves 1 or a prime.
+    Each composite cofactor is then split while the budget lasts.  With
+    known > 1 it first gets one Pollard p-1 attempt (_pm1, to the bounds
+    _PM1_B1 and _PM1_B2, one unit per exponent bit and per stage-2 prime);
+    a budget too small for it leaves the cofactor unfactored, so that a
+    complete result never depends on p-1 having been skipped.  Then comes _split: Brent's rho for up to _RHO_UNITS units,
+    then ECM on Montgomery curves, charged per ladder bit and giant step.
+    Composite leftovers land multiplied into unfactored_cofactor.  Each
+    cofactor is tested for primality once.  With known = 1 no p-1 runs.
 
-    A call that charged split units is kept in a per-process memo of
-    _FACTOR_MEMO_SIZE entries with its cost and the budget remaining at the
-    call.  The charges depend only on n and the remaining budget, so a
-    later call reuses the stored result, charging the same cost, when that
-    result was complete and cost fits in what remains, or when it was
-    incomplete and exactly rem0 remains; results and Budget.spent are those
-    of a fresh run.
+    A call that charged units is kept in a per-process memo of
+    _FACTOR_MEMO_SIZE entries, keyed by (n, known), with its cost and the
+    budget remaining at the call.  The charges depend only on n, known and
+    the remaining budget, so a later call reuses the stored result,
+    charging the same cost, when that result was complete and cost fits in
+    what remains, or when it was incomplete and exactly rem0 remains;
+    results and Budget.spent are those of a fresh run.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if known < 1:
+        raise ValueError("known must be >= 1")
     if budget is None:
         budget = Budget()
     if n == 1:
         return Factorization(1, (), True)
-    hit = _factor_memo.get(n)
+    key = n, known
+    hit = _factor_memo.get(key)
     if hit is not None:
         fz, cost, rem0 = hit
         if (budget.remaining >= cost) if fz.complete else (budget.remaining == rem0):
@@ -547,7 +607,9 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
-        d = _split(c, budget)
+        d = _pm1(c, known, budget) if known > 1 else 1
+        if d is not None and not 1 < d < c:
+            d = _split(c, budget)
         if d is None:
             unfactored *= c
             continue
@@ -560,8 +622,8 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     fz = Factorization(n, tuple(sorted(found.items())), unfactored == 1, unfactored)
     cost = rem0 - budget.remaining
     if cost:
-        _factor_memo.pop(n, None)
+        _factor_memo.pop(key, None)
         if len(_factor_memo) >= _FACTOR_MEMO_SIZE:
             del _factor_memo[next(iter(_factor_memo))]  # the oldest entry
-        _factor_memo[n] = fz, cost, rem0
+        _factor_memo[key] = fz, cost, rem0
     return fz

@@ -2,11 +2,11 @@
 
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x).  The sweep gives every prime
-p <= sqrt(x) its order h (one factorization of p - 1 gives both h and h's
-primes) and lists them by order as P_h.  The completion pass takes any map
-of such lists and finds the primes of each order h in
-(sqrt(x), x / p_min(h)]: the prime factors of Phi_h(2) without its
-intrinsic prime, by factorize as in primitive_part, when Phi_h(2) is small,
+p <= sqrt(x) its order h (the primes of p - 1, read off one table of
+largest prime factors, give both h and h's primes) and lists them by order
+as P_h.  The completion pass takes any map of such lists and finds the
+primes of each order h in (sqrt(x), x / p_min(h)]: the prime factors of
+Phi_h(2) without its intrinsic prime, by factorize, when Phi_h(2) is small,
 else an order test of each q = 1 (mod h) there that survives a sieve sized
 by the scan and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS,
 else 2**h = 1 (mod q) and no smaller order.  Each candidate q = 1 (mod h)
@@ -20,13 +20,14 @@ ov_count_by_order the one order n, its P_n from a scan up to sqrt(x).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
 from .arith import Budget, _primes_below, factorize, is_prime, small_primes
 from .errors import EffortError
-from .order import _prime_unit_order, _strip
+from .order import _strip
 from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_order
 
 REMAINDER_BITS = 2048
@@ -37,8 +38,8 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
 
     Candidates are the odd q = 1 (mod h).  If phi(h) < 2 * bits(limit), the
     primes of order h are the prime factors of c = Phi_h(2) without its
-    intrinsic prime: c is factored by factorize, as in primitive_part, and
-    its primes in (lo, limit] are kept.  That path charges one unit per
+    intrinsic prime: c is factored by factorize, with no known modulus and
+    no Aurifeuillian split, and its primes in (lo, limit] are kept.  That path charges one unit per
     candidate up to min(limit, sqrt(c)) up front, plus any rho units
     factorize spends, and an incomplete factorization raises EffortError.
     Otherwise limit < 2**((h-1)/2), every candidate up to limit, those up to
@@ -132,12 +133,36 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
     return out
 
 
+def _p_minus_1_primes(limit: int):
+    """(p, the primes of p - 1 ascending) for every odd prime p <= limit, p ascending.
+
+    One table of the largest prime factor of each m <= limit, written by
+    the primes in ascending order, strips each p - 1 with no division test.
+    """
+    primes = _primes_below(limit + 1)
+    top = array("I", [0]) * (limit + 1)
+    for r in primes:
+        top[r::r] = array("I", [r]) * (limit // r)
+    for p in primes[1:]:
+        m, p_primes = p - 1, []
+        while m > 1:
+            f = top[m]
+            p_primes.append(f)
+            while m % f == 0:
+                m //= f
+        yield p, p_primes[::-1]
+
+
 def _sweep(x: int, budget: Budget) -> dict:
-    """Every prime p <= sqrt(x) by its order h: {h: (P_h ascending, h's primes)}."""
+    """Every prime p <= sqrt(x) by its order h: {h: (P_h ascending, h's primes)}.
+
+    The primes of each p - 1 come from _p_minus_1_primes, so nothing is
+    factored or charged.
+    """
     orders = {}
     # x < 0 sweeps nothing; _complete refuses every x < 3
-    for p in _primes_below(math.isqrt(max(x, 0)) + 1)[1:]:
-        h, p_primes = _prime_unit_order(2, p, budget)
+    for p, p_primes in _p_minus_1_primes(math.isqrt(max(x, 0))):
+        h = _strip(2, p - 1, p_primes, p)
         if h not in orders:
             orders[h] = [], tuple(f for f in p_primes if h % f == 0)
         orders[h][0].append(p)

@@ -14,7 +14,7 @@ from math import gcd
 from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize
 from .errors import ContractViolationError, EffortError
 from .order import _complete_factorization, _has_order, _one_order, _Orders
-from .primover import primitive_part
+from .primover import _aurifeuillian_brackets, primitive_part
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class AurifeuillianPair:
 def aurifeuillian_pair(k: int) -> AurifeuillianPair:
     if k < 1:
         raise ValueError("k must be >= 1")
-    half = 1 << (2 * k + 1)
-    step = 1 << (k + 1)
-    return AurifeuillianPair(k, 8 * k + 4, half - step + 1, half + step + 1)
+    return AurifeuillianPair(k, 8 * k + 4, *_aurifeuillian_brackets(k))
 
 
 @dataclass(frozen=True)

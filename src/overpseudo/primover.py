@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Budget, factorize, is_prime
+from .arith import Budget, Factorization, factorize, is_prime
 from .errors import ContractViolationError, EffortError
 from .order import _complete_factorization, _has_order, _two_routes
 
@@ -54,6 +54,41 @@ def _reduced_cyclotomic_value(n: int, n_primes) -> int:
     while value % intrinsic == 0:
         value //= intrinsic
     return value
+
+
+def _aurifeuillian_brackets(k: int) -> tuple[int, int]:
+    """(L, M) with 2**(4k+2) + 1 = L * M: 2**(2k+1) -+ 2**(k+1) + 1."""
+    half, step = 1 << (2 * k + 1), 1 << (k + 1)
+    return half - step + 1, half + step + 1
+
+
+def _aurifeuillian_halves(n: int, value: int) -> tuple[int, int] | None:
+    """value's gcds with the brackets of 2**(n/2) + 1, for n = 4 (mod 8), n >= 12.
+
+    Phi_n(2) divides 2**(n/2) + 1 = L * M with L, M coprime, so the halves
+    of any divisor of Phi_n(2) multiply back to it; None when they do not,
+    or when n has no such split.
+    """
+    if n % 8 != 4 or n < 12:
+        return None
+    halves = tuple(math.gcd(value, b) for b in _aurifeuillian_brackets(n // 8))
+    return halves if halves[0] * halves[1] == value else None
+
+
+def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
+    """Factorization of Phi_n(2) without its intrinsic prime, by its two halves when it splits.
+
+    Every prime of it is 1 (mod lcm(2, n)), which factorize is told.
+    """
+    value = _reduced_cyclotomic_value(n, n_primes)
+    known = math.lcm(2, n)
+    halves = _aurifeuillian_halves(n, value)
+    if halves is None:
+        return factorize(value, budget, known=known)
+    a, b = (factorize(h, budget, known=known) for h in halves)
+    return Factorization(value, tuple(sorted(a.factors + b.factors)),
+                         a.complete and b.complete,
+                         a.unfactored_cofactor * b.unfactored_cofactor)
 
 
 @dataclass(frozen=True)
@@ -99,14 +134,18 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
     Factors the cyclotomic value at 2 (exponentially smaller than 2**n - 1),
     discards the single intrinsic prime (the largest prime factor of n) when
     it divides, and checks order exactly n for every survivor.  Exponents
-    n = 1 and 6 legitimately produce an empty primitive part.
+    n = 1 and 6 legitimately produce an empty primitive part.  For
+    n = 4 (mod 8), n >= 12, the value is first split into its gcds with the
+    two Aurifeuillian brackets of 2**(n/2) + 1 and each half is factored
+    alone.  factorize is told that every prime is 1 (mod lcm(2, n)), which
+    gives each composite cofactor a Pollard p-1 attempt before rho and ECM.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if budget is None:
         budget = Budget()
     n_primes = _complete_factorization(n, budget).primes()
-    fz = factorize(_reduced_cyclotomic_value(n, n_primes), budget)
+    fz = _factor_reduced(n, n_primes, budget)
     for p in fz.primes():
         if not _has_order(2, p, n, n_primes):
             raise ContractViolationError(
@@ -134,7 +173,8 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
     if budget is None:
         budget = Budget()
     m = (1 << p) - 1
-    fz = factorize(m, budget)
+    # every prime of m has order p, so it is 1 (mod 2p) for odd p
+    fz = factorize(m, budget, known=math.lcm(2, p))
     # factorize lists m itself exactly when m is prime
     if fz.factors == ((m, 1),):
         return MERSENNE_PRIME

@@ -106,6 +106,8 @@ class TestFactorize:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             factorize(0)
+        with pytest.raises(ValueError):
+            factorize(15, known=0)
 
     def test_matches_sympy_small(self):
         for n in range(1, 3000):
@@ -228,32 +230,116 @@ def _two_prime_products():
     return out
 
 
+def _pm1_products():
+    """(known, semiprimes of primes q = 1 (mod known) above the trial-division table).
+
+    "stage1": one prime's (q - 1) / known is 1000-smooth, so stage 1 finds
+    it; "stage2": it also has one prime in (1000, 50000], so stage 2 does;
+    "none": both primes have a prime above 50000 in (q - 1) / known, and
+    rho splits them; "both": both primes are 1000-smooth past known, so
+    stage 1 returns n itself.
+    """
+    known = 326  # lcm(2, 163): the primes of order 163
+    rng = random.Random(1974)
+
+    def prime(cofactor):
+        while True:
+            m = cofactor()
+            if sympy.isprime(known * m + 1):
+                return known * m + 1
+
+    def smooth():
+        return math.prod(rng.sample(list(sympy.primerange(2, 1000)), 5))
+
+    def rough():
+        return sympy.nextprime(rng.randrange(1 << 17, 1 << 20))
+
+    found = prime(smooth)
+    return known, {
+        "stage1": found * prime(rough),
+        "stage2": prime(lambda: smooth() * sympy.nextprime(rng.randrange(2000, 49000)))
+        * prime(rough),
+        "none": prime(rough) * prime(rough),
+        "both": found * prime(smooth),
+    }
+
+
+class TestPm1:
+    """Pollard p-1 for n whose primes are 1 (mod known)."""
+
+    def test_each_stage_splits_its_product(self):
+        known, ns = _pm1_products()
+        stage1 = (known * arith._pm1_plan()[0]).bit_length()
+        for name, n in ns.items():
+            arith._factor_memo.clear()
+            budget = Budget()
+            d = arith._pm1(n, known, budget)
+            assert d is not None and n % d == 0, name
+            assert (1 < d < n) == (name in ("stage1", "stage2")), name
+            # stage 1 decides alone exactly when it finds something
+            assert (budget.spent == stage1) == (name in ("stage1", "both")), name
+            fz = factorize(n, Budget(), known)
+            assert dict(fz.factors) == sympy.factorint(n), name
+
+    def test_any_factor_divides_n(self):
+        # odd composites, most with primes of no particular form
+        rng = random.Random(1993)
+        known, ns = _pm1_products()
+        cases = [(n, known) for n in ns.values()]
+        cases += [(rng.getrandbits(bits) | 1, rng.choice((1, 2, 6, 326)))
+                  for bits in range(40, 200, 8)]
+        for n, k in cases:
+            d = arith._pm1(n, k, Budget())
+            assert d is not None and n % d == 0, (n, k)
+
+    def test_budget_runs_out_before_each_stage(self):
+        known, ns = _pm1_products()
+        n = ns["stage2"]
+        stage1 = (known * arith._pm1_plan()[0]).bit_length()
+        # too little for stage 1, then for stage 2's first block
+        for limit, spent in ((stage1 - 1, 0), (stage1 + arith._PM1_BLOCK - 1, stage1)):
+            budget = Budget(limit)
+            assert arith._pm1(n, known, budget) is None
+            assert budget.spent == spent
+            # a cofactor p-1 cannot pay for stays unfactored
+            arith._factor_memo.clear()
+            fz = factorize(n, Budget(limit), known)
+            assert (fz.complete, fz.unfactored_cofactor) == (False, n)
+
+    def test_known_one_runs_no_pm1(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arith, "_pm1", lambda *args: calls.append(args))
+        arith._factor_memo.clear()
+        assert factorize(_pm1_products()[1]["stage1"]).complete
+        assert calls == []
+
+
 class TestFactorMemo:
     """Reused factorizations against a cold run with the memo cleared."""
 
     @staticmethod
-    def run(n, budget):
-        fz = factorize(n, budget)
+    def run(n, budget, known=1):
+        fz = factorize(n, budget, known)
         return fz.factors, fz.complete, fz.unfactored_cofactor, budget.spent
 
-    def cold(self, n, remaining):
+    def cold(self, n, remaining, known=1):
         arith._factor_memo.clear()
-        return self.run(n, Budget(remaining))
+        return self.run(n, Budget(remaining), known)
 
-    def assert_reuse_exact(self, n, prime_at, spy):
+    def assert_reuse_exact(self, n, prime_at, spy, known=1):
         """Prime the memo at prime_at remaining, then compare nearby budgets."""
         arith._factor_memo.clear()
-        factorize(n, Budget(prime_at))
-        fz, cost, rem0 = arith._factor_memo[n]
+        factorize(n, Budget(prime_at), known)
+        fz, cost, rem0 = arith._factor_memo[n, known]
         assert rem0 == prime_at and cost > 0
         for remaining in sorted({rem0 - 1, rem0, rem0 + 1, cost - 1, cost,
                                  cost + 1, 2 * cost, cost // 2, 1}):
-            want = self.cold(n, remaining)
+            want = self.cold(n, remaining, known)
             arith._factor_memo.clear()
-            factorize(n, Budget(prime_at))
+            factorize(n, Budget(prime_at), known)
             spy.clear()
             # spent before the call must not matter, only what remains
-            got = self.run(n, Budget(remaining + 1000, spent=1000))
+            got = self.run(n, Budget(remaining + 1000, spent=1000), known)
             assert got[:3] == want[:3], (n, prime_at, remaining)
             assert got[3] - 1000 == want[3], (n, prime_at, remaining)
             reused = remaining >= cost if fz.complete else remaining == rem0
@@ -262,13 +348,18 @@ class TestFactorMemo:
     @pytest.fixture
     def split_calls(self, monkeypatch):
         calls = []
-        split = arith._split
+        split, pm1 = arith._split, arith._pm1
 
         def spy(n, budget):
             calls.append(n)
             return split(n, budget)
 
+        def pm1_spy(n, known, budget):
+            calls.append(n)
+            return pm1(n, known, budget)
+
         monkeypatch.setattr(arith, "_split", spy)
+        monkeypatch.setattr(arith, "_pm1", pm1_spy)
         return calls
 
     def test_reuse_matches_cold_run(self, split_calls):
@@ -297,6 +388,29 @@ class TestFactorMemo:
                          arith._RHO_UNITS + 2000):
             self.assert_reuse_exact(n, prime_at, split_calls)
 
+    def test_reuse_with_known(self, split_calls):
+        known, ns = _pm1_products()
+        stage1 = (known * arith._pm1_plan()[0]).bit_length()
+        for name in ("stage2", "none"):
+            n = ns[name]
+            cost = self.cold(n, arith.DEFAULT_WORK_UNITS, known)[3]
+            # complete, and budgets running out in p-1's stage 2 and, for
+            # "none", in rho
+            for prime_at in (arith.DEFAULT_WORK_UNITS, cost, cost - 1,
+                             stage1 + 1):
+                self.assert_reuse_exact(n, prime_at, split_calls, known)
+
+    def test_plain_and_known_calls_are_separate_entries(self):
+        known, ns = _pm1_products()
+        n = ns["stage2"]
+        arith._factor_memo.clear()
+        plain, with_known = Budget(), Budget()
+        assert factorize(n, plain) == factorize(n, with_known, known)
+        assert set(arith._factor_memo) == {(n, 1), (n, known)}
+        # p-1 finds the factor before rho runs
+        assert plain.spent != with_known.spent
+        assert arith._factor_memo[n, known][1] == with_known.spent
+
     def test_trial_only_calls_are_not_stored(self):
         arith._factor_memo.clear()
         for n in (2**40 * 3**7, 999983**3, sympy.nextprime(1 << 80),
@@ -316,7 +430,7 @@ class TestFactorMemo:
         for n in ns:
             factorize(n)
         assert len(arith._factor_memo) == size
-        assert set(arith._factor_memo) == set(ns[-size:])
+        assert set(arith._factor_memo) == {(n, 1) for n in ns[-size:]}
         # storing a key again evicts nothing else
         factorize(ns[-1], Budget(1))
         assert len(arith._factor_memo) == size

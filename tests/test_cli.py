@@ -383,6 +383,8 @@ class TestFactorMemoAcrossCommands:
         ((["primover", "97"], ["table", "97", "97"]), [None, "10"], False),
         ((["primover", "79"], ["table", "79", "79"]), [None, "20000"], True),
         ((["classify", SEMIPRIME], ["witness", SEMIPRIME]), [None, "5000"], True),
+        # p-1 completes 163 (known = 326), and the table replays it
+        ((["primover", "163"], ["table", "163", "163"]), [None, "100000"], True),
     ])
     def test_same_output_as_cold_runs(self, capsys, commands, budgets, stored):
         from overpseudo import arith

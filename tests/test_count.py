@@ -220,8 +220,8 @@ class TestPrimesOfOrder:
             assert flags[k] or not isprime(q), q
 
 
-class TestSweepFactorsOnce:
-    def test_each_p_minus_1_once_and_no_order_alone(self, monkeypatch):
+class TestSweepFactorsNothing:
+    def test_no_factorize_call_and_no_order_alone(self, monkeypatch):
         from overpseudo import arith
         from overpseudo import order as order_module
 
@@ -245,9 +245,16 @@ class TestSweepFactorsOnce:
             monkeypatch.setattr(module, "factorize", factorize_spy)
         monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
         assert ov_count(10**8).ov == 266
-        swept = [n for h, n in calls if h is None]
-        assert swept == [p - 1 for p in primerange(3, 10**4 + 1)]
-        assert all(n != h for h, n in calls if h is not None)
+        # the sweep takes each p - 1 from its table of largest prime factors
+        assert [n for h, n in calls if h is None] == []
+        assert all(n != h for h, n in calls)
+
+    def test_primes_of_p_minus_1_match_sympy(self):
+        limit = 10**6
+        got = list(count_module._p_minus_1_primes(limit))
+        assert [p for p, _ in got] == list(primerange(3, limit + 1))
+        for p, p_primes in got:
+            assert p_primes == primefactors(p - 1), p
 
 
 class TestOvCount:

@@ -141,11 +141,11 @@ class TestLeastWithOrder:
         assert least_overpseudoprime_with_order(364, Budget(2_000_000)) == 1194649
 
     def test_incomplete_part_proven_by_trial_division(self):
-        # the second slot 593 is below the trial-division limit, so the
-        # unfactored cofactor's primes cannot undercut 149 * 593
-        part = primitive_part(148, Budget(0))
-        assert not part.complete and part.slots()[:2] == [149, 593]
-        assert least_overpseudoprime_with_order(148, Budget(0)) == 88357
+        # the second slot 2689 is below the trial-division limit, so the
+        # unfactored cofactor's primes cannot undercut 449 * 2689
+        part = primitive_part(224, Budget(0))
+        assert not part.complete and part.slots()[:2] == [449, 2689]
+        assert least_overpseudoprime_with_order(224, Budget(0)) == 1207361
 
     def test_incomplete_part_unproven_raises(self):
         with pytest.raises(EffortError):

@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 
+from overpseudo import primover
 from overpseudo import (
     Budget,
     ContractViolationError,
@@ -38,6 +39,33 @@ class TestCyclotomicValue:
             assert cyclotomic_value(n) == sympy.cyclotomic_poly(n, 2)
 
 
+# complete at Budget(100000) only with the Aurifeuillian halves (n = 4 mod 8)
+# or the p-1 stage that knows every prime is 1 (mod lcm(2, n))
+NEWLY_COMPLETE = (125, 163, 169, 191, 220, 235, 252, 265, 284, 292, 302, 307,
+                  308, 316, 332, 333, 343, 356, 364, 372, 379, 380, 388, 395,
+                  396)
+
+
+def assert_is_primitive_part(n, part):
+    """A complete part checked by sympy: it rebuilds Phi_n(2) without its
+    intrinsic prime, every prime has order n, and every exponent is the
+    valuation in 2**n - 1."""
+    value = sympy.cyclotomic_poly(n, 2)
+    intrinsic = max(sympy.primefactors(n))
+    while value % intrinsic == 0:
+        value //= intrinsic
+    mersenne = (1 << n) - 1
+    product = 1
+    for p, e in part.primitive_factors:
+        assert sympy.isprime(p), (n, p)
+        assert pow(2, n, p) == 1, (n, p)
+        assert all(pow(2, n // r, p) != 1 for r in sympy.primefactors(n)), (n, p)
+        assert e == sympy.multiplicity(p, mersenne), (n, p)
+        product *= p ** sympy.multiplicity(p, value)
+    assert product == value, n
+    assert part.cofactor == math.prod(p**e for p, e in part.primitive_factors)
+
+
 class TestPrimitivePart:
     def test_order_28(self):
         part = primitive_part(28)
@@ -69,13 +97,13 @@ class TestPrimitivePart:
             primitive_part(1)
 
     def test_wieferich_square_carries_multiplicity(self):
-        part = primitive_part(364, Budget(1_000_000))
+        # ord_3511(2) = 1755 and 3511**2 divides 2**1755 - 1
+        part = primitive_part(1755, Budget(100_000))
         assert not part.complete
         factors = dict(part.primitive_factors)
-        assert factors[1093] == 2
-        assert factors[4733] == 1
+        assert factors[3511] == 2
         assert part.unfactored > 1
-        assert part.cofactor % 1093**2 == 0
+        assert part.cofactor % 3511**2 == 0
 
     @pytest.mark.parametrize("stray", [7, 127])
     def test_prime_of_another_order_is_a_contract_violation(self, monkeypatch, stray):
@@ -93,9 +121,9 @@ class TestPrimitivePart:
 
         factored = []
 
-        def spy(n, budget=None):
+        def spy(n, budget=None, known=1):
             factored.append(n)
-            return arith_factorize(n, budget)
+            return arith_factorize(n, budget, known)
 
         arith_factorize = arith.factorize
         monkeypatch.setattr(primover, "factorize", spy)
@@ -103,6 +131,22 @@ class TestPrimitivePart:
         part = primitive_part(300)
         assert len(part.primitive_factors) > 1
         assert factored.count(300) == 1
+
+    def test_newly_complete_at_1e5_units(self):
+        for n in NEWLY_COMPLETE:
+            part = primitive_part(n, Budget(100_000))
+            assert part.complete, n
+            assert_is_primitive_part(n, part)
+
+    def test_aurifeuillian_halves_rebuild_the_value(self):
+        for n in range(2, 401):
+            value = primover._reduced_cyclotomic_value(n, sympy.primefactors(n))
+            halves = primover._aurifeuillian_halves(n, value)
+            if n % 8 != 4 or n == 4:
+                assert halves is None, n
+                continue
+            a, b = halves
+            assert math.gcd(a, b) == 1 and a * b == value, n
 
     def test_sweep_2_to_120(self, primitive_parts_120):
         for n, part in primitive_parts_120.items():
@@ -195,4 +239,4 @@ class TestPrimoverRatio:
 
 def test_incomplete_primitive_part_raises_effort():
     with pytest.raises(EffortError):
-        omega_bound_report(364, Budget(1_000_000))
+        omega_bound_report(1755, Budget(100_000))
