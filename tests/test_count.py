@@ -1,13 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from functools import cache
+from pathlib import Path
 
 import pytest
-from sympy import isprime, primefactors, primerange
+from sympy import divisors, isprime, mobius, primefactors, primerange
 
 from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
 from overpseudo import count as count_module
 from overpseudo import (
     Budget,
+    ContractViolationError,
     EffortError,
     bound_report,
     bound_report_csv,
@@ -45,6 +52,28 @@ class TestEnumerate:
         assert "orders below" in str(err.value)
 
 
+@pytest.fixture
+def no_phi2_table(monkeypatch):
+    """Hide the table of factored Phi_h(2), so that every order factors or scans."""
+    monkeypatch.setattr(count_module, "_tabled_primes", lambda h, h_primes: None)
+
+
+def reduced_phi2(h):
+    """Phi_h(2) by the Moebius product over the divisors of h, without h's largest prime."""
+    num = den = 1
+    for d in divisors(h):
+        mu = mobius(h // d)
+        if mu == 1:
+            num *= 2**d - 1
+        elif mu == -1:
+            den *= 2**d - 1
+    value, r = num // den, max(primefactors(h))
+    while value % r == 0:
+        value //= r
+    return value
+
+
+@pytest.mark.usefixtures("no_phi2_table")
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
         factored = []
@@ -220,6 +249,121 @@ class TestPrimesOfOrder:
             assert flags[k] or not isprime(q), q
 
 
+class TestPhi2Table:
+    FILE = Path(count_module.__file__).parent / "data" / "phi2_factors.json"
+
+    def test_file_covers_the_orders_below_1000(self):
+        data = json.loads(self.FILE.read_text())
+        assert data["orders"] == [3, 999]
+        tabled = {int(h) for h in data["factors"]}
+        assert tabled.isdisjoint(data["incomplete"])
+        assert tabled | set(data["incomplete"]) == set(range(3, 1000))
+        assert len(tabled) >= 450
+        assert count_module._phi2_table() == {int(h): f for h, f in data["factors"].items()}
+
+    def test_every_entry_is_the_primes_of_order_h(self):
+        # primality by sympy, the order by pow, the product by the Moebius formula
+        for h, factors in count_module._phi2_table().items():
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes)), h
+            assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
+            for p, e in factors:
+                assert e >= 1 and isprime(p), (h, p)
+                assert pow(2, h, p) == 1, (h, p)
+                assert all(pow(2, h // r, p) != 1 for r in primefactors(h)), (h, p)
+
+    def test_lookup_matches_the_scan(self, monkeypatch):
+        # same primes and charge with the table and with it hidden; for
+        # h <= 120 both are the sympy scan's
+        lookup = count_module._tabled_primes
+        looked_up = []
+
+        def lookup_spy(h, h_primes):
+            primes = lookup(h, h_primes)
+            looked_up.append(primes is not None)
+            return primes
+
+        monkeypatch.setattr(count_module, "_tabled_primes", lookup_spy)
+        tabled = [h for h in sorted(count_module._phi2_table()) if h <= 400]
+        for limit in (10**4, 10**5, 10**6):
+            for h in tabled:
+                h_primes = primefactors(h)
+                oracle = sympy_primes_of_order(h, limit) if h <= 120 else None
+                for lo in (0, math.isqrt(limit)):
+                    table_budget, scan_budget = Budget(), Budget()
+                    got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
+                    with monkeypatch.context() as hidden:
+                        hidden.setattr(count_module, "_tabled_primes", lambda h, h_primes: None)
+                        scanned = count_module._primes_of_order(h, h_primes, lo, limit,
+                                                                scan_budget)
+                    assert got == scanned, (h, lo, limit)
+                    assert table_budget.spent == scan_budget.spent, (h, lo, limit)
+                    if oracle is not None:
+                        assert got == [q for q in oracle if q > lo], (h, lo, limit)
+        assert any(looked_up)
+
+    def test_count_scans_no_tabled_order(self, monkeypatch):
+        scanned = []
+        sieve = count_module._scan_sieve
+
+        def sieve_spy(h, start, step, n):
+            scanned.append(h)
+            return sieve(h, start, step, n)
+
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        budget = Budget()
+        assert ov_count(10**9, budget).ov == 663
+        assert budget.spent == 1404111
+        assert scanned and set(scanned).isdisjoint(count_module._phi2_table())
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("drop", "does not multiply"), ("raise", "does not multiply"),
+        ("merge", "lists a composite")])
+    def test_tampered_entry_raises_on_first_use(self, monkeypatch, tamper, message):
+        # h = 148 scans up to 1e6 (phi(148) = 72); merging 149 * 593 = 88357
+        # keeps the product, so the primality test catches it
+        table = dict(count_module._phi2_table())
+        factors = table[148]
+        assert factors == [[149, 1], [593, 1], [184481113, 1], [231769777, 1]]
+        table[148] = {"drop": factors[1:],
+                      "raise": [[149, 2]] + factors[1:],
+                      "merge": [[88357, 1]] + factors[2:]}[tamper]
+        monkeypatch.setattr(count_module, "_phi2_table", lambda: table)
+        monkeypatch.setattr(count_module, "_tabled_primes",
+                            cache(count_module._tabled_primes.__wrapped__))
+        with pytest.raises(ContractViolationError, match=message):
+            count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
+
+    def test_entry_checked_once_per_process(self, monkeypatch):
+        checked = []
+        reduced = count_module._reduced_cyclotomic_value
+
+        def reduced_spy(h, h_primes):
+            checked.append(h)
+            return reduced(h, h_primes)
+
+        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
+        monkeypatch.setattr(count_module, "_tabled_primes",
+                            cache(count_module._tabled_primes.__wrapped__))
+        for _ in range(3):
+            got = count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
+            assert got == [149, 593]
+        assert checked == [148]
+
+    def test_import_reads_no_table(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import overpseudo.cli\n"
+                "from overpseudo import count\n"
+                "assert count._phi2_table.cache_info().currsize == 0\n"
+                "assert count.ov_count(10**6).ov == 24\n"
+                "assert count._phi2_table.cache_info().currsize == 1\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestSweepFactorsNothing:
     def test_no_factorize_call_and_no_order_alone(self, monkeypatch):
         from overpseudo import arith
@@ -365,7 +509,7 @@ class TestOvCount:
 class TestTwoSteps:
     def test_sweep_lists_each_prime_up_to_sqrt_x_by_order(self):
         x = 10**6
-        orders = count_module._sweep(x, Budget())
+        orders = count_module._sweep(x)
         for h, (seeds, h_primes) in orders.items():
             assert seeds == sorted(seeds)
             assert all(mult_order(2, p) == h for p in seeds), h
@@ -377,7 +521,7 @@ class TestTwoSteps:
         # completing some orders of the sweep gives exactly their groups
         x = 10**6
         full = ov_count(x)
-        orders = count_module._sweep(x, Budget())
+        orders = count_module._sweep(x)
         odd = {h: group for h, group in orders.items() if h % 2}
         groups = count_module._complete(x, odd, Budget())
         assert {h: len(v) for h, v in groups.items()} == {
