@@ -52,13 +52,16 @@ def _tabled_primes(h: int, h_primes: tuple[int, ...]) -> tuple[int, ...] | None:
     """The primes of order h from the table of factored Phi_h(2), or None if h is not there.
 
     An entry is checked once per process, on its first use: its prime
-    powers must multiply to Phi_h(2) without its intrinsic prime.
+    powers must multiply to Phi_h(2) without its intrinsic prime, and each
+    of its factors, those above any limit included, must pass is_prime.
     """
     factors = _phi2_table().get(h)
     if factors is None:
         return None
     if math.prod(p**e for p, e in factors) != _reduced_cyclotomic_value(h, h_primes):
         raise ContractViolationError(f"table entry for Phi_{h}(2) does not multiply to it")
+    if not all(is_prime(p) for p, _ in factors):
+        raise ContractViolationError(f"table entry for Phi_{h}(2) lists a composite")
     return tuple(p for p, _ in factors)
 
 
@@ -74,13 +77,12 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     raises EffortError.  Otherwise limit < 2**((h-1)/2), and every candidate
     up to limit, those up to lo included, is charged one unit up front.  If
     the table of factored Phi_h(2) holds h, its primes in (lo, limit] are
-    the answer, each tested for primality (a composite there raises
-    ContractViolationError), and nothing else is built.  Else the order of
-    2 is tested for each candidate above lo; with none there, nothing is
-    built.  A candidate never divides h, so a prime q has order h iff
-    q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder of Phi_h(2)
-    decides it, and above that, where the remainder costs more than a pow,
-    2**h = 1 (mod q) and no smaller order do.  A composite of primes of
+    the answer (_tabled_primes checks the entry), and nothing else is
+    built.  Else the order of 2 is tested for each candidate above lo; with
+    none there, nothing is built.  A candidate never divides h, so a prime
+    q has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one
+    remainder of Phi_h(2) decides it, and above that, where the remainder
+    costs more than a pow, 2**h = 1 (mod q) and no smaller order do.  A composite of primes of
     order h (88357 = 149 * 593 for h = 148) can pass either, so primality
     is tested last, once per prime, by its own order.  A sieve sized by the
     scan (see _scan_sieve) first drops composites and primes of another
@@ -104,10 +106,7 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     budget.charge((limit - start) // step + 1)
     tabled = _tabled_primes(h, tuple(h_primes))
     if tabled is not None:
-        qs = [q for q in tabled if lo < q <= limit]
-        if not all(map(is_prime, qs)):
-            raise ContractViolationError(f"table entry for Phi_{h}(2) lists a composite")
-        return qs
+        return [q for q in tabled if lo < q <= limit]
     start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
     if limit < start:
         return []

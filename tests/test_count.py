@@ -318,16 +318,18 @@ class TestPhi2Table:
 
     @pytest.mark.parametrize("tamper, message", [
         ("drop", "does not multiply"), ("raise", "does not multiply"),
-        ("merge", "lists a composite")])
+        ("merge", "lists a composite"), ("merge above limit", "lists a composite")])
     def test_tampered_entry_raises_on_first_use(self, monkeypatch, tamper, message):
-        # h = 148 scans up to 1e6 (phi(148) = 72); merging 149 * 593 = 88357
-        # keeps the product, so the primality test catches it
+        # h = 148 scans up to 1e6 (phi(148) = 72); a merge keeps the product,
+        # so the primality test catches it, also 184481113 * 231769777 above
+        # the limit, which no filter by limit may drop untested
         table = dict(count_module._phi2_table())
         factors = table[148]
         assert factors == [[149, 1], [593, 1], [184481113, 1], [231769777, 1]]
         table[148] = {"drop": factors[1:],
                       "raise": [[149, 2]] + factors[1:],
-                      "merge": [[88357, 1]] + factors[2:]}[tamper]
+                      "merge": [[88357, 1]] + factors[2:],
+                      "merge above limit": factors[:2] + [[184481113 * 231769777, 1]]}[tamper]
         monkeypatch.setattr(count_module, "_phi2_table", lambda: table)
         monkeypatch.setattr(count_module, "_tabled_primes",
                             cache(count_module._tabled_primes.__wrapped__))
