@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Build, or check, the table of factored Phi_h(2) that count reads.
+"""Build, or check, the table of factored Phi_h(2) that primover reads before it factors.
 
 For each order h in 3..999 the script factors Phi_h(2) without its
-intrinsic prime by primitive_part's own route (every prime is known to be
-1 (mod lcm(2, h)), and for h = 4 (mod 8) the Aurifeuillian halves are
-factored apart) under a fresh Budget(B).  Each complete factorization is
+intrinsic prime by _factor_reduced, never by the table itself (every prime
+is known to be 1 (mod lcm(2, h)), and for h = 4 (mod 8) the Aurifeuillian
+halves are factored apart) under a fresh Budget(B).  Each complete factorization is
 written as [[p, e], ...]; the orders left incomplete are listed, with the
 range and B.  The same inputs give the same file, byte for byte.
 

@@ -200,6 +200,7 @@ def _primes_below(limit: int) -> tuple[int, ...]:
     return tuple(compress(range(limit), sieve))
 
 
+@lru_cache(maxsize=1)  # its own: each x of count's sweep takes a slot of _primes_below's
 def small_primes() -> tuple[int, ...]:
     """Primes below the trial-division limit, cached."""
     return _primes_below(TRIAL_DIVISION_LIMIT)

@@ -5,19 +5,17 @@ and its least prime factor is at most sqrt(x).  The sweep gives every prime
 p <= sqrt(x) its order h (the primes of p - 1, read off one table of
 largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
-primes of each order h in (sqrt(x), x / p_min(h)]: the prime factors of
-Phi_h(2) without its intrinsic prime, by factorize, when Phi_h(2) is small;
-else those same primes read from the committed table of factored Phi_h(2)
-(data/phi2_factors.json, built by scripts/factor_table.py) when h is there;
-else an order test of each q = 1 (mod h) there that survives a sieve sized
-by the scan and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS,
-else 2**h = 1 (mod q) and no smaller order.  Each candidate q = 1 (mod h)
-below x / p_min(h) (and below sqrt(Phi_h(2)) when factoring) costs one
-unit, whichever step decides it, the table included.  Prime powers q**i
-dividing 2**h - 1 are admitted; every product of at least two slots is a
-member.  ov_count completes the sweep's orders, ov_count_upto_order those
-up to n, and ov_count_by_order the one order n, its P_n from a scan up to
-sqrt(x).
+primes of each order h in (sqrt(x), x / p_min(h)]: the primes of the
+reduced Phi_h(2) from primover (the committed table first) when Phi_h(2) is
+small or h is tabled; else an order test of each q = 1 (mod h) there that
+survives a sieve sized by the scan and a mod-8 mask: q | Phi_h(2) while
+phi(h) < REMAINDER_BITS, else 2**h = 1 (mod q) and no smaller order.  Each
+candidate q = 1 (mod h) below x / p_min(h) (and below sqrt(Phi_h(2)) when
+it is small) costs one unit, whichever step decides it, the table included.
+Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
+two slots is a member.  ov_count completes the sweep's orders,
+ov_count_upto_order those up to n, and ov_count_by_order the one order n,
+its P_n from a scan up to sqrt(x).
 """
 
 from __future__ import annotations
@@ -26,68 +24,36 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
 
+from . import primover
 from .arith import Budget, _primes_below, factorize, is_prime, small_primes
-from .errors import ContractViolationError, EffortError
+from .errors import EffortError
 from .order import _strip
 from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_order
 
 REMAINDER_BITS = 2048
 
-@cache
-def _phi2_table() -> dict[int, list[list[int]]]:
-    """{h: [[p, e], ...]} from data/phi2_factors.json, read on first use."""
-    # imported on first use: at import they would add about 10 ms to the package's
-    import json
-    from importlib import resources
-
-    text = (resources.files(__package__) / "data" / "phi2_factors.json").read_text()
-    return {int(h): factors for h, factors in json.loads(text)["factors"].items()}
-
-
-@cache
-def _tabled_primes(h: int, h_primes: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The primes of order h from the table of factored Phi_h(2), or None if h is not there.
-
-    An entry is checked once per process, on its first use: its prime
-    powers must multiply to Phi_h(2) without its intrinsic prime, and each
-    of its factors, those above any limit included, must pass is_prime.
-    """
-    factors = _phi2_table().get(h)
-    if factors is None:
-        return None
-    if math.prod(p**e for p, e in factors) != _reduced_cyclotomic_value(h, h_primes):
-        raise ContractViolationError(f"table entry for Phi_{h}(2) does not multiply to it")
-    if not all(is_prime(p) for p, _ in factors):
-        raise ContractViolationError(f"table entry for Phi_{h}(2) lists a composite")
-    return tuple(p for p, _ in factors)
-
 
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
-    Candidates are the odd q = 1 (mod h).  If phi(h) < 2 * bits(limit), the
-    primes of order h are the prime factors of c = Phi_h(2) without its
-    intrinsic prime: c is factored by factorize, with no known modulus and
-    no Aurifeuillian split, and its primes in (lo, limit] are kept.  That
-    path charges one unit per candidate up to min(limit, sqrt(c)) up front,
-    plus any rho units factorize spends, and an incomplete factorization
-    raises EffortError.  Otherwise limit < 2**((h-1)/2), and every candidate
-    up to limit, those up to lo included, is charged one unit up front.  If
-    the table of factored Phi_h(2) holds h, its primes in (lo, limit] are
-    the answer (_tabled_primes checks the entry), and nothing else is
-    built.  Else the order of 2 is tested for each candidate above lo; with
-    none there, nothing is built.  A candidate never divides h, so a prime
-    q has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one
-    remainder of Phi_h(2) decides it, and above that, where the remainder
-    costs more than a pow, 2**h = 1 (mod q) and no smaller order do.  A composite of primes of
+    Candidates are the odd q = 1 (mod h), each charged one unit up front,
+    those up to lo included: up to min(limit, sqrt(c)) if phi(h) is below
+    2 * bits(limit), c = Phi_h(2) without its intrinsic prime, else up to
+    limit, then below 2**((h-1)/2).  In the first case, or when h is
+    tabled, the answer is c's primes in (lo, limit] from
+    _reduced_factorization: a table lookup charges nothing more, factoring
+    charges its units, and an incomplete factorization raises EffortError.
+    Else the order of 2 is tested for each candidate above lo; with none
+    there, nothing is built.  A candidate never divides h, so a prime q has
+    order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder
+    decides it, and above that, where the remainder costs more than a pow,
+    2**h = 1 (mod q) and no smaller order do.  A composite of primes of
     order h (88357 = 149 * 593 for h = 148) can pass either, so primality
     is tested last, once per prime, by its own order.  A sieve sized by the
-    scan (see _scan_sieve) first drops composites and primes of another
-    order; it charges nothing extra, and on every path the charge ignores
-    lo.
+    scan (_scan_sieve) first drops composites and primes of another order;
+    it charges nothing extra, and on every path the charge ignores lo.
     """
     if h < 2:
         return []
@@ -96,17 +62,14 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     if limit < start:
         return []
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-    if phi < 2 * limit.bit_length():
-        c = _reduced_cyclotomic_value(h, h_primes)
-        budget.charge((min(limit, math.isqrt(c)) - start) // step + 1)
-        fz = factorize(c, budget)
+    small = phi < 2 * limit.bit_length()
+    top = min(limit, math.isqrt(_reduced_cyclotomic_value(h, h_primes))) if small else limit
+    budget.charge((top - start) // step + 1)
+    if small or h in primover._phi2_table():
+        fz = primover._reduced_factorization(h, h_primes, budget)
         if not fz.complete:
             raise EffortError(f"cannot factor Phi_{h}(2) for the primes of order {h}")
         return [q for q in fz.primes() if lo < q <= limit]
-    budget.charge((limit - start) // step + 1)
-    tabled = _tabled_primes(h, tuple(h_primes))
-    if tabled is not None:
-        return [q for q in tabled if lo < q <= limit]
     start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
     if limit < start:
         return []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import Budget, Factorization, factorize, is_prime
 from .errors import ContractViolationError, EffortError
@@ -91,6 +92,44 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
                          a.unfactored_cofactor * b.unfactored_cofactor)
 
 
+@cache
+def _phi2_table() -> dict[int, list[list[int]]]:
+    """{n: [[p, e], ...]} from data/phi2_factors.json, read on first use."""
+    # imported here: at module level they would add about 10 ms to the package's import
+    import json
+    from importlib import resources
+
+    text = (resources.files(__package__) / "data" / "phi2_factors.json").read_text()
+    return {int(n): factors for n, factors in json.loads(text)["factors"].items()}
+
+
+@cache
+def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
+    """The table's entry for n, at no charge, checked once per process, on its first use.
+
+    Its primes must ascend strictly with exponents e >= 1 and all pass
+    is_prime, those above any limit included, and its prime powers must
+    multiply to Phi_n(2) without its intrinsic prime.
+    """
+    factors = tuple(map(tuple, _phi2_table()[n]))
+    primes = [p for p, _ in factors]
+    if primes != sorted(set(primes)) or any(e < 1 for _, e in factors):
+        raise ContractViolationError(f"table entry for Phi_{n}(2) is unsorted or has e < 1")
+    value = _reduced_cyclotomic_value(n, n_primes)
+    if math.prod(p**e for p, e in factors) != value:
+        raise ContractViolationError(f"table entry for Phi_{n}(2) does not multiply to it")
+    if not all(is_prime(p) for p, _ in factors):
+        raise ContractViolationError(f"table entry for Phi_{n}(2) lists a composite")
+    return Factorization(value, factors, True)
+
+
+def _reduced_factorization(n: int, n_primes, budget: Budget) -> Factorization:
+    """Factored Phi_n(2) without its intrinsic prime: the table's entry, else _factor_reduced's."""
+    if n in _phi2_table():
+        return _tabled_factorization(n, tuple(n_primes))
+    return _factor_reduced(n, n_primes, budget)
+
+
 @dataclass(frozen=True)
 class PrimitivePart:
     """Primitive prime powers of 2**n - 1 and their product.
@@ -131,30 +170,27 @@ def _slots_of_order(h: int, primes, x: int) -> list[tuple[int, int]]:
 def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
     """Extract the primitive prime powers of 2**n - 1 for n >= 2.
 
-    Factors the cyclotomic value at 2 (exponentially smaller than 2**n - 1),
-    discards the single intrinsic prime (the largest prime factor of n) when
-    it divides, and checks order exactly n for every survivor.  Exponents
-    n = 1 and 6 legitimately produce an empty primitive part.  For
-    n = 4 (mod 8), n >= 12, the value is first split into its gcds with the
-    two Aurifeuillian brackets of 2**(n/2) + 1 and each half is factored
-    alone.  factorize is told that every prime is 1 (mod lcm(2, n)), which
-    gives each composite cofactor a Pollard p-1 attempt before rho and ECM.
+    Takes the cyclotomic value at 2 (exponentially smaller than 2**n - 1)
+    without its intrinsic prime (the largest prime factor of n), factored
+    by _reduced_factorization, and checks order exactly n for every prime
+    of it.  Exponents n = 1 and 6 legitimately produce an empty primitive
+    part.  A tabled n reads its factors at no charge.  Any other n is
+    factored in its two Aurifeuillian halves when n = 4 (mod 8), n >= 12,
+    each prime known to be 1 (mod lcm(2, n)), which gives each composite
+    cofactor a Pollard p-1 attempt before rho and ECM.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if budget is None:
-        budget = Budget()
+    budget = Budget() if budget is None else budget
     n_primes = _complete_factorization(n, budget).primes()
-    fz = _factor_reduced(n, n_primes, budget)
+    fz = _reduced_factorization(n, n_primes, budget)
     for p in fz.primes():
         if not _has_order(2, p, n, n_primes):
             raise ContractViolationError(
                 f"prime {p} of the reduced cyclotomic value has order != {n}"
             )
     prim = _slots_of_order(n, fz.primes(), (1 << n) - 1)
-    cofactor = fz.unfactored_cofactor
-    for p, e in prim:
-        cofactor *= p**e
+    cofactor = fz.unfactored_cofactor * math.prod(p**e for p, e in prim)
     omega = sum(e for _, e in prim)
     return PrimitivePart(
         n, tuple(prim), cofactor, fz.complete, fz.unfactored_cofactor,
@@ -170,12 +206,11 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if budget is None:
-        budget = Budget()
+    budget = Budget() if budget is None else budget
     m = (1 << p) - 1
-    # every prime of m has order p, so it is 1 (mod 2p) for odd p
-    fz = factorize(m, budget, known=math.lcm(2, p))
-    # factorize lists m itself exactly when m is prime
+    # for prime p, Phi_p(2) is m itself and has no intrinsic prime
+    fz = _reduced_factorization(p, (p,), budget)
+    # the factorization, tabled or not, lists m itself exactly when m is prime
     if fz.factors == ((m, 1),):
         return MERSENNE_PRIME
     if not fz.complete:

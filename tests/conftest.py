@@ -46,3 +46,12 @@ def primitive_parts_120():
     parts = {n: primitive_part(n, Budget(50_000_000)) for n in range(2, 121)}
     assert all(p.complete for p in parts.values())
     return parts
+
+
+@pytest.fixture
+def no_phi2_table(monkeypatch):
+    """Hide the table of factored Phi_h(2) at its owner, primover, so that every
+    order is factored or scanned as it is without the table."""
+    from overpseudo import primover
+
+    monkeypatch.setattr(primover, "_phi2_table", dict)

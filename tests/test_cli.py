@@ -172,6 +172,7 @@ class TestTableCommand:
         assert records[0]["result"]["least"] is None
         assert records[0]["warnings"]
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_budget_exhaustion_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "table", "101", "101", "--budget", "100")
         assert code == 2
@@ -371,6 +372,7 @@ class TestParserReuse:
         assert run_cli(capsys, *argv) == before
 
 
+@pytest.mark.usefixtures("no_phi2_table")
 class TestFactorMemoAcrossCommands:
     """Commands run one after another in one process print what they print
     when each starts with an empty factorization memo."""

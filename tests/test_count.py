@@ -12,6 +12,7 @@ from sympy import divisors, isprime, mobius, primefactors, primerange
 
 from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
 from overpseudo import count as count_module
+from overpseudo import primover
 from overpseudo import (
     Budget,
     ContractViolationError,
@@ -24,6 +25,7 @@ from overpseudo import (
     ov_count,
     ov_count_by_order,
     ov_count_upto_order,
+    primitive_part,
 )
 
 
@@ -50,12 +52,6 @@ class TestEnumerate:
         with pytest.raises(EffortError) as err:
             enumerate_overpseudoprimes(10**6, Budget(40))
         assert "orders below" in str(err.value)
-
-
-@pytest.fixture
-def no_phi2_table(monkeypatch):
-    """Hide the table of factored Phi_h(2), so that every order factors or scans."""
-    monkeypatch.setattr(count_module, "_tabled_primes", lambda h, h_primes: None)
 
 
 def reduced_phi2(h):
@@ -250,7 +246,7 @@ class TestPrimesOfOrder:
 
 
 class TestPhi2Table:
-    FILE = Path(count_module.__file__).parent / "data" / "phi2_factors.json"
+    FILE = Path(primover.__file__).parent / "data" / "phi2_factors.json"
 
     def test_file_covers_the_orders_below_1000(self):
         data = json.loads(self.FILE.read_text())
@@ -259,11 +255,11 @@ class TestPhi2Table:
         assert tabled.isdisjoint(data["incomplete"])
         assert tabled | set(data["incomplete"]) == set(range(3, 1000))
         assert len(tabled) >= 450
-        assert count_module._phi2_table() == {int(h): f for h, f in data["factors"].items()}
+        assert primover._phi2_table() == {int(h): f for h, f in data["factors"].items()}
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
-        for h, factors in count_module._phi2_table().items():
+        for h, factors in primover._phi2_table().items():
             primes = [p for p, _ in factors]
             assert primes == sorted(set(primes)), h
             assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
@@ -275,16 +271,15 @@ class TestPhi2Table:
     def test_lookup_matches_the_scan(self, monkeypatch):
         # same primes and charge with the table and with it hidden; for
         # h <= 120 both are the sympy scan's
-        lookup = count_module._tabled_primes
+        lookup = primover._tabled_factorization
         looked_up = []
 
         def lookup_spy(h, h_primes):
-            primes = lookup(h, h_primes)
-            looked_up.append(primes is not None)
-            return primes
+            looked_up.append(h)
+            return lookup(h, h_primes)
 
-        monkeypatch.setattr(count_module, "_tabled_primes", lookup_spy)
-        tabled = [h for h in sorted(count_module._phi2_table()) if h <= 400]
+        monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
+        tabled = [h for h in sorted(primover._phi2_table()) if h <= 400]
         for limit in (10**4, 10**5, 10**6):
             for h in tabled:
                 h_primes = primefactors(h)
@@ -293,14 +288,14 @@ class TestPhi2Table:
                     table_budget, scan_budget = Budget(), Budget()
                     got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
                     with monkeypatch.context() as hidden:
-                        hidden.setattr(count_module, "_tabled_primes", lambda h, h_primes: None)
+                        hidden.setattr(primover, "_phi2_table", dict)
                         scanned = count_module._primes_of_order(h, h_primes, lo, limit,
                                                                 scan_budget)
                     assert got == scanned, (h, lo, limit)
                     assert table_budget.spent == scan_budget.spent, (h, lo, limit)
                     if oracle is not None:
                         assert got == [q for q in oracle if q > lo], (h, lo, limit)
-        assert any(looked_up)
+        assert looked_up
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
         scanned = []
@@ -314,39 +309,44 @@ class TestPhi2Table:
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1404111
-        assert scanned and set(scanned).isdisjoint(count_module._phi2_table())
+        assert scanned and set(scanned).isdisjoint(primover._phi2_table())
 
     @pytest.mark.parametrize("tamper, message", [
         ("drop", "does not multiply"), ("raise", "does not multiply"),
-        ("merge", "lists a composite"), ("merge above limit", "lists a composite")])
+        ("merge", "lists a composite"), ("merge above limit", "lists a composite"),
+        ("repeat", "unsorted")])
     def test_tampered_entry_raises_on_first_use(self, monkeypatch, tamper, message):
         # h = 148 scans up to 1e6 (phi(148) = 72); a merge keeps the product,
         # so the primality test catches it, also 184481113 * 231769777 above
-        # the limit, which no filter by limit may drop untested
-        table = dict(count_module._phi2_table())
+        # the limit, which no filter by limit may drop untested; a repeat
+        # with exponent 0 keeps both, so only the order of the primes does
+        table = dict(primover._phi2_table())
         factors = table[148]
         assert factors == [[149, 1], [593, 1], [184481113, 1], [231769777, 1]]
         table[148] = {"drop": factors[1:],
                       "raise": [[149, 2]] + factors[1:],
                       "merge": [[88357, 1]] + factors[2:],
-                      "merge above limit": factors[:2] + [[184481113 * 231769777, 1]]}[tamper]
-        monkeypatch.setattr(count_module, "_phi2_table", lambda: table)
-        monkeypatch.setattr(count_module, "_tabled_primes",
-                            cache(count_module._tabled_primes.__wrapped__))
+                      "merge above limit": factors[:2] + [[184481113 * 231769777, 1]],
+                      "repeat": [[149, 1], [149, 0]] + factors[1:]}[tamper]
+        monkeypatch.setattr(primover, "_phi2_table", lambda: table)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
         with pytest.raises(ContractViolationError, match=message):
             count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
+        with pytest.raises(ContractViolationError, match=message):
+            primitive_part(148)
 
     def test_entry_checked_once_per_process(self, monkeypatch):
         checked = []
-        reduced = count_module._reduced_cyclotomic_value
+        reduced = primover._reduced_cyclotomic_value
 
         def reduced_spy(h, h_primes):
             checked.append(h)
             return reduced(h, h_primes)
 
-        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
-        monkeypatch.setattr(count_module, "_tabled_primes",
-                            cache(count_module._tabled_primes.__wrapped__))
+        monkeypatch.setattr(primover, "_reduced_cyclotomic_value", reduced_spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
         for _ in range(3):
             got = count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
             assert got == [149, 593]
@@ -357,10 +357,10 @@ class TestPhi2Table:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import overpseudo.cli\n"
-                "from overpseudo import count\n"
-                "assert count._phi2_table.cache_info().currsize == 0\n"
+                "from overpseudo import count, primover\n"
+                "assert primover._phi2_table.cache_info().currsize == 0\n"
                 "assert count.ov_count(10**6).ov == 24\n"
-                "assert count._phi2_table.cache_info().currsize == 1\n")
+                "assert primover._phi2_table.cache_info().currsize == 1\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -140,6 +140,7 @@ class TestLeastWithOrder:
     def test_wieferich_square_is_least_for_order_364(self):
         assert least_overpseudoprime_with_order(364, Budget(2_000_000)) == 1194649
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_incomplete_part_proven_by_trial_division(self):
         # the second slot 2689 is below the trial-division limit, so the
         # unfactored cofactor's primes cannot undercut 449 * 2689
@@ -147,6 +148,7 @@ class TestLeastWithOrder:
         assert not part.complete and part.slots()[:2] == [449, 2689]
         assert least_overpseudoprime_with_order(224, Budget(0)) == 1207361
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_incomplete_part_unproven_raises(self):
         with pytest.raises(EffortError):
             least_overpseudoprime_with_order(111, Budget(0))

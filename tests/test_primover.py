@@ -105,6 +105,7 @@ class TestPrimitivePart:
         assert part.unfactored > 1
         assert part.cofactor % 3511**2 == 0
 
+    @pytest.mark.usefixtures("no_phi2_table")
     @pytest.mark.parametrize("stray", [7, 127])
     def test_prime_of_another_order_is_a_contract_violation(self, monkeypatch, stray):
         # ord_7(2) = 3 does not divide 28; ord_127(2) = 7 divides 28 but is not 28
@@ -132,6 +133,7 @@ class TestPrimitivePart:
         assert len(part.primitive_factors) > 1
         assert factored.count(300) == 1
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_newly_complete_at_1e5_units(self):
         for n in NEWLY_COMPLETE:
             part = primitive_part(n, Budget(100_000))
@@ -161,6 +163,34 @@ class TestPrimitivePart:
             assert product == part.cofactor
 
 
+class TestTableFirst:
+    """primitive_part and the dichotomy read a tabled order from the table
+    of factored Phi_n(2), for the values factoring gives without it."""
+
+    def test_tabled_parts_match_factoring_up_to_150(self, monkeypatch):
+        # the slice of the table that scripts/factor_table.py --check rebuilds
+        tabled = [n for n in sorted(primover._phi2_table()) if n <= 150]
+        assert len(tabled) > 100
+        from_table = {n: primitive_part(n) for n in tabled}
+        monkeypatch.setattr(primover, "_phi2_table", dict)
+        for n in tabled:
+            assert from_table[n] == primitive_part(n, Budget(10**6)), n
+
+    def test_tabled_part_is_complete_at_no_charge(self):
+        for n in sorted(primover._phi2_table()):
+            if n < 400:
+                budget = Budget(0)
+                assert primitive_part(n, budget).complete, n
+                assert budget.spent == 0, n
+
+    def test_dichotomy_to_61_at_no_charge(self):
+        verdicts = {p: check_mersenne_dichotomy(p, Budget(0)) for p in sympy.primerange(3, 62)}
+        assert {p for p, v in verdicts.items() if v == "overpseudoprime"} == {
+            11, 23, 29, 37, 41, 43, 47, 53, 59}
+        assert {p for p, v in verdicts.items() if v == "prime"} == {
+            3, 5, 7, 13, 17, 19, 31, 61}
+
+
 class TestMersenneDichotomy:
     def test_examples(self):
         assert check_mersenne_dichotomy(13) == "prime"
@@ -179,6 +209,7 @@ class TestMersenneDichotomy:
             23: "overpseudoprime", 29: "overpseudoprime", 31: "prime",
         }
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_mersenne_number_tested_for_primality_once(self, monkeypatch):
         from overpseudo import arith, primover
 
