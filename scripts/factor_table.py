@@ -4,9 +4,11 @@
 For each order h in 3..999 the script factors Phi_h(2) without its
 intrinsic prime by _factor_reduced, never by the table itself (every prime
 is known to be 1 (mod lcm(2, h)), and for h = 4 (mod 8) the Aurifeuillian
-halves are factored apart) under a fresh Budget(B).  Each complete factorization is
-written as [[p, e], ...]; the orders left incomplete are listed, with the
-range and B.  The same inputs give the same file, byte for byte.
+halves are factored apart) under a fresh Budget(B).  Each complete
+factorization is written as [[p, e], ...] under "factors"; for an order
+left incomplete, the primes found are written the same way under
+"partial", with the range and B.  The same inputs give the same file, byte
+for byte.
 
 Usage:
   python scripts/factor_table.py                 # rebuild the table
@@ -31,27 +33,23 @@ CHECK_UPTO = 150  # the slice --check rebuilds, about 2 s
 
 def build(first: int, last: int, budget: int) -> dict:
     """The table's content for the orders first..last at budget units each."""
-    factors, incomplete = {}, []
+    factors, partial = {}, {}
     for h in range(first, last + 1):
         fz = _factor_reduced(h, factorize(h).primes(), Budget(budget))
-        if fz.complete:
-            factors[h] = [list(pe) for pe in fz.factors]
-        else:
-            incomplete.append(h)
-    return {"orders": [first, last], "budget": budget,
-            "incomplete": incomplete, "factors": factors}
+        (factors if fz.complete else partial)[h] = [list(pe) for pe in fz.factors]
+    return {"orders": [first, last], "budget": budget, "factors": factors,
+            "partial": partial}
 
 
 def dumps(table: dict) -> str:
     """JSON with one line per order, in ascending order."""
     lines = [f'{{"orders": {json.dumps(table["orders"])},',
-             f' "budget": {table["budget"]},',
-             f' "incomplete": {json.dumps(table["incomplete"])},',
-             ' "factors": {']
-    entries = [f'  "{h}": {json.dumps(fs, separators=(",", ":"))}'
-               for h, fs in sorted(table["factors"].items())]
-    lines.append(",\n".join(entries))
-    lines.append("}}")
+             f' "budget": {table["budget"]},']
+    for key in ("factors", "partial"):
+        entries = [f'  "{h}": {json.dumps(fs, separators=(",", ":"))}'
+                   for h, fs in sorted(table[key].items())]
+        lines += [f' "{key}": {{', ",\n".join(entries), " },"]
+    lines[-1] = "}}"
     return "\n".join(lines) + "\n"
 
 
@@ -62,15 +60,12 @@ def check(path: Path, last: int) -> list[str]:
     last = min(last, stored["orders"][1])
     fresh = build(first, last, stored["budget"])
     problems = []
-    for h in range(first, last + 1):
-        want = fresh["factors"].get(h)
-        got = stored["factors"].get(str(h))
-        if want != got:
-            problems.append(f"h = {h}: file has {got}, rebuild gives {want}")
-    in_slice = [h for h in stored["incomplete"] if h <= last]
-    if in_slice != fresh["incomplete"]:
-        problems.append(f"incomplete orders up to {last}: file has {in_slice}, "
-                        f"rebuild gives {fresh['incomplete']}")
+    for key in ("factors", "partial"):
+        for h in range(first, last + 1):
+            want = fresh[key].get(h)
+            got = stored[key].get(str(h))
+            if want != got:
+                problems.append(f"{key} of h = {h}: file has {got}, rebuild gives {want}")
     return problems
 
 
@@ -93,7 +88,7 @@ def main() -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(dumps(table))
     done = len(table["factors"])
-    print(f"wrote {args.out}: {done} complete, {len(table['incomplete'])} incomplete, "
+    print(f"wrote {args.out}: {done} complete, {len(table['partial'])} partial, "
           f"{time.time() - t0:.1f}s")
     return 0
 

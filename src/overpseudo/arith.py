@@ -7,6 +7,7 @@ no float enters any result that is meant to be exact.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -190,18 +191,19 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=4)
-def _primes_below(limit: int) -> tuple[int, ...]:
+def _primes_below(limit: int) -> array:
+    """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory)."""
     sieve = bytearray(b"\x01") * limit
     sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit - 1) + 1):
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - 1 - start) // p + 1)
-    return tuple(compress(range(limit), sieve))
+    return array("I", compress(range(limit), sieve))
 
 
 @lru_cache(maxsize=1)  # its own: each x of count's sweep takes a slot of _primes_below's
-def small_primes() -> tuple[int, ...]:
+def small_primes() -> array:
     """Primes below the trial-division limit, cached."""
     return _primes_below(TRIAL_DIVISION_LIMIT)
 
@@ -454,7 +456,7 @@ def _ecm_curve(n: int, sigma: int, budget: Budget) -> int | None:
 
 
 @lru_cache(maxsize=1)
-def _pm1_plan() -> tuple[int, tuple[int, ...]]:
+def _pm1_plan() -> tuple[int, array]:
     """(lcm(1..B1), the primes in (B1, B2]) for Pollard's p-1."""
     primes = small_primes()
     return (lcm(*range(1, _PM1_B1 + 1)),

@@ -93,14 +93,25 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
 
 
 @cache
-def _phi2_table() -> dict[int, list[list[int]]]:
-    """{n: [[p, e], ...]} from data/phi2_factors.json, read on first use."""
+def _phi2_data() -> dict:
+    """data/phi2_factors.json, read on first use."""
     # imported here: at module level they would add about 10 ms to the package's import
     import json
     from importlib import resources
 
-    text = (resources.files(__package__) / "data" / "phi2_factors.json").read_text()
-    return {int(n): factors for n, factors in json.loads(text)["factors"].items()}
+    return json.loads((resources.files(__package__) / "data" / "phi2_factors.json").read_text())
+
+
+@cache
+def _phi2_table() -> dict[int, list[list[int]]]:
+    """{n: [[p, e], ...]}, the table's complete factorizations."""
+    return {int(n): factors for n, factors in _phi2_data()["factors"].items()}
+
+
+@cache
+def _phi2_partial() -> dict[int, list[list[int]]]:
+    """{n: [[p, e], ...]}, the primes found for the orders the table's budget left incomplete."""
+    return {int(n): factors for n, factors in _phi2_data()["partial"].items()}
 
 
 @cache
@@ -108,24 +119,35 @@ def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
     """The table's entry for n, at no charge, checked once per process, on its first use.
 
     Its primes must ascend strictly with exponents e >= 1 and all pass
-    is_prime, those above any limit included, and its prime powers must
-    multiply to Phi_n(2) without its intrinsic prime.
+    is_prime, those above any limit included.  Its prime powers must
+    multiply to Phi_n(2) without its intrinsic prime, or for a partial
+    entry divide it and leave a composite unfactored.
     """
-    factors = tuple(map(tuple, _phi2_table()[n]))
+    complete = n in _phi2_table()
+    factors = tuple(map(tuple, (_phi2_table() if complete else _phi2_partial())[n]))
     primes = [p for p, _ in factors]
     if primes != sorted(set(primes)) or any(e < 1 for _, e in factors):
         raise ContractViolationError(f"table entry for Phi_{n}(2) is unsorted or has e < 1")
     value = _reduced_cyclotomic_value(n, n_primes)
-    if math.prod(p**e for p, e in factors) != value:
+    rest, left = divmod(value, math.prod(p**e for p, e in factors))
+    if left or (rest == 1) != complete:
         raise ContractViolationError(f"table entry for Phi_{n}(2) does not multiply to it")
-    if not all(is_prime(p) for p, _ in factors):
-        raise ContractViolationError(f"table entry for Phi_{n}(2) lists a composite")
-    return Factorization(value, factors, True)
+    if not all(is_prime(p) for p, _ in factors) or is_prime(rest):
+        raise ContractViolationError(f"table entry for Phi_{n}(2) lists a composite "
+                                     "or leaves a prime")
+    return Factorization(value, factors, complete, rest)
 
 
 def _reduced_factorization(n: int, n_primes, budget: Budget) -> Factorization:
-    """Factored Phi_n(2) without its intrinsic prime: the table's entry, else _factor_reduced's."""
-    if n in _phi2_table():
+    """Factored Phi_n(2) without its intrinsic prime: the table's entry, else _factor_reduced's.
+
+    A partial entry serves only a budget with no more than the table's
+    budget B left.  Every charge of a run that completes with fewer units
+    also succeeds under B, along the same steps, so such a call cannot
+    complete either; it gets the primes B found, at no charge.
+    """
+    if n in _phi2_table() or (n in _phi2_partial()
+                              and budget.remaining <= _phi2_data()["budget"]):
         return _tabled_factorization(n, tuple(n_primes))
     return _factor_reduced(n, n_primes, budget)
 

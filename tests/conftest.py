@@ -50,8 +50,10 @@ def primitive_parts_120():
 
 @pytest.fixture
 def no_phi2_table(monkeypatch):
-    """Hide the table of factored Phi_h(2) at its owner, primover, so that every
-    order is factored or scanned as it is without the table."""
+    """Hide the table of factored Phi_h(2), complete and partial entries, at its
+    owner, primover, so that every order is factored or scanned as it is
+    without the table."""
     from overpseudo import primover
 
     monkeypatch.setattr(primover, "_phi2_table", dict)
+    monkeypatch.setattr(primover, "_phi2_partial", dict)

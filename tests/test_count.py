@@ -252,10 +252,12 @@ class TestPhi2Table:
         data = json.loads(self.FILE.read_text())
         assert data["orders"] == [3, 999]
         tabled = {int(h) for h in data["factors"]}
-        assert tabled.isdisjoint(data["incomplete"])
-        assert tabled | set(data["incomplete"]) == set(range(3, 1000))
+        partial = {int(h) for h in data["partial"]}
+        assert tabled.isdisjoint(partial)
+        assert tabled | partial == set(range(3, 1000))
         assert len(tabled) >= 450
         assert primover._phi2_table() == {int(h): f for h, f in data["factors"].items()}
+        assert primover._phi2_partial() == {int(h): f for h, f in data["partial"].items()}
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
@@ -263,6 +265,17 @@ class TestPhi2Table:
             primes = [p for p, _ in factors]
             assert primes == sorted(set(primes)), h
             assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
+            for p, e in factors:
+                assert e >= 1 and isprime(p), (h, p)
+                assert pow(2, h, p) == 1, (h, p)
+                assert all(pow(2, h // r, p) != 1 for r in primefactors(h)), (h, p)
+
+    def test_every_partial_entry_divides_and_leaves_a_composite(self):
+        for h, factors in primover._phi2_partial().items():
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes)), h
+            rest, left = divmod(reduced_phi2(h), math.prod(p**e for p, e in factors))
+            assert left == 0 and rest > 1 and not isprime(rest), h
             for p, e in factors:
                 assert e >= 1 and isprime(p), (h, p)
                 assert pow(2, h, p) == 1, (h, p)

@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import pytest
 import sympy
@@ -189,6 +190,55 @@ class TestTableFirst:
             11, 23, 29, 37, 41, 43, 47, 53, 59}
         assert {p for p, v in verdicts.items() if v == "prime"} == {
             3, 5, 7, 13, 17, 19, 31, 61}
+
+
+class TestPartialEntries:
+    """An order the table's budget left incomplete is read from its partial
+    entry while no more than that budget is left, and factored otherwise."""
+
+    def test_partial_entry_up_to_the_table_budget(self, monkeypatch):
+        limit = primover._phi2_data()["budget"]
+        for n in (137, 274, 391):
+            entry = primover._phi2_partial()[n]
+            for budget in (Budget(0), Budget(10**5), Budget(limit)):
+                part = primitive_part(n, budget)
+                assert not part.complete and budget.spent == 0, n
+                assert [p for p, _ in part.primitive_factors] == [p for p, _ in entry], n
+
+        class Factored(Exception):
+            pass
+
+        def factor_spy(n, n_primes, budget):
+            raise Factored(n)
+
+        monkeypatch.setattr(primover, "_factor_reduced", factor_spy)
+        with pytest.raises(Factored):
+            primitive_part(137, Budget(limit + 1))
+        with pytest.raises(Factored):
+            check_mersenne_dichotomy(137)
+
+    def test_no_smaller_budget_completes_a_partial_order(self):
+        # the slice scripts/factor_table.py --check rebuilds; the entry serves
+        # these budgets because factoring with them cannot complete
+        partial = [n for n in sorted(primover._phi2_partial()) if n <= 150]
+        assert partial == [137, 149]
+        for n in partial:
+            for units in (0, 10**4, 10**5):
+                fz = primover._factor_reduced(n, sympy.primefactors(n), Budget(units))
+                assert not fz.complete, (n, units)
+
+    def test_tampered_partial_entry_raises(self, monkeypatch):
+        # 2**137 - 1 = 32032215596496435569 * 5439042183600204290159
+        partial = dict(primover._phi2_partial())
+        monkeypatch.setattr(primover, "_phi2_partial", lambda: partial)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
+        for entry, message in (([[32032215596496435569, 1]], "leaves a prime"),
+                               ([[3, 1]], "does not multiply")):
+            partial[137] = entry
+            primover._tabled_factorization.cache_clear()
+            with pytest.raises(ContractViolationError, match=message):
+                primitive_part(137, Budget(10**5))
 
 
 class TestMersenneDichotomy:
