@@ -121,7 +121,10 @@ def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
     Its primes must ascend strictly with exponents e >= 1 and all pass
     is_prime, those above any limit included.  Its prime powers must
     multiply to Phi_n(2) without its intrinsic prime, or for a partial
-    entry divide it and leave a composite unfactored.
+    entry divide it and leave a composite unfactored.  Such a rest, a
+    product of primes of order n, passes is_prime's base-2 round, which
+    leaves the Lucas test to run to its end; a Fermat test at base 3 proves
+    it composite first, and is_prime decides only a rest that passes it.
     """
     complete = n in _phi2_table()
     factors = tuple(map(tuple, (_phi2_table() if complete else _phi2_partial())[n]))
@@ -132,7 +135,10 @@ def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
     rest, left = divmod(value, math.prod(p**e for p, e in factors))
     if left or (rest == 1) != complete:
         raise ContractViolationError(f"table entry for Phi_{n}(2) does not multiply to it")
-    if not all(is_prime(p) for p, _ in factors) or is_prime(rest):
+    # 3 has order 2, so it divides no rest and a failed base-3 test proves a
+    # composite; a complete entry's rest 1 gives pow 0
+    if not all(is_prime(p) for p, _ in factors) or (pow(3, rest - 1, rest) == 1
+                                                    and is_prime(rest)):
         raise ContractViolationError(f"table entry for Phi_{n}(2) lists a composite "
                                      "or leaves a prime")
     return Factorization(value, factors, complete, rest)

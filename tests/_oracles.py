@@ -1,6 +1,8 @@
 """Test-side oracles kept independent of the code paths they check."""
 
-from math import gcd, lcm
+from array import array
+from itertools import compress
+from math import gcd, isqrt, lcm
 
 import sympy
 
@@ -55,6 +57,17 @@ def sympy_primes_of_order(h, limit):
     return [q for q in range(h + 1, limit + 1, h)
             if pow(2, h, q) == 1 and sympy.isprime(q)
             and sympy.n_order(2, q) == h]
+
+
+def sieve_primes_below(limit):
+    """Reference for arith._primes_below: a sieve over every number below limit."""
+    sieve = bytearray(b"\x01") * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start::p] = b"\x00" * ((limit - 1 - start) // p + 1)
+    return array("I", compress(range(limit), sieve))
 
 
 def per_prime_factorize(n, budget=None):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_prime_factorize
+from _oracles import per_prime_factorize, sieve_primes_below
 from overpseudo import arith, enumerate_overpseudoprimes
 from overpseudo.arith import (
     Budget,
@@ -162,6 +162,20 @@ class TestFactorize:
         assert factorize(1009 * q).factors == ((1009, 1), (q, 1))
         assert tested.count(1009 * q) == 1
         assert tested.count(q) == 1
+
+
+class TestPrimesBelow:
+    """The odd-only sieve against the sieve over every number it replaced."""
+
+    def test_matches_the_full_sieve(self):
+        for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 999984, 10**6]:
+            got = arith._primes_below.__wrapped__(limit)
+            assert got.typecode == "I" and got == sieve_primes_below(limit), limit
+
+    def test_small_primes(self):
+        primes = arith.small_primes()
+        assert len(primes) == 78498
+        assert list(primes[:3]) == [2, 3, 5] and primes[-1] == 999983
 
 
 def _block_edges():

@@ -240,6 +240,47 @@ class TestPartialEntries:
             with pytest.raises(ContractViolationError, match=message):
                 primitive_part(137, Budget(10**5))
 
+    @pytest.fixture
+    def lucas_tested(self, monkeypatch):
+        """The numbers is_prime hands to its strong Lucas test, with every
+        table entry checked afresh."""
+        from overpseudo import arith
+
+        lucas, tested = arith._strong_lucas_prp, []
+
+        def spy(n):
+            tested.append(n)
+            return lucas(n)
+
+        monkeypatch.setattr(arith, "_strong_lucas_prp", spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
+        return tested
+
+    def test_partial_rest_is_proved_composite_before_the_lucas_test(self, lucas_tested):
+        for n in (137, 274, 391):
+            fz = primover._reduced_factorization(n, sympy.primefactors(n), Budget(0))
+            assert not fz.complete and fz.unfactored_cofactor > 1, n
+            assert fz.unfactored_cofactor not in lucas_tested, n
+
+    def test_every_partial_rest_fails_fermat_at_base_3(self):
+        for n, entry in primover._phi2_partial().items():
+            value = primover._reduced_cyclotomic_value(n, sympy.primefactors(n))
+            rest = value // math.prod(p**e for p, e in entry)
+            assert pow(3, rest - 1, rest) != 1, n
+
+    def test_prime_rest_that_passes_base_3_goes_to_bpsw(self, monkeypatch, lucas_tested):
+        # 2**83 - 1 = 167 * 57912614113275649087721: the entry moved to the
+        # partial map without its prime above 2**64 leaves that prime
+        table, partial = dict(primover._phi2_table()), dict(primover._phi2_partial())
+        *partial[83], (big, _) = table.pop(83)
+        assert big >= 1 << 64 and pow(3, big - 1, big) == 1
+        monkeypatch.setattr(primover, "_phi2_table", lambda: table)
+        monkeypatch.setattr(primover, "_phi2_partial", lambda: partial)
+        with pytest.raises(ContractViolationError, match="lists a composite or leaves a prime"):
+            primitive_part(83, Budget(10**5))
+        assert big in lucas_tested
+
 
 class TestMersenneDichotomy:
     def test_examples(self):
