@@ -5,13 +5,13 @@ and its least prime factor is at most sqrt(x).  The sweep gives every prime
 p <= sqrt(x) its order h (the primes of p - 1, read off one table of
 largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
-primes of each order h in (sqrt(x), x / p_min(h)]: the primes of the
-reduced Phi_h(2) from primover (the committed table first) when Phi_h(2) is
-small or h is tabled; else an order test of each q = 1 (mod h) there that
-survives a sieve sized by the scan and a mod-8 mask: q | Phi_h(2) while
+primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
+primes of primover's complete table entry of the reduced Phi_h(2) for a
+tabled h; else an order test of each q = 1 (mod h) there that survives a
+sieve sized by the scan and a mod-8 mask: q | Phi_h(2) while
 phi(h) < REMAINDER_BITS, else 2**h = 1 (mod q) and no smaller order.  Each
-candidate q = 1 (mod h) below x / p_min(h) (and below sqrt(Phi_h(2)) when
-it is small) costs one unit, whichever step decides it, the table included.
+candidate q = 1 (mod h) below x / p_min(h) (for a tabled h of small phi(h),
+below sqrt(Phi_h(2))) costs one unit, whichever source decides it.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -30,7 +30,7 @@ from . import primover
 from .arith import Budget, _primes_below, factorize, is_prime, small_primes
 from .errors import EffortError
 from .order import _strip
-from .primover import _cyclotomic_value, _reduced_cyclotomic_value, _slots_of_order
+from .primover import _cyclotomic_value, _slots_of_order
 
 REMAINDER_BITS = 2048
 
@@ -38,38 +38,37 @@ REMAINDER_BITS = 2048
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
-    Candidates are the odd q = 1 (mod h), each charged one unit up front,
-    those up to lo included: up to min(limit, sqrt(c)) if phi(h) is below
-    2 * bits(limit), c = Phi_h(2) without its intrinsic prime, else up to
-    limit, then below 2**((h-1)/2).  In the first case, or when h is
-    tabled, the answer is c's primes in (lo, limit] from
-    _reduced_factorization: a table lookup charges nothing more, factoring
-    charges its units, and an incomplete factorization raises EffortError.
-    Else the order of 2 is tested for each candidate above lo; with none
-    there, nothing is built.  A candidate never divides h, so a prime q has
-    order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder
+    3 is the only prime of order 2, at no charge.  Every other order has
+    one of two sources.  A complete entry of primover's table gives c =
+    Phi_h(2) without its intrinsic prime, and its primes in (lo, limit]
+    are the answer.  Every other h >= 3 is scanned: the order of 2 is
+    tested for each odd candidate q = 1 (mod h) above lo; with none there,
+    nothing is built.  A candidate never divides h, so a prime q has order
+    h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder
     decides it, and above that, where the remainder costs more than a pow,
     2**h = 1 (mod q) and no smaller order do.  A composite of primes of
     order h (88357 = 149 * 593 for h = 148) can pass either, so primality
     is tested last, once per prime, by its own order.  A sieve sized by the
-    scan (_scan_sieve) first drops composites and primes of another order;
-    it charges nothing extra, and on every path the charge ignores lo.
+    scan (_scan_sieve) first drops composites and primes of another order.
+    Each candidate up to limit, those up to lo included, costs one unit up
+    front, whichever source decides it; a tabled order with phi(h) below
+    2 * bits(limit) is charged only the candidates up to sqrt(c).
     """
-    if h < 2:
-        return []
+    if h < 3:
+        return [3] if h == 2 and lo < 3 <= limit else []
     # candidates must be odd: steps of 2h when h is odd, h when even
     start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
     if limit < start:
         return []
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-    small = phi < 2 * limit.bit_length()
-    top = min(limit, math.isqrt(_reduced_cyclotomic_value(h, h_primes))) if small else limit
-    budget.charge((top - start) // step + 1)
-    if small or h in primover._phi2_table():
-        fz = primover._reduced_factorization(h, h_primes, budget)
-        if not fz.complete:
-            raise EffortError(f"cannot factor Phi_{h}(2) for the primes of order {h}")
+    if h in primover._phi2_table():
+        fz = primover._tabled_factorization(h, tuple(h_primes))
+        # the phi rule stays: sqrt(c) < 2**(phi//2) - 1 for 274 of the 535 entries, so
+        # pricing by sqrt(c) alone would lower their charge where phi >= 2 * bits(limit)
+        top = min(limit, math.isqrt(fz.value)) if phi < 2 * limit.bit_length() else limit
+        budget.charge((top - start) // step + 1)
         return [q for q in fz.primes() if lo < q <= limit]
+    budget.charge((limit - start) // step + 1)
     start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
     if limit < start:
         return []

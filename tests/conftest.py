@@ -51,8 +51,8 @@ def primitive_parts_120():
 @pytest.fixture
 def no_phi2_table(monkeypatch):
     """Hide the table of factored Phi_h(2), complete and partial entries, at its
-    owner, primover, so that every order is factored or scanned as it is
-    without the table."""
+    owner, primover, so that primover factors every order and count scans
+    every order h >= 3."""
     from overpseudo import primover
 
     monkeypatch.setattr(primover, "_phi2_table", dict)

@@ -69,46 +69,48 @@ def reduced_phi2(h):
     return value
 
 
-@pytest.mark.usefixtures("no_phi2_table")
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
-        factored = []
-        reduced = count_module._reduced_cyclotomic_value
+        # with the table, the tabled orders read their entry and the others scan
+        looked_up, sieved = [], []
+        lookup, sieve = primover._tabled_factorization, count_module._scan_sieve
 
-        def spy(h, h_primes):
-            factored.append(h)
-            return reduced(h, h_primes)
+        def lookup_spy(h, h_primes):
+            looked_up.append(h)
+            return lookup(h, h_primes)
 
-        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", spy)
-        orders = range(2, 121)
-        for limit in (10**3, 10**5, 10**6):
-            factored.clear()
-            for h in orders:
+        def sieve_spy(h, start, step, n):
+            sieved.append(h)
+            return sieve(h, start, step, n)
+
+        monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        # every order up to 136 is a complete entry, 137 and 149 are partial
+        for limit, last in ((10**3, 400), (10**5, 400), (10**6, 150)):
+            looked_up.clear()
+            sieved.clear()
+            for h in range(2, last + 1):
                 got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
-            # every order has a candidate below these limits, so the orders
-            # that were not factored went through the order-test scan
-            assert 0 < len(factored) < len(orders)
+            assert looked_up and sieved, limit
+            assert set(looked_up) <= set(primover._phi2_table()), limit
+            assert set(sieved).isdisjoint(primover._phi2_table()), limit
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_interval_matches_oracle_and_charge_ignores_lo(self, monkeypatch):
-        # the primes of order h in (lo, limit] on both paths; the charge
-        # counts every candidate up to limit whatever lo is
-        factored, sieved = [], []
-        reduced, sieve = count_module._reduced_cyclotomic_value, count_module._scan_sieve
-
-        def reduced_spy(h, h_primes):
-            factored.append(h)
-            return reduced(h, h_primes)
+        # the primes of order h in (lo, limit], every h >= 3 scanned; the
+        # charge counts every candidate up to limit whatever lo is
+        sieved = []
+        sieve = count_module._scan_sieve
 
         def sieve_spy(h, start, step, n):
             sieved.append((start, step, n))
             return sieve(h, start, step, n)
 
-        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
-        cases = [(h, limit) for limit in (10**3, 10**5, 10**6) for h in range(2, 121)]
+        cases = [(h, limit) for limit in (10**3, 10**5, 10**6) for h in range(3, 121)]
         cases += [(h, 10**5) for h in range(121, 401)]
-        paths = {"cofactor": 0, "scan": 0}
+        scans = 0
         for h, limit in cases:
             expected = sympy_primes_of_order(h, limit)
             first = 2 * h + 1 if h % 2 else h + 1
@@ -116,20 +118,19 @@ class TestPrimesOfOrder:
             charges = set()
             for lo in (0, math.isqrt(limit), limit // 3):
                 above = candidates[bisect_right(candidates, lo):]
-                factored.clear()
                 sieved.clear()
                 budget = Budget()
                 got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
                 assert got == [q for q in expected if q > lo], (h, lo, limit)
                 charges.add(budget.spent)
-                # a scan sieves exactly the candidates in (lo, limit]
-                for start, step, n in sieved:
-                    assert range(start, start + n * step, step) == above, (h, lo, limit)
-                paths["cofactor"] += bool(factored)
-                paths["scan"] += bool(sieved)
-            assert len(charges) == 1, (h, limit, charges)
-        assert paths["cofactor"] > 0 and paths["scan"] > 0, paths
+                # the scan sieves exactly the candidates in (lo, limit], if any
+                assert sieved == ([(above.start, above.step, len(above))] if above else []), \
+                    (h, lo, limit)
+                scans += bool(sieved)
+            assert charges == {len(candidates)}, (h, limit, charges)
+        assert scans > 0
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_empty_interval_builds_nothing(self, monkeypatch):
         # h = 100 up to 1e5 takes the scan path; 99901 is its last candidate
         built = []
@@ -142,24 +143,29 @@ class TestPrimesOfOrder:
         assert built == []
 
     def test_charges_fewer_units_than_candidates(self):
-        # Phi_28(2) = 29 * 113: two candidates, not every q = 1 (mod 28) to 2**28
+        # Phi_28(2) = 29 * 113, a complete table entry: two candidates, not
+        # every q = 1 (mod 28) to 2**28
+        assert 28 in primover._phi2_table()
         budget = Budget()
         got = count_module._primes_of_order(28, (2, 7), 0, (1 << 28) - 1, budget)
         assert got == [29, 113]
         assert budget.spent == 2
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_sieve_keeps_sieving_primes_that_are_candidates(self):
         # both take the order-test scan, and 53 and 101 are sieving primes
         primes_of_order = count_module._primes_of_order
         assert primes_of_order(52, (2, 13), 0, 4000, Budget()) == [53, 157, 1613]
         assert primes_of_order(100, (2, 5), 0, 10**5, Budget()) == [101, 8101]
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_charges_every_candidate(self):
         # h = 100 up to 1e5 takes the scan path: q = 101, 201, ..., 99901
         budget = Budget()
         count_module._primes_of_order(100, (2, 5), 0, 10**5, budget)
         assert budget.spent == (10**5 - 101) // 100 + 1
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_sieved_scan_matches_oracle(self):
         # limits where isqrt(limit) and the candidate count bound the sieve
         for limit in (4000, 16383):
@@ -167,6 +173,7 @@ class TestPrimesOfOrder:
                 got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_remainder_and_pow_tests_match_oracle(self, monkeypatch):
         # REMAINDER_BITS = 0 sends every scan to the pow test and 10**6 every
         # scan to the remainder of Phi_h(2); the default sits between 2039
@@ -193,33 +200,28 @@ class TestPrimesOfOrder:
             assert (148 in remainder) == (bits > 0)
             assert (2039 in remainder, 2063 in remainder) == (bits > 2038, bits > 2062)
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
         # scans of a handful of candidates, where the sieve has (almost) no
         # primes below its bound min(isqrt(q_last), n // 64) to drop by
-        sieved, factored = [], []
+        sieved = []
         sieve = count_module._scan_sieve
-        reduced = count_module._reduced_cyclotomic_value
 
         def sieve_spy(h, start, step, n):
             sieved.append(n)
             return sieve(h, start, step, n)
 
-        def reduced_spy(h, h_primes):
-            factored.append(h)
-            return reduced(h, h_primes)
-
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
-        monkeypatch.setattr(count_module, "_reduced_cyclotomic_value", reduced_spy)
         small = 0
         for limit in (200, 1000, 4000):
             for h in range(2, 121):
                 sieved.clear()
-                factored.clear()
                 got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
                 first = 2 * h + 1 if h % 2 else h + 1
                 n = (limit - first) // (first - 1) + 1
-                if first > limit or factored:
+                # order 2 is a one-line case, every other order scans
+                if first > limit or h == 2:
                     assert sieved == []
                 else:
                     # every scan runs the sieve once over all its candidates
@@ -281,9 +283,23 @@ class TestPhi2Table:
                 assert pow(2, h, p) == 1, (h, p)
                 assert all(pow(2, h // r, p) != 1 for r in primefactors(h)), (h, p)
 
+    # the charge of a tabled h <= 400 with phi(h) < 2 * bits(limit), its
+    # candidates up to sqrt(c), c = Phi_h(2) without its intrinsic prime,
+    # where that is below its candidates up to 1e6
+    SQRT_PRICES = {
+        3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0, 11: 2, 12: 0, 13: 3, 14: 0, 15: 0,
+        16: 0, 17: 10, 18: 0, 19: 19, 20: 0, 21: 0, 22: 1, 23: 62, 24: 0, 25: 20, 26: 1,
+        27: 9, 28: 2, 29: 399, 30: 0, 31: 747, 32: 7, 33: 11, 34: 6, 35: 42, 36: 1,
+        37: 5009, 38: 10, 39: 39, 40: 6, 42: 1, 44: 20, 45: 42, 46: 36, 48: 5, 50: 20,
+        51: 485, 52: 70, 54: 5, 56: 70, 57: 1738, 58: 230, 60: 4, 62: 431, 63: 1948,
+        64: 1023, 66: 17, 68: 862, 70: 70, 72: 56, 74: 2892, 76: 3085, 78: 60, 80: 817,
+        84: 54, 90: 48, 96: 682, 102: 741, 108: 2427, 114: 2655, 120: 562, 126: 2204}
+
     def test_lookup_matches_the_scan(self, monkeypatch):
-        # same primes and charge with the table and with it hidden; for
-        # h <= 120 both are the sympy scan's
+        # same primes with the table and with it hidden; for h <= 120 both
+        # are the sympy scan's.  The table's charges are pinned, from when
+        # these orders were factored: SQRT_PRICES where it is the lesser,
+        # else every candidate up to limit, and in total per limit
         lookup = primover._tabled_factorization
         looked_up = []
 
@@ -293,10 +309,13 @@ class TestPhi2Table:
 
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         tabled = [h for h in sorted(primover._phi2_table()) if h <= 400]
-        for limit in (10**4, 10**5, 10**6):
+        for limit, total in ((10**4, 14264), (10**5, 128634), (10**6, 1156414)):
+            spent = 0
             for h in tabled:
                 h_primes = primefactors(h)
                 oracle = sympy_primes_of_order(h, limit) if h <= 120 else None
+                first = 2 * h + 1 if h % 2 else h + 1
+                every = len(range(first, limit + 1, first - 1))
                 for lo in (0, math.isqrt(limit)):
                     table_budget, scan_budget = Budget(), Budget()
                     got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
@@ -305,9 +324,12 @@ class TestPhi2Table:
                         scanned = count_module._primes_of_order(h, h_primes, lo, limit,
                                                                 scan_budget)
                     assert got == scanned, (h, lo, limit)
-                    assert table_budget.spent == scan_budget.spent, (h, lo, limit)
+                    assert table_budget.spent == min(every, self.SQRT_PRICES.get(h, every)), \
+                        (h, lo, limit)
+                    spent += table_budget.spent * (lo == 0)
                     if oracle is not None:
                         assert got == [q for q in oracle if q > lo], (h, lo, limit)
+            assert spent == total, limit
         assert looked_up
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
@@ -414,6 +436,51 @@ class TestSweepFactorsNothing:
         assert [p for p, _ in got] == list(primerange(3, limit + 1))
         for p, p_primes in got:
             assert p_primes == primefactors(p - 1), p
+
+
+class TestCountFactorsNothing:
+    """Count's primes of an order come from a complete table entry or a scan."""
+
+    @pytest.fixture
+    def no_factoring(self, monkeypatch):
+        def refuse(n, n_primes, budget):
+            raise AssertionError(f"count factored Phi_{n}(2)")
+
+        monkeypatch.setattr(primover, "_factor_reduced", refuse)
+
+    @pytest.mark.usefixtures("no_factoring")
+    def test_counts_run_without_factoring(self):
+        budget = Budget()
+        assert ov_count(10**9, budget).ov == 663
+        assert budget.spent == 1404111
+        by_order = sum(ov_count_by_order(10**8, n) for n in range(1, 200))
+        assert by_order == ov_count_upto_order(10**8, 199)
+        assert ov_count_by_order(10**6, 2) == 0
+
+    @pytest.mark.usefixtures("no_factoring")
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_order_2_is_3_alone_at_no_charge(self, monkeypatch, hidden):
+        sieved = []
+        monkeypatch.setattr(count_module, "_scan_sieve", lambda *args: sieved.append(args))
+        if hidden:
+            monkeypatch.setattr(primover, "_phi2_table", dict)
+            monkeypatch.setattr(primover, "_phi2_partial", dict)
+        for lo in (-1, 0, 2, 3, 4, 10**6):
+            for limit in (0, 2, 3, 4, 10**6, 10**12):
+                got = count_module._primes_of_order(2, (2,), lo, limit, Budget(0))
+                assert got == ([3] if lo < 3 <= limit else []), (lo, limit)
+        assert sieved == []
+
+    def test_scan_route_equals_the_table_route_at_1e9(self, request):
+        # with the table hidden every order h >= 3 is scanned
+        table = ov_count(10**9)
+        request.getfixturevalue("no_phi2_table")
+        budget = Budget(2 * 10**8)
+        scan = ov_count(10**9, budget)
+        assert table.ov == scan.ov == 663
+        assert scan.by_order == table.by_order
+        assert scan.members == table.members
+        assert budget.spent == 116533563
 
 
 class TestOvCount:
