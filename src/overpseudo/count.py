@@ -9,9 +9,9 @@ primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
 primes of primover's complete table entry of the reduced Phi_h(2) for a
 tabled h; else an order test of each q = 1 (mod h) there that survives a
 sieve sized by the scan and a mod-8 mask: q | Phi_h(2) while
-phi(h) < REMAINDER_BITS, else 2**h = 1 (mod q) and no smaller order.  Each
-candidate q = 1 (mod h) below x / p_min(h) (for a tabled h of small phi(h),
-below sqrt(Phi_h(2))) costs one unit, whichever source decides it.
+phi(h) < REMAINDER_BITS, else 2**h = 1 (mod q) and no smaller order.  A
+scan costs one unit per candidate q = 1 (mod h) it sieves and tests; a
+table read, as in primover, costs nothing.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -38,42 +38,34 @@ REMAINDER_BITS = 2048
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
-    3 is the only prime of order 2, at no charge.  Every other order has
-    one of two sources.  A complete entry of primover's table gives c =
-    Phi_h(2) without its intrinsic prime, and its primes in (lo, limit]
-    are the answer.  Every other h >= 3 is scanned: the order of 2 is
-    tested for each odd candidate q = 1 (mod h) above lo; with none there,
-    nothing is built.  A candidate never divides h, so a prime q has order
+    3 is the only prime of order 2.  Every other order has one of two
+    sources, and with no odd candidate q = 1 (mod h) in (lo, limit] neither
+    is consulted.  A complete entry of primover's table factors Phi_h(2)
+    without its intrinsic prime, and its primes in (lo, limit] are the
+    answer, at no charge, as primover's own reads are.  Every other h >= 3
+    is scanned: the order of 2 is tested for each candidate in (lo, limit],
+    at one unit each, sieved out or not.  A candidate never divides h, so a prime q has order
     h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder
     decides it, and above that, where the remainder costs more than a pow,
     2**h = 1 (mod q) and no smaller order do.  A composite of primes of
     order h (88357 = 149 * 593 for h = 148) can pass either, so primality
     is tested last, once per prime, by its own order.  A sieve sized by the
     scan (_scan_sieve) first drops composites and primes of another order.
-    Each candidate up to limit, those up to lo included, costs one unit up
-    front, whichever source decides it; a tabled order with phi(h) below
-    2 * bits(limit) is charged only the candidates up to sqrt(c).
     """
     if h < 3:
         return [3] if h == 2 and lo < 3 <= limit else []
     # candidates must be odd: steps of 2h when h is odd, h when even
     start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
-    if limit < start:
-        return []
-    phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-    if h in primover._phi2_table():
-        fz = primover._tabled_factorization(h, tuple(h_primes))
-        # the phi rule stays: sqrt(c) < 2**(phi//2) - 1 for 274 of the 535 entries, so
-        # pricing by sqrt(c) alone would lower their charge where phi >= 2 * bits(limit)
-        top = min(limit, math.isqrt(fz.value)) if phi < 2 * limit.bit_length() else limit
-        budget.charge((top - start) // step + 1)
-        return [q for q in fz.primes() if lo < q <= limit]
-    budget.charge((limit - start) // step + 1)
     start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
     if limit < start:
         return []
+    if h in primover._phi2_table():
+        return [q for q in primover._tabled_factorization(h, tuple(h_primes)).primes()
+                if lo < q <= limit]
     n = (limit - start) // step + 1
+    budget.charge(n)
     qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n))
+    phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
     if phi < REMAINDER_BITS:
         c = _cyclotomic_value(h, h_primes)
         return [q for q in qs if c % q == 0 and is_prime(q)]

@@ -216,25 +216,33 @@ class TestCountCommand:
         code, out, err = run_cli(capsys, "count", "100000000", "--format", "json")
         assert (code, err) == (0, "")
         assert out.startswith(
-            '{"command": "count", "effort_spent": 174368, "input": {"x": 100000000}, '
+            '{"command": "count", "effort_spent": 13648, "input": {"x": 100000000}, '
             '"result": {"by_order": [[11, 1], [23, 1], [25, 1], [28, 1], [29, 3], '
         )
         assert out.endswith(
             '[4482, 1], [4812, 1], [5748, 1]], "ov": 266, "ratio": 0.000266, '
             '"x": 100000000, "x_3_4": 1000000.0}, "warnings": []}\n'
         )
-        assert len(out.encode()) == 2089
+        assert len(out.encode()) == 2088
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ced19b42416cf4cb1e1c2ba02ee5aa37669e43c9e9f22afda3f1881964235f1c"
+            "ea32d446855453d38b1f0b805d1493f64e8764e4278a3a6479dddb71bee2f009"
         )
 
     def test_budget_exhaustion_bytes(self, capsys):
-        code, out, err = run_cli(capsys, "count", "1000000", "--budget", "40")
+        code, out, err = run_cli(capsys, "count", "1000000", "--budget", "10")
         assert (code, out) == (2, "")
         assert err == (
-            "effort exhausted: work budget exhausted (65 of 40 units); "
-            "orders below 23 were completed: [11]\n"
+            "effort exhausted: work budget exhausted (11 of 10 units); "
+            "orders below 490 were completed: [11, 28, 29, 36, 44, 48, 51, 52, 60, 68, "
+            "76, 92, 100, 102, 148, 156, 166, 179, 239]\n"
         )
+
+    def test_tabled_orders_need_no_budget(self, capsys):
+        # 2047 = 23 * 89 has order 11, a complete table entry, read at no charge
+        code, records, err = run_json(capsys, "count", "2047", "--budget", "0")
+        assert (code, err) == (0, "")
+        assert records[0]["result"]["ov"] == 1
+        assert records[0]["effort_spent"] == 0
 
 
 class TestBoundReportCommand:
@@ -312,7 +320,8 @@ class TestGlobalFlags:
         assert code == 1
 
     def test_effort_spent_reported(self, capsys):
-        code, records, _ = run_json(capsys, "count", "5000")
+        # order 490 is not tabled, so count at 1e6 scans it
+        code, records, _ = run_json(capsys, "count", "1000000")
         assert code == 0
         assert records[0]["effort_spent"] > 0
 

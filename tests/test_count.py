@@ -50,7 +50,7 @@ class TestEnumerate:
 
     def test_budget_exhaustion_names_completed_orders(self):
         with pytest.raises(EffortError) as err:
-            enumerate_overpseudoprimes(10**6, Budget(40))
+            enumerate_overpseudoprimes(10**6, Budget(10))
         assert "orders below" in str(err.value)
 
 
@@ -97,9 +97,9 @@ class TestPrimesOfOrder:
             assert set(sieved).isdisjoint(primover._phi2_table()), limit
 
     @pytest.mark.usefixtures("no_phi2_table")
-    def test_interval_matches_oracle_and_charge_ignores_lo(self, monkeypatch):
+    def test_interval_matches_oracle_and_charge_is_the_candidates_above_lo(self, monkeypatch):
         # the primes of order h in (lo, limit], every h >= 3 scanned; the
-        # charge counts every candidate up to limit whatever lo is
+        # charge counts the candidates in (lo, limit], those the scan tests
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -115,19 +115,17 @@ class TestPrimesOfOrder:
             expected = sympy_primes_of_order(h, limit)
             first = 2 * h + 1 if h % 2 else h + 1
             candidates = range(first, limit + 1, first - 1)
-            charges = set()
             for lo in (0, math.isqrt(limit), limit // 3):
                 above = candidates[bisect_right(candidates, lo):]
                 sieved.clear()
                 budget = Budget()
                 got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
                 assert got == [q for q in expected if q > lo], (h, lo, limit)
-                charges.add(budget.spent)
+                assert budget.spent == len(above), (h, lo, limit)
                 # the scan sieves exactly the candidates in (lo, limit], if any
                 assert sieved == ([(above.start, above.step, len(above))] if above else []), \
                     (h, lo, limit)
                 scans += bool(sieved)
-            assert charges == {len(candidates)}, (h, limit, charges)
         assert scans > 0
 
     @pytest.mark.usefixtures("no_phi2_table")
@@ -139,17 +137,17 @@ class TestPrimesOfOrder:
         for lo in (99901, 10**5):
             budget = Budget()
             assert count_module._primes_of_order(100, (2, 5), lo, 10**5, budget) == []
-            assert budget.spent == (10**5 - 101) // 100 + 1
+            assert budget.spent == 0
         assert built == []
 
     def test_charges_fewer_units_than_candidates(self):
-        # Phi_28(2) = 29 * 113, a complete table entry: two candidates, not
-        # every q = 1 (mod 28) to 2**28
+        # Phi_28(2) = 29 * 113, a complete table entry: read at no charge, not
+        # every q = 1 (mod 28) to 2**28 tested
         assert 28 in primover._phi2_table()
         budget = Budget()
         got = count_module._primes_of_order(28, (2, 7), 0, (1 << 28) - 1, budget)
         assert got == [29, 113]
-        assert budget.spent == 2
+        assert budget.spent == 0
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_sieve_keeps_sieving_primes_that_are_candidates(self):
@@ -283,23 +281,10 @@ class TestPhi2Table:
                 assert pow(2, h, p) == 1, (h, p)
                 assert all(pow(2, h // r, p) != 1 for r in primefactors(h)), (h, p)
 
-    # the charge of a tabled h <= 400 with phi(h) < 2 * bits(limit), its
-    # candidates up to sqrt(c), c = Phi_h(2) without its intrinsic prime,
-    # where that is below its candidates up to 1e6
-    SQRT_PRICES = {
-        3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0, 11: 2, 12: 0, 13: 3, 14: 0, 15: 0,
-        16: 0, 17: 10, 18: 0, 19: 19, 20: 0, 21: 0, 22: 1, 23: 62, 24: 0, 25: 20, 26: 1,
-        27: 9, 28: 2, 29: 399, 30: 0, 31: 747, 32: 7, 33: 11, 34: 6, 35: 42, 36: 1,
-        37: 5009, 38: 10, 39: 39, 40: 6, 42: 1, 44: 20, 45: 42, 46: 36, 48: 5, 50: 20,
-        51: 485, 52: 70, 54: 5, 56: 70, 57: 1738, 58: 230, 60: 4, 62: 431, 63: 1948,
-        64: 1023, 66: 17, 68: 862, 70: 70, 72: 56, 74: 2892, 76: 3085, 78: 60, 80: 817,
-        84: 54, 90: 48, 96: 682, 102: 741, 108: 2427, 114: 2655, 120: 562, 126: 2204}
-
     def test_lookup_matches_the_scan(self, monkeypatch):
         # same primes with the table and with it hidden; for h <= 120 both
-        # are the sympy scan's.  The table's charges are pinned, from when
-        # these orders were factored: SQRT_PRICES where it is the lesser,
-        # else every candidate up to limit, and in total per limit
+        # are the sympy scan's.  A table read is free at every limit; the
+        # scan pays for each candidate in (lo, limit]
         lookup = primover._tabled_factorization
         looked_up = []
 
@@ -309,13 +294,12 @@ class TestPhi2Table:
 
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         tabled = [h for h in sorted(primover._phi2_table()) if h <= 400]
-        for limit, total in ((10**4, 14264), (10**5, 128634), (10**6, 1156414)):
-            spent = 0
+        for limit in (10**4, 10**5, 10**6):
             for h in tabled:
                 h_primes = primefactors(h)
                 oracle = sympy_primes_of_order(h, limit) if h <= 120 else None
                 first = 2 * h + 1 if h % 2 else h + 1
-                every = len(range(first, limit + 1, first - 1))
+                candidates = range(first, limit + 1, first - 1)
                 for lo in (0, math.isqrt(limit)):
                     table_budget, scan_budget = Budget(), Budget()
                     got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
@@ -324,13 +308,18 @@ class TestPhi2Table:
                         scanned = count_module._primes_of_order(h, h_primes, lo, limit,
                                                                 scan_budget)
                     assert got == scanned, (h, lo, limit)
-                    assert table_budget.spent == min(every, self.SQRT_PRICES.get(h, every)), \
-                        (h, lo, limit)
-                    spent += table_budget.spent * (lo == 0)
+                    assert table_budget.spent == 0, (h, lo, limit)
+                    above = candidates[bisect_right(candidates, lo):]
+                    assert scan_budget.spent == len(above), (h, lo, limit)
                     if oracle is not None:
                         assert got == [q for q in oracle if q > lo], (h, lo, limit)
-            assert spent == total, limit
         assert looked_up
+
+    def test_every_complete_entry_is_read_at_no_charge(self):
+        # the entry is the answer for its order: no budget is needed to read it
+        for h, factors in primover._phi2_table().items():
+            got = count_module._primes_of_order(h, primefactors(h), 0, 10**13, Budget(0))
+            assert got == [p for p, _ in factors if p <= 10**13], h
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
         scanned = []
@@ -343,7 +332,7 @@ class TestPhi2Table:
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 1404111
+        assert budget.spent == 169923
         assert scanned and set(scanned).isdisjoint(primover._phi2_table())
 
     @pytest.mark.parametrize("tamper, message", [
@@ -452,7 +441,7 @@ class TestCountFactorsNothing:
     def test_counts_run_without_factoring(self):
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 1404111
+        assert budget.spent == 169923
         by_order = sum(ov_count_by_order(10**8, n) for n in range(1, 200))
         assert by_order == ov_count_upto_order(10**8, 199)
         assert ov_count_by_order(10**6, 2) == 0
@@ -480,7 +469,7 @@ class TestCountFactorsNothing:
         assert table.ov == scan.ov == 663
         assert scan.by_order == table.by_order
         assert scan.members == table.members
-        assert budget.spent == 116533563
+        assert budget.spent == 116429383
 
 
 class TestOvCount:
@@ -535,7 +524,7 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
-        assert budget.spent == 174368
+        assert budget.spent == 13648
         assert tested and min(tested) > math.isqrt(x)
 
     def test_count_and_units_at_1e9(self, monkeypatch):
@@ -552,7 +541,7 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 1404111
+        assert budget.spent == 169923
         assert tested and len(tested) == len(set(tested))
 
     def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch):
@@ -573,8 +562,15 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "_strip", strip_spy)
         budget = Budget()
         assert ov_count(10**10, budget).ov == 1730
-        assert budget.spent == 11075357
+        assert budget.spent == 1867171
         assert tests["remainder"] > 0 and tests["pow"] > 0
+
+    def test_default_budget_reach(self):
+        # README's largest x on the grid of multiples of 1e9 that the default
+        # budget completes, and the next grid point, which it refuses
+        assert ov_count(102 * 10**9).ov == 4512
+        with pytest.raises(EffortError, match="of 20000000 units"):
+            ov_count(103 * 10**9)
 
     def test_distinct_primes_per_order_stay_under_omega_bound(self):
         from sympy import factorint
@@ -641,7 +637,7 @@ class TestByOrder:
             assert ov_count_upto_order(x, h - 1) == running - c, h
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 1, 6), (10**6, 28, 1, 4), (10**8, 1000, 0, 33)])
+        (1194649, 364, 1, 0), (10**6, 28, 1, 0), (10**8, 1000, 0, 24)])
     def test_by_order_charge(self, x, n, count, spent):
         # self-computed regression pins: the seed scan up to sqrt(x), then
         # the completion of the one order
@@ -650,7 +646,7 @@ class TestByOrder:
         assert budget.spent == spent
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 28, 2766), (10**8, 1000, 168, 167650)])
+        (1194649, 364, 28, 9), (10**8, 1000, 168, 8956)])
     def test_upto_order_charge(self, x, n, count, spent):
         # self-computed regression pins: the whole sweep, then the
         # completion of the orders up to n
