@@ -190,13 +190,10 @@ def is_prime(n: int) -> bool:
     return _strong_lucas_prp(n)
 
 
-@lru_cache(maxsize=4)
-def _primes_below(limit: int) -> array:
-    """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory).
+def _odd_sieve(limit: int) -> bytearray:
+    """Prime flags of the odd numbers below limit: index i stands for 2i + 1.
 
-    The sieve holds the odd numbers only: index i stands for 2i + 1, so an
-    odd prime p strikes from p*p with step p in index space, and 2 is put
-    in front.
+    An odd prime p strikes from p*p with step p in index space.
     """
     size = limit // 2
     sieve = bytearray(b"\x01") * size
@@ -206,6 +203,27 @@ def _primes_below(limit: int) -> array:
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = b"\x00" * ((size - 1 - start) // p + 1)
+    return sieve
+
+
+@lru_cache(maxsize=1)
+def small_prime_flags() -> bytearray:
+    """_odd_sieve(TRIAL_DIVISION_LIMIT), cached: the one sieve below the trial-division limit.
+
+    small_primes() is read off it, and count's order scan reads the
+    primality of its candidates below the limit off it.
+    """
+    return _odd_sieve(TRIAL_DIVISION_LIMIT)
+
+
+@lru_cache(maxsize=4)
+def _primes_below(limit: int) -> array:
+    """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory).
+
+    They are read off the odd-only sieve (_odd_sieve), with 2 put in front;
+    at the trial-division limit that sieve is the held small_prime_flags().
+    """
+    sieve = small_prime_flags() if limit == TRIAL_DIVISION_LIMIT else _odd_sieve(limit)
     primes = array("I", (2,) * (limit > 2))
     primes.extend(compress(range(1, limit, 2), sieve))
     return primes
@@ -213,7 +231,7 @@ def _primes_below(limit: int) -> array:
 
 @lru_cache(maxsize=1)  # its own: each x of count's sweep takes a slot of _primes_below's
 def small_primes() -> array:
-    """Primes below the trial-division limit, cached."""
+    """Primes below the trial-division limit, cached, read off small_prime_flags()."""
     return _primes_below(TRIAL_DIVISION_LIMIT)
 
 

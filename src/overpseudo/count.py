@@ -8,10 +8,13 @@ as P_h.  The completion pass takes any map of such lists and finds the
 primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
 primes of primover's complete table entry of the reduced Phi_h(2) for a
 tabled h; else an order test of each q = 1 (mod h) there that survives a
-sieve sized by the scan and a mod-8 mask: q | Phi_h(2) while
-phi(h) < REMAINDER_BITS, else 2**h = 1 (mod q) and no smaller order.  A
-scan costs one unit per candidate q = 1 (mod h) it sieves and tests; a
-table read, as in primover, costs nothing.
+sieve and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS and
+enough candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
+smaller order.  The sieve reads candidates below TRIAL_DIVISION_LIMIT off
+the trial-division sieve (arith.small_prime_flags), which flags exactly the
+primes, and strikes the multiples of small primes above it.  A scan costs
+one unit per candidate q = 1 (mod h) it sieves and tests; a table read, as
+in primover, costs nothing.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import primover
-from .arith import Budget, _primes_below, factorize, is_prime, small_primes
+from .arith import (TRIAL_DIVISION_LIMIT, Budget, _primes_below, factorize, is_prime,
+                    small_prime_flags, small_primes)
 from .errors import EffortError
 from .order import _strip
 from .primover import _cyclotomic_value, _slots_of_order
@@ -44,13 +48,16 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     without its intrinsic prime, and its primes in (lo, limit] are the
     answer, at no charge, as primover's own reads are.  Every other h >= 3
     is scanned: the order of 2 is tested for each candidate in (lo, limit],
-    at one unit each, sieved out or not.  A candidate never divides h, so a prime q has order
-    h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS one remainder
-    decides it, and above that, where the remainder costs more than a pow,
-    2**h = 1 (mod q) and no smaller order do.  A composite of primes of
-    order h (88357 = 149 * 593 for h = 148) can pass either, so primality
-    is tested last, once per prime, by its own order.  A sieve sized by the
-    scan (_scan_sieve) first drops composites and primes of another order.
+    at one unit each, sieved out or not.  _scan_sieve first drops the
+    candidates below TRIAL_DIVISION_LIMIT that the trial-division sieve
+    marks composite, composites above it with a small prime factor, and
+    primes of another order by a mod-8 mask.  A candidate never divides h,
+    so a prime q has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS
+    and at least 4 * 2**omega(h) candidates survive, enough to pay for
+    building Phi_h(2), one remainder decides it; otherwise 2**h = 1 (mod q)
+    and no smaller order do.  A composite of primes of order h (88357 =
+    149 * 593 for h = 148) can pass either, so primality is tested last,
+    once per prime, by its own order.
     """
     if h < 3:
         return [3] if h == 2 and lo < 3 <= limit else []
@@ -64,9 +71,10 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
                 if lo < q <= limit]
     n = (limit - start) // step + 1
     budget.charge(n)
-    qs = compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n))
+    qs = list(compress(range(start, limit + 1, step), _scan_sieve(h, start, step, n)))
     phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-    if phi < REMAINDER_BITS:
+    # Phi_h(2) is built from 2**omega(h) factors 2**d - 1: worth it at 4 survivors each
+    if phi < REMAINDER_BITS and len(qs) >= 4 << len(h_primes):
         c = _cyclotomic_value(h, h_primes)
         return [q for q in qs if c % q == 0 and is_prime(q)]
     return [q for q in qs
@@ -76,24 +84,29 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
     """Flags of the n candidates q = start + k*step that may have order h.
 
-    start = 1 (mod step).  It drops the multiples >= r*r of the odd primes
-    r <= min(sqrt(q_last), n // 64), q_last the last candidate, and, when
-    (q-1)/h is even, the q = +-3 (mod 8), which have no square root of 2.
-    A prime above sqrt(q_last) strikes nothing; below it, r strikes about
-    n/r candidates and pays only when that beats its set-up, about 64 tests.
+    start = 1 (mod step).  A candidate below TRIAL_DIVISION_LIMIT is flagged
+    iff it is prime, read off the trial-division sieve (small_prime_flags).
+    Above the limit the odd primes r <= min(sqrt(q_last), m // 64) strike
+    their multiples, m the candidates above the limit and q_last the last
+    candidate; each such r lies below the limit, so it strikes no prime.  A
+    prime above sqrt(q_last) strikes nothing; below it, r strikes about m/r
+    candidates and pays only when that beats its set-up, about 64 tests.
+    Last, when (q-1)/h is even, the q = +-3 (mod 8) are dropped, which have
+    no square root of 2.
     """
-    # flags[k] is q = start + k*step; q = 1 (mod step), so a prime r | step
-    # divides no candidate, and q = 0 (mod r) iff k = -start * step**-1 (mod r)
-    flags = bytearray(b"\x01") * n
+    # flags[k] is q = start + k*step; the first k0 candidates lie below the
+    # limit, and q, odd, is index q // 2 of the sieve, which advances by step // 2
+    k0 = min(n, max(0, -((start - TRIAL_DIVISION_LIMIT) // step)))
+    flags = small_prime_flags()[start // 2:start // 2 + k0 * (step // 2):step // 2]
+    flags += b"\x01" * (n - k0)
+    # q = 1 (mod step), so a prime r | step divides no candidate, and
+    # q = 0 (mod r) iff k = -start * step**-1 (mod r)
     primes = small_primes()
-    bound = min(math.isqrt(start + (n - 1) * step), n // 64)
+    bound = min(math.isqrt(start + (n - 1) * step), (n - k0) // 64)
     for r in primes[1:bisect_right(primes, bound)]:
-        if step % r == 0:
-            continue
-        # first candidate >= r*r, so that r itself survives
-        k_min = max(0, -((start - r * r) // step))
-        k = k_min + (-start * pow(step, -1, r) - k_min) % r
-        flags[k::r] = bytes(len(range(k, n, r)))
+        if step % r:
+            k = k0 + (-start - k0 * step) * pow(step, -1, r) % r
+            flags[k::r] = bytes(len(range(k, n, r)))
     # ord_q(2) = h | (q-1)/2 makes 2 a square mod q, so q = +-1 (mod 8);
     # parity of (q-1)/h and q mod 8 have period 4 in k since step is even
     for k in range(min(4, n)):

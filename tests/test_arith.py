@@ -177,6 +177,14 @@ class TestPrimesBelow:
         assert len(primes) == 78498
         assert list(primes[:3]) == [2, 3, 5] and primes[-1] == 999983
 
+    def test_small_primes_are_read_off_the_held_flags(self):
+        # one sieve below the trial-division limit: index i of the flags is 2i + 1
+        flags = arith.small_prime_flags()
+        assert flags is arith.small_prime_flags()
+        assert len(flags) == arith.TRIAL_DIVISION_LIMIT // 2 and sum(flags) == 78497
+        assert arith.small_primes() == sieve_primes_below(arith.TRIAL_DIVISION_LIMIT)
+        assert [2 * i + 1 for i, f in enumerate(flags) if f] == list(arith.small_primes()[1:])
+
 
 def _block_edges():
     primes = arith.small_primes()

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from sympy import divisors, isprime, mobius, primefactors, primerange
 
-from _oracles import MEMBERS_1E6, brute_overpseudoprimes, sympy_primes_of_order
+from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, sieve_primes_below,
+                      sympy_primes_of_order)
 from overpseudo import count as count_module
 from overpseudo import primover
 from overpseudo import (
@@ -52,6 +53,11 @@ class TestEnumerate:
         with pytest.raises(EffortError) as err:
             enumerate_overpseudoprimes(10**6, Budget(10))
         assert "orders below" in str(err.value)
+
+
+@cache
+def _primes_below_1e6():
+    return frozenset(sieve_primes_below(10**6))
 
 
 def reduced_phi2(h):
@@ -199,6 +205,38 @@ class TestPrimesOfOrder:
             assert (2039 in remainder, 2063 in remainder) == (bits > 2038, bits > 2062)
 
     @pytest.mark.usefixtures("no_phi2_table")
+    def test_remainder_is_built_only_for_enough_survivors(self, monkeypatch):
+        # Phi_h(2), a quotient of 2**omega(h) factors, is built only when at
+        # least 4 * 2**omega(h) candidates survive the sieve; the two tests
+        # admit different composites, so only the final primes are compared
+        built, survivors = [], {}
+        cyclotomic, sieve = count_module._cyclotomic_value, count_module._scan_sieve
+
+        def cyclotomic_spy(h, h_primes):
+            built.append(h)
+            return cyclotomic(h, h_primes)
+
+        def sieve_spy(h, start, step, n):
+            flags = sieve(h, start, step, n)
+            survivors[h] = sum(flags)
+            return flags
+
+        monkeypatch.setattr(count_module, "_cyclotomic_value", cyclotomic_spy)
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        few = many = 0
+        for limit in (10**4, 10**5):
+            for h in range(3, 401):
+                built.clear()
+                survivors.clear()
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
+                assert got == sympy_primes_of_order(h, limit), (h, limit)
+                enough = survivors.get(h, 0) >= 4 << len(primefactors(h))
+                assert built == ([h] if enough else []), (h, limit)
+                few += bool(survivors) and not enough
+                many += enough
+        assert few > 100 and many > 100
+
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
         # scans of a handful of candidates, where the sieve has (almost) no
         # primes below its bound min(isqrt(q_last), n // 64) to drop by
@@ -243,6 +281,53 @@ class TestPrimesOfOrder:
         for k in range(n):
             q = start + k * step
             assert flags[k] or not isprime(q), q
+
+    @pytest.mark.parametrize("h", [3, 4, 6, 27, 64, 100, 333, 996, 997, 499991])
+    def test_sieve_reads_primality_below_the_trial_division_limit(self, h):
+        # the fast path against exact primality: below 10**6 a flag is the
+        # candidate's primality, but for the mod-8 mask; above it no prime
+        # the mask keeps is dropped
+        primes = _primes_below_1e6()
+        start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
+        n = (1_100_000 - start) // step + 2
+        flags = count_module._scan_sieve(h, start, step, n)
+        assert len(flags) == n
+        below = 0
+        for k in range(n):
+            q = start + k * step
+            masked = (q - 1) // h % 2 == 0 and q % 8 in (3, 5)
+            if q < 10**6:
+                below += 1
+                assert flags[k] == (q in primes and not masked), (h, q)
+            elif isprime(q) and not masked:
+                assert flags[k], (h, q)
+        assert 0 < below < n
+
+    def test_scans_straddling_the_limit_keep_999983_and_1000003(self):
+        # the last prime below 10**6 and the first above it, each in scans
+        # with candidates on both sides: 999983 = 1 (mod 158 and 12658) and
+        # 1000003 = 1 (mod 6), where (q - 1) / 6 is odd, so no mask drops it
+        for h, q in ((79, 999983), (158, 999983), (6329, 999983), (6, 1000003)):
+            start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
+            for first in (start, q - 3 * step):
+                n = (q + 3 * step - first) // step + 1
+                flags = count_module._scan_sieve(h, first, step, n)
+                assert flags[(q - first) // step], (h, first)
+        # 999983 has order 499991 = 79 * 6329, and its scan's next candidate is 1999965
+        budget = Budget()
+        assert count_module._primes_of_order(499991, (79, 6329), 0, 2 * 10**6, budget) == [999983]
+        assert budget.spent == 2
+
+    @pytest.mark.usefixtures("no_phi2_table")
+    def test_intervals_across_the_limit_match_oracle(self):
+        # lo in [9e5, 1e6) and limit in (1e6, 1.1e6]: one scan reads the
+        # flags below 10**6 and strikes multiples of small primes above it
+        for h in [*range(3, 200), 499991]:
+            lo = 900_000 + h * 7919 % 100_000
+            limit = 1_000_001 + h * 104729 % 100_000
+            expected = [q for q in sympy_primes_of_order(h, limit) if q > lo]
+            got = count_module._primes_of_order(h, primefactors(h), lo, limit, Budget())
+            assert got == expected, (h, lo, limit)
 
 
 class TestPhi2Table:
