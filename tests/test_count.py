@@ -75,9 +75,25 @@ def reduced_phi2(h):
     return value
 
 
+def candidates_above(h, lo, limit):
+    """The odd candidates q = 1 (mod h) in (lo, limit] that a scan of order h tests."""
+    first = 2 * h + 1 if h % 2 else h + 1
+    candidates = range(first, limit + 1, first - 1)
+    return candidates[bisect_right(candidates, lo):]
+
+
+def reads_entry(h, n):
+    """Whether count reads order h's complete entry, in place of a scan of n candidates."""
+    entry = primover._phi2_table().get(h)
+    return entry is not None and n > 0 and (
+        n > count_module.SCAN_MAX or all(p < 1 << 64 for p, _ in entry))
+
+
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
-        # with the table, the tabled orders read their entry and the others scan
+        # with the table, a tabled order reads its entry when its scan has
+        # more than SCAN_MAX candidates or the entry has no prime >= 2**64;
+        # every other order h >= 3 scans, and sieves from 8 candidates on
         looked_up, sieved = [], []
         lookup, sieve = primover._tabled_factorization, count_module._scan_sieve
 
@@ -95,12 +111,20 @@ class TestPrimesOfOrder:
         for limit, last in ((10**3, 400), (10**5, 400), (10**6, 150)):
             looked_up.clear()
             sieved.clear()
+            read, scanned = [], []
             for h in range(2, last + 1):
                 got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
-            assert looked_up and sieved, limit
-            assert set(looked_up) <= set(primover._phi2_table()), limit
-            assert set(sieved).isdisjoint(primover._phi2_table()), limit
+                n = len(candidates_above(h, 0, limit))
+                if reads_entry(h, n):
+                    read.append(h)
+                elif h > 2 and n >= 8:
+                    scanned.append(h)
+            assert looked_up == read and read, limit
+            assert sieved == scanned, limit
+            # 97's entry holds a prime > 2**64; its scan has 5, 515 and 5154 candidates
+            assert (97 in sieved, 97 in looked_up) == {
+                10**3: (False, False), 10**5: (True, False), 10**6: (False, True)}[limit]
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_interval_matches_oracle_and_charge_is_the_candidates_above_lo(self, monkeypatch):
@@ -116,23 +140,24 @@ class TestPrimesOfOrder:
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         cases = [(h, limit) for limit in (10**3, 10**5, 10**6) for h in range(3, 121)]
         cases += [(h, 10**5) for h in range(121, 401)]
-        scans = 0
+        scans = unsieved = 0
         for h, limit in cases:
             expected = sympy_primes_of_order(h, limit)
-            first = 2 * h + 1 if h % 2 else h + 1
-            candidates = range(first, limit + 1, first - 1)
             for lo in (0, math.isqrt(limit), limit // 3):
-                above = candidates[bisect_right(candidates, lo):]
+                above = candidates_above(h, lo, limit)
                 sieved.clear()
                 budget = Budget()
                 got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
                 assert got == [q for q in expected if q > lo], (h, lo, limit)
                 assert budget.spent == len(above), (h, lo, limit)
-                # the scan sieves exactly the candidates in (lo, limit], if any
-                assert sieved == ([(above.start, above.step, len(above))] if above else []), \
+                # the scan sieves exactly the candidates in (lo, limit], if
+                # there are 8 or more; fewer are order-tested one by one
+                sieves = len(above) >= 8
+                assert sieved == ([(above.start, above.step, len(above))] if sieves else []), \
                     (h, lo, limit)
                 scans += bool(sieved)
-        assert scans > 0
+                unsieved += 0 < len(above) < 8
+        assert scans > 0 and unsieved > 0
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_empty_interval_builds_nothing(self, monkeypatch):
@@ -239,7 +264,8 @@ class TestPrimesOfOrder:
     @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
         # scans of a handful of candidates, where the sieve has (almost) no
-        # primes below its bound min(isqrt(q_last), n // 64) to drop by
+        # primes below its bound min(isqrt(q_last), n // 64) to drop by, and
+        # below 8 candidates is skipped
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -248,22 +274,32 @@ class TestPrimesOfOrder:
             return sieve(h, start, step, n)
 
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
-        small = 0
+        small = unsieved = 0
         for limit in (200, 1000, 4000):
             for h in range(2, 121):
                 sieved.clear()
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
+                budget = Budget()
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, budget)
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
-                first = 2 * h + 1 if h % 2 else h + 1
-                n = (limit - first) // (first - 1) + 1
+                n = len(candidates_above(h, 0, limit))
                 # order 2 is a one-line case, every other order scans
-                if first > limit or h == 2:
+                if n == 0 or h == 2:
                     assert sieved == []
+                elif n < 8:
+                    # each candidate order-tested directly, at the same charge
+                    assert sieved == [] and budget.spent == n, (h, limit)
+                    unsieved += 1
                 else:
-                    # every scan runs the sieve once over all its candidates
+                    # every other scan runs the sieve once over all its candidates
                     assert sieved == [n], (h, limit)
                     small += n <= 128
-        assert small > 100
+        assert small > 100 and unsieved > 50
+        # 88357 = 149 * 593 passes the order test of 148 but is no prime: a
+        # short scan around it, with no sieve, still tests primality last
+        sieved.clear()
+        budget = Budget()
+        got = count_module._primes_of_order(148, (2, 37), 88357 - 444, 88357 + 444, budget)
+        assert got == [] and sieved == [] and budget.spent == 6
 
     def test_sieve_bound_comes_from_the_scan(self):
         # q_last = 19200001 and n // 64 = 4687, so the bound is isqrt(q_last)
@@ -368,8 +404,8 @@ class TestPhi2Table:
 
     def test_lookup_matches_the_scan(self, monkeypatch):
         # same primes with the table and with it hidden; for h <= 120 both
-        # are the sympy scan's.  A table read is free at every limit; the
-        # scan pays for each candidate in (lo, limit]
+        # are the sympy scan's.  A tabled order is free at every limit, read
+        # or scanned; an untabled scan pays for each candidate in (lo, limit]
         lookup = primover._tabled_factorization
         looked_up = []
 
@@ -383,8 +419,6 @@ class TestPhi2Table:
             for h in tabled:
                 h_primes = primefactors(h)
                 oracle = sympy_primes_of_order(h, limit) if h <= 120 else None
-                first = 2 * h + 1 if h % 2 else h + 1
-                candidates = range(first, limit + 1, first - 1)
                 for lo in (0, math.isqrt(limit)):
                     table_budget, scan_budget = Budget(), Budget()
                     got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
@@ -394,8 +428,8 @@ class TestPhi2Table:
                                                                 scan_budget)
                     assert got == scanned, (h, lo, limit)
                     assert table_budget.spent == 0, (h, lo, limit)
-                    above = candidates[bisect_right(candidates, lo):]
-                    assert scan_budget.spent == len(above), (h, lo, limit)
+                    assert scan_budget.spent == len(candidates_above(h, lo, limit)), \
+                        (h, lo, limit)
                     if oracle is not None:
                         assert got == [q for q in oracle if q > lo], (h, lo, limit)
         assert looked_up
@@ -406,19 +440,84 @@ class TestPhi2Table:
             got = count_module._primes_of_order(h, primefactors(h), 0, 10**13, Budget(0))
             assert got == [p for p, _ in factors if p <= 10**13], h
 
-    def test_count_scans_no_tabled_order(self, monkeypatch):
-        scanned = []
-        sieve = count_module._scan_sieve
+    def test_count_scans_a_tabled_order_only_in_place_of_a_costly_check(self, monkeypatch):
+        # a tabled order is read exactly when its scan has more than SCAN_MAX
+        # candidates or its entry has no prime >= 2**64, and scanned at no
+        # charge otherwise, so the charge is the untabled scans' alone
+        calls, looked_up = [], []
+        primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
-        def sieve_spy(h, start, step, n):
-            scanned.append(h)
-            return sieve(h, start, step, n)
+        def primes_of_order_spy(h, h_primes, lo, limit, budget):
+            calls.append((h, lo, limit))
+            return primes_of_order(h, h_primes, lo, limit, budget)
 
-        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        def lookup_spy(h, h_primes):
+            looked_up.append(h)
+            return lookup(h, h_primes)
+
+        monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
+        monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 169923
-        assert scanned and set(scanned).isdisjoint(primover._phi2_table())
+        table = primover._phi2_table()
+        read, scanned = [], []
+        for h, lo, limit in calls:
+            n = len(candidates_above(h, lo, limit))
+            if reads_entry(h, n):
+                read.append(h)
+            elif h in table and n:
+                scanned.append(h)
+        assert looked_up == read
+        assert scanned[:3] == [97, 151, 153]
+
+    def test_short_scan_and_checked_read_agree_at_scan_max(self, monkeypatch):
+        # for every complete entry with a prime >= 2**64: the scan answers
+        # over exactly SCAN_MAX candidates, a checked read over one more
+        looked_up = []
+        lookup = primover._tabled_factorization
+
+        def lookup_spy(h, h_primes):
+            looked_up.append(h)
+            return lookup(h, h_primes)
+
+        monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
+        big = {h: f for h, f in primover._phi2_table().items()
+               if any(p >= 1 << 64 for p, _ in f)}
+        assert len(big) > 300
+        for h, factors in big.items():
+            first = 2 * h + 1 if h % 2 else h + 1
+            for n in (count_module.SCAN_MAX, count_module.SCAN_MAX + 1):
+                limit = first + (n - 1) * (first - 1)
+                assert len(candidates_above(h, 0, limit)) == n
+                looked_up.clear()
+                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget(0))
+                assert got == [p for p, _ in factors if p <= limit], (h, n)
+                assert looked_up == ([h] if n > count_module.SCAN_MAX else []), (h, n)
+        # h = 97: [[11447, 1], [13842607235828485645766393, 1]]
+        looked_up.clear()
+        got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
+        assert len(candidates_above(97, 0, 5 * 10**5)) == 2577
+        assert got == [11447] and looked_up == []
+        got = count_module._primes_of_order(97, (97,), 0, 10**6, Budget(0))
+        assert len(candidates_above(97, 0, 10**6)) == 5154
+        assert got == [11447] and looked_up == [97]
+
+    def test_short_scan_ignores_a_tampered_entry_a_read_rejects(self, monkeypatch):
+        # h = 97's two primes merged into one composite >= 2**64: the short
+        # scan still finds 11447, and the read above SCAN_MAX catches it
+        table = dict(primover._phi2_table())
+        (p, _), (q, _) = table[97]
+        table[97] = [[p * q, 1]]
+        monkeypatch.setattr(primover, "_phi2_table", lambda: table)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
+        for limit in (10**3, 5 * 10**5):
+            got = count_module._primes_of_order(97, (97,), 0, limit, Budget(0))
+            assert got == sympy_primes_of_order(97, limit), limit
+        assert primover._tabled_factorization.cache_info().currsize == 0
+        with pytest.raises(ContractViolationError, match="lists a composite"):
+            count_module._primes_of_order(97, (97,), 0, 10**6, Budget(0))
 
     @pytest.mark.parametrize("tamper, message", [
         ("drop", "does not multiply"), ("raise", "does not multiply"),
@@ -555,6 +654,51 @@ class TestCountFactorsNothing:
         assert scan.by_order == table.by_order
         assert scan.members == table.members
         assert budget.spent == 116429383
+
+
+@pytest.mark.skipif(not os.environ.get("OVERPSEUDO_SLOW"),
+                    reason="opt-in cross-checks at 1e10: set OVERPSEUDO_SLOW=1")
+class TestCrossChecksAt1e10:
+    """Each of count's routes against another at 1e10, where no outside value exists."""
+
+    def test_remainder_and_pow_tests_agree(self, monkeypatch):
+        # every untabled order of the sweep over its completion interval, by
+        # the pow test alone (REMAINDER_BITS = 0) and by the remainder of
+        # Phi_h(2) wherever enough candidates survive the sieve; about 1 s.
+        # 802 primes is a self-computed pin
+        x = 10**10
+        sample = [(h, h_primes, x // seeds[0])
+                  for h, (seeds, h_primes) in sorted(count_module._sweep(x).items())
+                  if h > 2 and h not in primover._phi2_table()]
+        built = []
+        cyclotomic = count_module._cyclotomic_value
+
+        def spy(h, h_primes):
+            built.append(h)
+            return cyclotomic(h, h_primes)
+
+        monkeypatch.setattr(count_module, "_cyclotomic_value", spy)
+        got = {}
+        for bits in (0, 10**6):
+            monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
+            built.clear()
+            got[bits] = [count_module._primes_of_order(h, h_primes, math.isqrt(x), limit,
+                                                       Budget(10**9))
+                         for h, h_primes, limit in sample]
+            assert (len(built) > 500) == (bits > 0), bits
+        assert got[0] == got[10**6]
+        assert sum(map(len, got[0])) == 802
+
+    def test_scan_route_equals_the_table_route(self, request):
+        # with the table hidden every order h >= 3 is scanned: 1165054796
+        # units, about 45 s and 2.4 GB peak RSS on a 2-core host, since a scan
+        # holds its flags and survivors (h = 3 has about 2.4e8 candidates)
+        table = ov_count(10**10)
+        request.getfixturevalue("no_phi2_table")
+        scan = ov_count(10**10, Budget(2 * 10**9))
+        assert table.ov == scan.ov == 1730
+        assert scan.by_order == table.by_order
+        assert scan.members == table.members
 
 
 class TestOvCount:
