@@ -8,22 +8,30 @@ halves are factored apart) under a fresh Budget(B).  Each complete
 factorization is written as [[p, e], ...] under "factors"; for an order
 left incomplete, the primes found are written the same way under
 "partial", with the range and B.  The same inputs give the same file, byte
-for byte.
+for byte.  A build prints the file's SHA-256, which must replace
+primover.PHI2_SHA256: the package reads no table with another digest, and
+so checks no entry at run time beyond its product.
+
+--check compares the file's digest with primover.PHI2_SHA256, puts every
+entry through primover._prove_entry (each factor through the package's
+is_prime, the product, a partial entry's composite rest), and rebuilds
+h = 3..150 to compare.
 
 Usage:
   python scripts/factor_table.py                 # rebuild the table
   python scripts/factor_table.py --out phi2.json # write it elsewhere
-  python scripts/factor_table.py --check         # rebuild h = 3..150, compare
+  python scripts/factor_table.py --check         # digest, every entry, rebuild h = 3..150
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-from overpseudo import Budget, factorize
-from overpseudo.primover import _factor_reduced
+from overpseudo import Budget, ContractViolationError, factorize
+from overpseudo.primover import PHI2_SHA256, _factor_reduced, _prove_entry
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
 ORDERS = (3, 999)
@@ -53,13 +61,26 @@ def dumps(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def check(path: Path, last: int) -> list[str]:
-    """Mismatches between the file and a rebuild of its orders up to last."""
+    """The file's problems: its digest, each entry's full check, and a rebuild up to last."""
+    problems = []
+    digest = sha256(path)
+    if digest != PHI2_SHA256:
+        problems.append(f"SHA-256 {digest} is not primover.PHI2_SHA256 {PHI2_SHA256}")
     stored = json.loads(path.read_text())
+    for key in ("factors", "partial"):
+        for h, factors in stored[key].items():
+            try:
+                _prove_entry(int(h), factorize(int(h)).primes(), factors, key == "factors")
+            except ContractViolationError as exc:
+                problems.append(f"{key} of h = {h}: {exc}")
     first = stored["orders"][0]
     last = min(last, stored["orders"][1])
     fresh = build(first, last, stored["budget"])
-    problems = []
     for key in ("factors", "partial"):
         for h in range(first, last + 1):
             want = fresh[key].get(h)
@@ -74,7 +95,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, default=TABLE)
     parser.add_argument("--check", action="store_true",
-                        help=f"rebuild the orders up to {CHECK_UPTO} and compare with --out")
+                        help="check --out's digest and every entry, and rebuild the "
+                             f"orders up to {CHECK_UPTO} to compare")
     args = parser.parse_args()
 
     t0 = time.time()
@@ -82,7 +104,7 @@ def main() -> int:
         problems = check(args.out, CHECK_UPTO)
         for line in problems:
             print(line)
-        print(f"{len(problems)} mismatches, {time.time() - t0:.1f}s")
+        print(f"{len(problems)} problems, {time.time() - t0:.1f}s")
         return 1 if problems else 0
     table = build(ORDERS[0], ORDERS[1], BUDGET)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -90,6 +112,7 @@ def main() -> int:
     done = len(table["factors"])
     print(f"wrote {args.out}: {done} complete, {len(table['partial'])} partial, "
           f"{time.time() - t0:.1f}s")
+    print(f"SHA-256 {sha256(args.out)}")
     return 0
 
 

@@ -7,17 +7,15 @@ largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
 primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
 primes of primover's complete table entry of the reduced Phi_h(2) for a
-tabled h, unless the entry holds a prime >= 2**64 and at most SCAN_MAX
-candidates lie there, so that a scan costs less than the entry's first-use
-check; else an order test of each q = 1 (mod h) there that survives a
+tabled h; else an order test of each q = 1 (mod h) there that survives a
 sieve and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS and
 enough candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
 smaller order.  The sieve reads candidates below TRIAL_DIVISION_LIMIT off
 the trial-division sieve (arith.small_prime_flags), which flags exactly the
 primes, and strikes the multiples of small primes above it.  A scan of an
 untabled order costs one unit per candidate q = 1 (mod h) it sieves and
-tests; a tabled order, read or scanned, costs nothing, as primover's
-table reads do.
+tests; a tabled order is read and costs nothing, as primover's table
+reads do.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -33,16 +31,13 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import primover
-from .arith import (PROBABLE_PRIME_THRESHOLD, TRIAL_DIVISION_LIMIT, Budget, _primes_below,
-                    factorize, is_prime, small_prime_flags, small_primes)
+from .arith import (TRIAL_DIVISION_LIMIT, Budget, _primes_below, factorize, is_prime,
+                    small_prime_flags, small_primes)
 from .errors import EffortError
 from .order import _strip
 from .primover import _cyclotomic_value, _slots_of_order
 
 REMAINDER_BITS = 2048
-# the most candidates a scan tests in place of a table entry with a prime >= 2**64,
-# whose first-use BPSW check costs about as much
-SCAN_MAX = 4096
 
 
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
@@ -52,24 +47,20 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     sources, and with no odd candidate q = 1 (mod h) in (lo, limit] neither
     is consulted.  A complete entry of primover's table factors Phi_h(2)
     without its intrinsic prime, and its primes in (lo, limit] are the
-    answer.  It is read when its primes all lie below 2**64, where
-    deterministic Miller-Rabin makes its first-use check cheap, or when a
-    scan would test more than SCAN_MAX candidates; otherwise a scan, which
-    costs less than the BPSW checks of the entry's large primes, answers,
-    and the entry is never loaded.  A tabled order charges nothing either
-    way, as primover's reads do; every other h >= 3 is scanned at one unit
-    per candidate in (lo, limit], sieved out or not.  A scan tests the
-    order of 2 for each candidate.  _scan_sieve first drops the candidates
-    below TRIAL_DIVISION_LIMIT that the trial-division sieve marks
-    composite, composites above it with a small prime factor, and primes of
-    another order by a mod-8 mask; a scan of fewer than 8 candidates, where
-    the sieve's set-up costs more than it saves, tests each directly.  A
-    candidate never divides h, so a prime q has order h iff q | Phi_h(2):
-    while phi(h) < REMAINDER_BITS and at least 4 * 2**omega(h) candidates
-    survive, enough to pay for building Phi_h(2), one remainder decides it;
-    otherwise 2**h = 1 (mod q) and no smaller order do.  A composite of
-    primes of order h (88357 = 149 * 593 for h = 148) can pass either, so
-    primality is tested last, once per prime, by its own order.
+    answer, read at no charge, as primover's reads are.  Every other h >= 3
+    is scanned at one unit per candidate in (lo, limit], sieved out or not.
+    A scan tests the order of 2 for each candidate.  _scan_sieve first
+    drops the candidates below TRIAL_DIVISION_LIMIT that the trial-division
+    sieve marks composite, composites above it with a small prime factor,
+    and primes of another order by a mod-8 mask; a scan of fewer than 8
+    candidates, where the sieve's set-up costs more than it saves, tests
+    each directly.  A candidate never divides h, so a prime q has order h
+    iff q | Phi_h(2): while phi(h) < REMAINDER_BITS and at least
+    4 * 2**omega(h) candidates survive, enough to pay for building
+    Phi_h(2), one remainder decides it; otherwise 2**h = 1 (mod q) and no
+    smaller order do.  A composite of primes of order h (88357 = 149 * 593
+    for h = 148) can pass either, so primality is tested last, once per
+    prime, by its own order.
     """
     if h < 3:
         return [3] if h == 2 and lo < 3 <= limit else []
@@ -79,12 +70,10 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     if limit < start:
         return []
     n = (limit - start) // step + 1
-    entry = primover._phi2_table().get(h)
-    if entry is None:
-        budget.charge(n)
-    elif n > SCAN_MAX or all(p < PROBABLE_PRIME_THRESHOLD for p, _ in entry):
+    if h in primover._phi2_table():
         return [q for q in primover._tabled_factorization(h, tuple(h_primes)).primes()
                 if lo < q <= limit]
+    budget.charge(n)
     qs = range(start, limit + 1, step)
     if n >= 8:
         qs = list(compress(qs, _scan_sieve(h, start, step, n)))

@@ -92,14 +92,23 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
                          a.unfactored_cofactor * b.unfactored_cofactor)
 
 
+# SHA-256 of data/phi2_factors.json, as scripts/factor_table.py prints it after a
+# build; a rebuilt table must update it
+PHI2_SHA256 = "cb6d8f211b82cba1e6fe8b29b2188bac77edb60836c595f962697aa3424c8fbb"
+
+
 @cache
 def _phi2_data() -> dict:
-    """data/phi2_factors.json, read on first use."""
+    """data/phi2_factors.json, read on first use; a file of another digest raises."""
     # imported here: at module level they would add about 10 ms to the package's import
+    import hashlib
     import json
     from importlib import resources
 
-    return json.loads((resources.files(__package__) / "data" / "phi2_factors.json").read_text())
+    raw = (resources.files(__package__) / "data" / "phi2_factors.json").read_bytes()
+    if hashlib.sha256(raw).hexdigest() != PHI2_SHA256:
+        raise ContractViolationError("data/phi2_factors.json does not match its SHA-256")
+    return json.loads(raw)
 
 
 @cache
@@ -114,34 +123,52 @@ def _phi2_partial() -> dict[int, list[list[int]]]:
     return {int(n): factors for n, factors in _phi2_data()["partial"].items()}
 
 
-@cache
-def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
-    """The table's entry for n, at no charge, checked once per process, on its first use.
+def _entry_rest(n: int, value: int, factors, complete: bool) -> int:
+    """value, the reduced Phi_n(2), over a table entry's prime powers, after the cheap checks.
 
-    Its primes must ascend strictly with exponents e >= 1 and all pass
-    is_prime, those above any limit included.  Its prime powers must
-    multiply to Phi_n(2) without its intrinsic prime, or for a partial
-    entry divide it and leave a composite unfactored.  Such a rest, a
-    product of primes of order n, passes is_prime's base-2 round, which
-    leaves the Lucas test to run to its end; a Fermat test at base 3 proves
-    it composite first, and is_prime decides only a rest that passes it.
+    The primes must ascend strictly with exponents e >= 1, and the prime
+    powers must multiply to value, or for a partial entry divide it and
+    leave a rest above 1; else ContractViolationError.
     """
-    complete = n in _phi2_table()
-    factors = tuple(map(tuple, (_phi2_table() if complete else _phi2_partial())[n]))
     primes = [p for p, _ in factors]
     if primes != sorted(set(primes)) or any(e < 1 for _, e in factors):
         raise ContractViolationError(f"table entry for Phi_{n}(2) is unsorted or has e < 1")
-    value = _reduced_cyclotomic_value(n, n_primes)
     rest, left = divmod(value, math.prod(p**e for p, e in factors))
     if left or (rest == 1) != complete:
         raise ContractViolationError(f"table entry for Phi_{n}(2) does not multiply to it")
+    return rest
+
+
+@cache
+def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
+    """The table's entry for n, at no charge, put through _entry_rest once per process.
+
+    Its primality is not tested here: the file passed _phi2_data's digest,
+    and the entries behind that digest passed _prove_entry where the table
+    is built and checked.
+    """
+    complete = n in _phi2_table()
+    factors = tuple(map(tuple, (_phi2_table() if complete else _phi2_partial())[n]))
+    value = _reduced_cyclotomic_value(n, n_primes)
+    return Factorization(value, factors, complete, _entry_rest(n, value, factors, complete))
+
+
+def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:
+    """A table entry's full check: _entry_rest's, every factor prime, a partial rest composite.
+
+    scripts/factor_table.py --check runs it on every entry.  A partial
+    entry's rest, a product of primes of order n, passes is_prime's base-2
+    round, which leaves the Lucas test to run to its end; a Fermat test at
+    base 3 proves it composite first, and is_prime decides only a rest that
+    passes it.
+    """
+    rest = _entry_rest(n, _reduced_cyclotomic_value(n, n_primes), factors, complete)
     # 3 has order 2, so it divides no rest and a failed base-3 test proves a
     # composite; a complete entry's rest 1 gives pow 0
     if not all(is_prime(p) for p, _ in factors) or (pow(3, rest - 1, rest) == 1
                                                     and is_prime(rest)):
         raise ContractViolationError(f"table entry for Phi_{n}(2) lists a composite "
                                      "or leaves a prime")
-    return Factorization(value, factors, complete, rest)
 
 
 def _reduced_factorization(n: int, n_primes, budget: Budget) -> Factorization:

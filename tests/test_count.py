@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from bisect import bisect_right
@@ -82,17 +84,9 @@ def candidates_above(h, lo, limit):
     return candidates[bisect_right(candidates, lo):]
 
 
-def reads_entry(h, n):
-    """Whether count reads order h's complete entry, in place of a scan of n candidates."""
-    entry = primover._phi2_table().get(h)
-    return entry is not None and n > 0 and (
-        n > count_module.SCAN_MAX or all(p < 1 << 64 for p, _ in entry))
-
-
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
-        # with the table, a tabled order reads its entry when its scan has
-        # more than SCAN_MAX candidates or the entry has no prime >= 2**64;
+        # with the table, a tabled order with a candidate reads its entry;
         # every other order h >= 3 scans, and sieves from 8 candidates on
         looked_up, sieved = [], []
         lookup, sieve = primover._tabled_factorization, count_module._scan_sieve
@@ -116,15 +110,14 @@ class TestPrimesOfOrder:
                 got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
                 n = len(candidates_above(h, 0, limit))
-                if reads_entry(h, n):
+                if h in primover._phi2_table() and n:
                     read.append(h)
                 elif h > 2 and n >= 8:
                     scanned.append(h)
             assert looked_up == read and read, limit
             assert sieved == scanned, limit
-            # 97's entry holds a prime > 2**64; its scan has 5, 515 and 5154 candidates
-            assert (97 in sieved, 97 in looked_up) == {
-                10**3: (False, False), 10**5: (True, False), 10**6: (False, True)}[limit]
+            # 97's entry holds a prime > 2**64; its scan would have 5, 515 and 5154 candidates
+            assert 97 in looked_up, limit
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_interval_matches_oracle_and_charge_is_the_candidates_above_lo(self, monkeypatch):
@@ -440,10 +433,9 @@ class TestPhi2Table:
             got = count_module._primes_of_order(h, primefactors(h), 0, 10**13, Budget(0))
             assert got == [p for p, _ in factors if p <= 10**13], h
 
-    def test_count_scans_a_tabled_order_only_in_place_of_a_costly_check(self, monkeypatch):
-        # a tabled order is read exactly when its scan has more than SCAN_MAX
-        # candidates or its entry has no prime >= 2**64, and scanned at no
-        # charge otherwise, so the charge is the untabled scans' alone
+    def test_count_scans_no_tabled_order(self, monkeypatch):
+        # every tabled order with a candidate is read, at no charge, so the
+        # charge is the untabled scans' alone
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
@@ -461,19 +453,14 @@ class TestPhi2Table:
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 169923
         table = primover._phi2_table()
-        read, scanned = [], []
-        for h, lo, limit in calls:
-            n = len(candidates_above(h, lo, limit))
-            if reads_entry(h, n):
-                read.append(h)
-            elif h in table and n:
-                scanned.append(h)
-        assert looked_up == read
-        assert scanned[:3] == [97, 151, 153]
+        candidates = [(h, len(candidates_above(h, lo, limit))) for h, lo, limit in calls if h > 2]
+        assert looked_up == [h for h, n in candidates if n and h in table]
+        assert budget.spent == sum(n for h, n in candidates if h not in table)
+        assert 97 in looked_up
 
-    def test_short_scan_and_checked_read_agree_at_scan_max(self, monkeypatch):
-        # for every complete entry with a prime >= 2**64: the scan answers
-        # over exactly SCAN_MAX candidates, a checked read over one more
+    def test_entries_with_a_prime_above_2_64_are_read_and_match_the_scan(self, monkeypatch):
+        # every complete entry with a prime >= 2**64 is read at no charge over
+        # 4097 candidates, and gives the primes a scan with the table hidden finds
         looked_up = []
         lookup = primover._tabled_factorization
 
@@ -487,47 +474,64 @@ class TestPhi2Table:
         assert len(big) > 300
         for h, factors in big.items():
             first = 2 * h + 1 if h % 2 else h + 1
-            for n in (count_module.SCAN_MAX, count_module.SCAN_MAX + 1):
-                limit = first + (n - 1) * (first - 1)
-                assert len(candidates_above(h, 0, limit)) == n
-                looked_up.clear()
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget(0))
-                assert got == [p for p, _ in factors if p <= limit], (h, n)
-                assert looked_up == ([h] if n > count_module.SCAN_MAX else []), (h, n)
-        # h = 97: [[11447, 1], [13842607235828485645766393, 1]]
+            limit = first + 4096 * (first - 1)
+            assert len(candidates_above(h, 0, limit)) == 4097
+            looked_up.clear()
+            got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget(0))
+            assert got == [p for p, _ in factors if p <= limit] and looked_up == [h], h
+            with monkeypatch.context() as hidden:
+                hidden.setattr(primover, "_phi2_table", dict)
+                scanned = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
+            assert scanned == got, h
+        # h = 97: [[11447, 1], [13842607235828485645766393, 1]], read over 2577 candidates
         looked_up.clear()
         got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
         assert len(candidates_above(97, 0, 5 * 10**5)) == 2577
-        assert got == [11447] and looked_up == []
-        got = count_module._primes_of_order(97, (97,), 0, 10**6, Budget(0))
-        assert len(candidates_above(97, 0, 10**6)) == 5154
         assert got == [11447] and looked_up == [97]
 
-    def test_short_scan_ignores_a_tampered_entry_a_read_rejects(self, monkeypatch):
-        # h = 97's two primes merged into one composite >= 2**64: the short
-        # scan still finds 11447, and the read above SCAN_MAX catches it
-        table = dict(primover._phi2_table())
-        (p, _), (q, _) = table[97]
-        table[97] = [[p * q, 1]]
-        monkeypatch.setattr(primover, "_phi2_table", lambda: table)
-        monkeypatch.setattr(primover, "_tabled_factorization",
-                            cache(primover._tabled_factorization.__wrapped__))
-        for limit in (10**3, 5 * 10**5):
-            got = count_module._primes_of_order(97, (97,), 0, limit, Budget(0))
-            assert got == sympy_primes_of_order(97, limit), limit
-        assert primover._tabled_factorization.cache_info().currsize == 0
-        with pytest.raises(ContractViolationError, match="lists a composite"):
-            count_module._primes_of_order(97, (97,), 0, 10**6, Budget(0))
+    def test_every_entry_passes_the_full_check(self):
+        # what scripts/factor_table.py --check runs, with the package's own is_prime
+        for complete, entries in ((True, primover._phi2_table()),
+                                  (False, primover._phi2_partial())):
+            for h, factors in entries.items():
+                primover._prove_entry(h, primefactors(h), factors, complete)
+
+    def test_digest_is_the_committed_file_sha256(self):
+        assert primover.PHI2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("tamper", ["merge", "one byte"])
+    @pytest.mark.parametrize("call", ["ov_count(10**6)", "primitive_part(97)"],
+                             ids=["count", "primitive_part"])
+    def test_tampered_file_fails_the_digest_on_first_read(self, tmp_path, call, tamper):
+        # a copy of the package whose table has h = 97's two primes merged,
+        # which keeps the product, or its last byte, a newline, made a space,
+        # which keeps the content; the first read refuses either
+        package = tmp_path / "overpseudo"
+        shutil.copytree(self.FILE.parents[1], package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        text = self.FILE.read_text()
+        merged = text.replace('"97": [[11447,1],[13842607235828485645766393,1]]',
+                              f'"97": [[{(1 << 97) - 1},1]]')
+        assert merged != text and (1 << 97) - 1 == 11447 * 13842607235828485645766393
+        (package / "data" / self.FILE.name).write_text(
+            {"merge": merged, "one byte": text[:-1] + " "}[tamper])
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        proc = subprocess.run([sys.executable, "-c", f"from overpseudo import *; {call}"],
+                              env=env, timeout=120, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert ("overpseudo.errors.ContractViolationError: data/phi2_factors.json "
+                "does not match its SHA-256") in proc.stderr, proc.stderr
 
     @pytest.mark.parametrize("tamper, message", [
         ("drop", "does not multiply"), ("raise", "does not multiply"),
         ("merge", "lists a composite"), ("merge above limit", "lists a composite"),
         ("repeat", "unsorted")])
     def test_tampered_entry_raises_on_first_use(self, monkeypatch, tamper, message):
-        # h = 148 scans up to 1e6 (phi(148) = 72); a merge keeps the product,
-        # so the primality test catches it, also 184481113 * 231769777 above
-        # the limit, which no filter by limit may drop untested; a repeat
-        # with exponent 0 keeps both, so only the order of the primes does
+        # the full check catches every tamper of h = 148's entry, and its
+        # first read, up to 1e6, all but a merge: a merge keeps the product,
+        # so only the primality test catches it, also 184481113 * 231769777
+        # above the limit (at run time the file's digest does); a repeat with
+        # exponent 0 keeps both, so only the order of the primes does
         table = dict(primover._phi2_table())
         factors = table[148]
         assert factors == [[149, 1], [593, 1], [184481113, 1], [231769777, 1]]
@@ -539,6 +543,10 @@ class TestPhi2Table:
         monkeypatch.setattr(primover, "_phi2_table", lambda: table)
         monkeypatch.setattr(primover, "_tabled_factorization",
                             cache(primover._tabled_factorization.__wrapped__))
+        with pytest.raises(ContractViolationError, match=message):
+            primover._prove_entry(148, (2, 37), table[148], True)
+        if tamper.startswith("merge"):
+            return
         with pytest.raises(ContractViolationError, match=message):
             count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
         with pytest.raises(ContractViolationError, match=message):

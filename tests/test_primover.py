@@ -228,22 +228,22 @@ class TestPartialEntries:
                 assert not fz.complete, (n, units)
 
     def test_tampered_partial_entry_raises(self, monkeypatch):
-        # 2**137 - 1 = 32032215596496435569 * 5439042183600204290159
-        partial = dict(primover._phi2_partial())
-        monkeypatch.setattr(primover, "_phi2_partial", lambda: partial)
-        monkeypatch.setattr(primover, "_tabled_factorization",
-                            cache(primover._tabled_factorization.__wrapped__))
+        # 2**137 - 1 = 32032215596496435569 * 5439042183600204290159: an entry
+        # of the first leaves the second, a prime, which the full check
+        # catches; an entry that does not divide fails its first read too
         for entry, message in (([[32032215596496435569, 1]], "leaves a prime"),
                                ([[3, 1]], "does not multiply")):
-            partial[137] = entry
-            primover._tabled_factorization.cache_clear()
             with pytest.raises(ContractViolationError, match=message):
-                primitive_part(137, Budget(10**5))
+                primover._prove_entry(137, (137,), entry, False)
+        monkeypatch.setattr(primover, "_phi2_partial", lambda: {137: [[3, 1]]})
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
+        with pytest.raises(ContractViolationError, match="does not multiply"):
+            primitive_part(137, Budget(10**5))
 
     @pytest.fixture
     def lucas_tested(self, monkeypatch):
-        """The numbers is_prime hands to its strong Lucas test, with every
-        table entry checked afresh."""
+        """The numbers is_prime hands to its strong Lucas test."""
         from overpseudo import arith
 
         lucas, tested = arith._strong_lucas_prp, []
@@ -253,13 +253,13 @@ class TestPartialEntries:
             return lucas(n)
 
         monkeypatch.setattr(arith, "_strong_lucas_prp", spy)
-        monkeypatch.setattr(primover, "_tabled_factorization",
-                            cache(primover._tabled_factorization.__wrapped__))
         return tested
 
     def test_partial_rest_is_proved_composite_before_the_lucas_test(self, lucas_tested):
         for n in (137, 274, 391):
-            fz = primover._reduced_factorization(n, sympy.primefactors(n), Budget(0))
+            n_primes = sympy.primefactors(n)
+            primover._prove_entry(n, n_primes, primover._phi2_partial()[n], False)
+            fz = primover._reduced_factorization(n, n_primes, Budget(0))
             assert not fz.complete and fz.unfactored_cofactor > 1, n
             assert fz.unfactored_cofactor not in lucas_tested, n
 
@@ -269,16 +269,13 @@ class TestPartialEntries:
             rest = value // math.prod(p**e for p, e in entry)
             assert pow(3, rest - 1, rest) != 1, n
 
-    def test_prime_rest_that_passes_base_3_goes_to_bpsw(self, monkeypatch, lucas_tested):
-        # 2**83 - 1 = 167 * 57912614113275649087721: the entry moved to the
-        # partial map without its prime above 2**64 leaves that prime
-        table, partial = dict(primover._phi2_table()), dict(primover._phi2_partial())
-        *partial[83], (big, _) = table.pop(83)
+    def test_prime_rest_that_passes_base_3_goes_to_bpsw(self, lucas_tested):
+        # 2**83 - 1 = 167 * 57912614113275649087721: the entry taken as
+        # partial without its prime above 2**64 leaves that prime
+        *entry, (big, _) = primover._phi2_table()[83]
         assert big >= 1 << 64 and pow(3, big - 1, big) == 1
-        monkeypatch.setattr(primover, "_phi2_table", lambda: table)
-        monkeypatch.setattr(primover, "_phi2_partial", lambda: partial)
         with pytest.raises(ContractViolationError, match="lists a composite or leaves a prime"):
-            primitive_part(83, Budget(10**5))
+            primover._prove_entry(83, (83,), entry, False)
         assert big in lucas_tested
 
 
