@@ -221,9 +221,10 @@ def _primes_below(limit: int) -> array:
     """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory).
 
     They are read off the odd-only sieve (_odd_sieve), with 2 put in front;
-    at the trial-division limit that sieve is the held small_prime_flags().
+    up to the trial-division limit it is the held small_prime_flags(), read
+    only as far as limit, so count's sweep below x = 10**12 sieves nothing.
     """
-    sieve = small_prime_flags() if limit == TRIAL_DIVISION_LIMIT else _odd_sieve(limit)
+    sieve = small_prime_flags() if limit <= TRIAL_DIVISION_LIMIT else _odd_sieve(limit)
     primes = array("I", (2,) * (limit > 2))
     primes.extend(compress(range(1, limit, 2), sieve))
     return primes

@@ -7,15 +7,16 @@ largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
 primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
 primes of primover's complete table entry of the reduced Phi_h(2) for a
-tabled h; else an order test of each q = 1 (mod h) there that survives a
-sieve and a mod-8 mask: q | Phi_h(2) while phi(h) < REMAINDER_BITS and
-enough candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
-smaller order.  The sieve reads candidates below TRIAL_DIVISION_LIMIT off
-the trial-division sieve (arith.small_prime_flags), which flags exactly the
-primes, and strikes the multiples of small primes above it.  A scan of an
-untabled order costs one unit per candidate q = 1 (mod h) it sieves and
-tests; a tabled order is read and costs nothing, as primover's table
-reads do.
+tabled h; for an order the table left partial, the primes its scanned
+section lists up to its bound B; and above what was read an order test of
+each q = 1 (mod h) that survives a sieve and a mod-8 mask: q | Phi_h(2)
+while phi(h) < REMAINDER_BITS and enough candidates survive to pay for
+Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The sieve reads
+candidates below TRIAL_DIVISION_LIMIT off the trial-division sieve
+(arith.small_prime_flags), which flags exactly the primes, and strikes the
+multiples of small primes above it.  A scan costs one unit per candidate
+q = 1 (mod h) it sieves and tests; what is read from the table costs
+nothing, as primover's table reads do.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -43,16 +44,46 @@ REMAINDER_BITS = 2048
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
-    3 is the only prime of order 2.  Every other order has one of two
-    sources, and with no odd candidate q = 1 (mod h) in (lo, limit] neither
-    is consulted.  A complete entry of primover's table factors Phi_h(2)
-    without its intrinsic prime, and its primes in (lo, limit] are the
-    answer, read at no charge, as primover's reads are.  Every other h >= 3
-    is scanned at one unit per candidate in (lo, limit], sieved out or not.
-    A scan tests the order of 2 for each candidate.  _scan_sieve first
-    drops the candidates below TRIAL_DIVISION_LIMIT that the trial-division
-    sieve marks composite, composites above it with a small prime factor,
-    and primes of another order by a mod-8 mask; a scan of fewer than 8
+    3 is the only prime of order 2.  Every other order reads what primover's
+    table holds for it, and with no odd candidate q = 1 (mod h) in
+    (lo, limit] reads nothing.  A complete entry factors Phi_h(2) without
+    its intrinsic prime, so its primes in (lo, limit] are the answer, read
+    with no bound.  An order the table's budget left partial is read from
+    the table's scanned section, which lists its primes up to the section's
+    bound B, checked where the table is built.  Reads charge nothing, as
+    primover's do; the candidates above what was read, all of them for an
+    untabled order and those above B for a partial one, go to _scan.
+    """
+    if h < 3:
+        return [3] if h == 2 and lo < 3 <= limit else []
+    start, _ = _progression(h, lo)
+    if limit < start:
+        return []
+    if h in primover._phi2_table():
+        return [q for q in primover._tabled_factorization(h, tuple(h_primes)).primes()
+                if lo < q <= limit]
+    bound, scanned = primover._phi2_scanned()
+    if h in scanned:
+        return ([q for q in scanned[h] if lo < q <= limit]
+                + _scan(h, h_primes, max(lo, bound), limit, budget))
+    return _scan(h, h_primes, lo, limit, budget)
+
+
+def _progression(h: int, lo: int) -> tuple[int, int]:
+    """(the first candidate q = 1 (mod h) above lo that is odd, the step between candidates)."""
+    # candidates must be odd: steps of 2h when h is odd, h when even
+    start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
+    return start + max(0, (lo - start) // step + 1) * step, step
+
+
+def _scan(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
+    """The primes of order h in (lo, limit], h >= 3, by testing every candidate there.
+
+    One unit per candidate in (lo, limit], sieved out or not.  A scan tests
+    the order of 2 for each candidate.  _scan_sieve first drops the
+    candidates below TRIAL_DIVISION_LIMIT that the trial-division sieve
+    marks composite, composites above it with a small prime factor, and
+    primes of another order by a mod-8 mask; a scan of fewer than 8
     candidates, where the sieve's set-up costs more than it saves, tests
     each directly.  A candidate never divides h, so a prime q has order h
     iff q | Phi_h(2): while phi(h) < REMAINDER_BITS and at least
@@ -60,19 +91,13 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     Phi_h(2), one remainder decides it; otherwise 2**h = 1 (mod q) and no
     smaller order do.  A composite of primes of order h (88357 = 149 * 593
     for h = 148) can pass either, so primality is tested last, once per
-    prime, by its own order.
+    prime, by its own order.  scripts/factor_table.py builds the table's
+    scanned section with it.
     """
-    if h < 3:
-        return [3] if h == 2 and lo < 3 <= limit else []
-    # candidates must be odd: steps of 2h when h is odd, h when even
-    start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
-    start += max(0, (lo - start) // step + 1) * step  # the first candidate above lo
+    start, step = _progression(h, lo)
     if limit < start:
         return []
     n = (limit - start) // step + 1
-    if h in primover._phi2_table():
-        return [q for q in primover._tabled_factorization(h, tuple(h_primes)).primes()
-                if lo < q <= limit]
     budget.charge(n)
     qs = range(start, limit + 1, step)
     if n >= 8:

@@ -94,7 +94,7 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
 
 # SHA-256 of data/phi2_factors.json, as scripts/factor_table.py prints it after a
 # build; a rebuilt table must update it
-PHI2_SHA256 = "cb6d8f211b82cba1e6fe8b29b2188bac77edb60836c595f962697aa3424c8fbb"
+PHI2_SHA256 = "3fdc9324987f22e1a18c10e1f05de2ea9fae972c25ee15eb67d915c460b21d10"
 
 
 @cache
@@ -121,6 +121,13 @@ def _phi2_table() -> dict[int, list[list[int]]]:
 def _phi2_partial() -> dict[int, list[list[int]]]:
     """{n: [[p, e], ...]}, the primes found for the orders the table's budget left incomplete."""
     return {int(n): factors for n, factors in _phi2_data()["partial"].items()}
+
+
+@cache
+def _phi2_scanned() -> tuple[int, dict[int, list[int]]]:
+    """(B, {n: primes}): every prime of order n up to B, for each order the table left partial."""
+    scanned = _phi2_data()["scanned"]
+    return scanned["bound"], {int(n): primes for n, primes in scanned["primes"].items()}
 
 
 def _entry_rest(n: int, value: int, factors, complete: bool) -> int:

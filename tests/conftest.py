@@ -49,11 +49,20 @@ def primitive_parts_120():
 
 
 @pytest.fixture
-def no_phi2_table(monkeypatch):
-    """Hide the table of factored Phi_h(2), complete and partial entries, at its
-    owner, primover, so that primover factors every order and count scans
-    every order h >= 3."""
+def no_phi2_table(monkeypatch, no_scanned_section):
+    """Hide the table of factored Phi_h(2), complete and partial entries and
+    the scanned section, at its owner, primover, so that primover factors
+    every order and count scans every order h >= 3."""
     from overpseudo import primover
 
     monkeypatch.setattr(primover, "_phi2_table", dict)
     monkeypatch.setattr(primover, "_phi2_partial", dict)
+
+
+@pytest.fixture
+def no_scanned_section(monkeypatch):
+    """Hide only the table's scanned section, so that count scans every
+    partial order from sqrt(x) up, as it does an untabled one."""
+    from overpseudo import primover
+
+    monkeypatch.setattr(primover, "_phi2_scanned", lambda: (0, {}))

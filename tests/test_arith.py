@@ -172,6 +172,20 @@ class TestPrimesBelow:
             got = arith._primes_below.__wrapped__(limit)
             assert got.typecode == "I" and got == sieve_primes_below(limit), limit
 
+    def test_below_the_limit_no_new_sieve(self, monkeypatch):
+        # up to the trial-division limit the primes are read off the held
+        # flags, so count's sweep at x below 10**12 sieves nothing again
+        arith.small_prime_flags()
+        sieved = []
+        odd_sieve = arith._odd_sieve
+        monkeypatch.setattr(arith, "_odd_sieve", lambda limit: sieved.append(limit) or
+                            odd_sieve(limit))
+        for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 10**6]:
+            arith._primes_below.__wrapped__(limit)
+        assert sieved == []
+        assert arith._primes_below.__wrapped__(10**6 + 1)[-1] == 999983
+        assert sieved == [10**6 + 1]
+
     def test_small_primes(self):
         primes = arith.small_primes()
         assert len(primes) == 78498

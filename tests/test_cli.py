@@ -216,25 +216,28 @@ class TestCountCommand:
         code, out, err = run_cli(capsys, "count", "100000000", "--format", "json")
         assert (code, err) == (0, "")
         assert out.startswith(
-            '{"command": "count", "effort_spent": 13648, "input": {"x": 100000000}, '
+            '{"command": "count", "effort_spent": 4707, "input": {"x": 100000000}, '
             '"result": {"by_order": [[11, 1], [23, 1], [25, 1], [28, 1], [29, 3], '
         )
         assert out.endswith(
             '[4482, 1], [4812, 1], [5748, 1]], "ov": 266, "ratio": 0.000266, '
             '"x": 100000000, "x_3_4": 1000000.0}, "warnings": []}\n'
         )
-        assert len(out.encode()) == 2088
+        assert len(out.encode()) == 2087
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ea32d446855453d38b1f0b805d1493f64e8764e4278a3a6479dddb71bee2f009"
+            "45af47f9b6ac04b507442bd1e15f6a06c0bb3ea88677b1174a5ab5039ffcf222"
         )
 
     def test_budget_exhaustion_bytes(self, capsys):
-        code, out, err = run_cli(capsys, "count", "1000000", "--budget", "10")
+        # every order of Ov(10**6) is read from the table, at no charge; at
+        # 3e6 the first untabled order, 1122, scans
+        code, out, err = run_cli(capsys, "count", "3000000", "--budget", "5")
         assert (code, out) == (2, "")
         assert err == (
-            "effort exhausted: work budget exhausted (11 of 10 units); "
-            "orders below 490 were completed: [11, 28, 29, 36, 44, 48, 51, 52, 60, 68, "
-            "76, 92, 100, 102, 148, 156, 166, 179, 239]\n"
+            "effort exhausted: work budget exhausted (6 of 5 units); "
+            "orders below 1122 were completed: [11, 25, 28, 29, 36, 44, 48, 50, 51, 52, "
+            "55, 60, 66, 68, 76, 92, 100, 102, 148, 156, 166, 179, 194, 204, 224, 239, "
+            "244, 292, 346, 364, 371, 388, 431, 460, 618, 660, 772, 828]\n"
         )
 
     def test_tabled_orders_need_no_budget(self, capsys):
@@ -320,8 +323,8 @@ class TestGlobalFlags:
         assert code == 1
 
     def test_effort_spent_reported(self, capsys):
-        # order 490 is not tabled, so count at 1e6 scans it
-        code, records, _ = run_json(capsys, "count", "1000000")
+        # order 1122 is not tabled, so count at 3e6 scans it
+        code, records, _ = run_json(capsys, "count", "3000000")
         assert code == 0
         assert records[0]["effort_spent"] > 0
 

@@ -52,8 +52,9 @@ class TestEnumerate:
             enumerate_overpseudoprimes(2)
 
     def test_budget_exhaustion_names_completed_orders(self):
+        # below 1000 every order is read from the table; 3e6 scans order 1122
         with pytest.raises(EffortError) as err:
-            enumerate_overpseudoprimes(10**6, Budget(10))
+            enumerate_overpseudoprimes(3 * 10**6, Budget(5))
         assert "orders below" in str(err.value)
 
 
@@ -86,8 +87,10 @@ def candidates_above(h, lo, limit):
 
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
-        # with the table, a tabled order with a candidate reads its entry;
-        # every other order h >= 3 scans, and sieves from 8 candidates on
+        # with the table, a tabled order with a candidate reads its entry, a
+        # partial order reads the scanned section, below its bound at every
+        # limit here; every other order h >= 3 scans, and sieves from 8
+        # candidates on
         looked_up, sieved = [], []
         lookup, sieve = primover._tabled_factorization, count_module._scan_sieve
 
@@ -102,6 +105,7 @@ class TestPrimesOfOrder:
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         # every order up to 136 is a complete entry, 137 and 149 are partial
+        partial = primover._phi2_partial()
         for limit, last in ((10**3, 400), (10**5, 400), (10**6, 150)):
             looked_up.clear()
             sieved.clear()
@@ -112,7 +116,7 @@ class TestPrimesOfOrder:
                 n = len(candidates_above(h, 0, limit))
                 if h in primover._phi2_table() and n:
                     read.append(h)
-                elif h > 2 and n >= 8:
+                elif h > 2 and n >= 8 and h not in partial:
                     scanned.append(h)
             assert looked_up == read and read, limit
             assert sieved == scanned, limit
@@ -434,8 +438,9 @@ class TestPhi2Table:
             assert got == [p for p, _ in factors if p <= 10**13], h
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
-        # every tabled order with a candidate is read, at no charge, so the
-        # charge is the untabled scans' alone
+        # every tabled order with a candidate is read, at no charge, and so is
+        # every partial order, whose limits at 1e9 all lie below the scanned
+        # section's bound, so the charge is the untabled scans' alone
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
@@ -451,11 +456,14 @@ class TestPhi2Table:
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 169923
+        assert budget.spent == 69599
         table = primover._phi2_table()
+        bound, scanned = primover._phi2_scanned()
+        assert all(limit < bound for h, _, limit in calls if h in scanned)
         candidates = [(h, len(candidates_above(h, lo, limit))) for h, lo, limit in calls if h > 2]
         assert looked_up == [h for h, n in candidates if n and h in table]
-        assert budget.spent == sum(n for h, n in candidates if h not in table)
+        assert budget.spent == sum(n for h, n in candidates
+                                   if h not in table and h not in scanned)
         assert 97 in looked_up
 
     def test_entries_with_a_prime_above_2_64_are_read_and_match_the_scan(self, monkeypatch):
@@ -499,13 +507,15 @@ class TestPhi2Table:
     def test_digest_is_the_committed_file_sha256(self):
         assert primover.PHI2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("tamper", ["merge", "one byte"])
+    @pytest.mark.parametrize("tamper", ["merge", "one byte", "section"])
     @pytest.mark.parametrize("call", ["ov_count(10**6)", "primitive_part(97)"],
                              ids=["count", "primitive_part"])
     def test_tampered_file_fails_the_digest_on_first_read(self, tmp_path, call, tamper):
         # a copy of the package whose table has h = 97's two primes merged,
         # which keeps the product, or its last byte, a newline, made a space,
-        # which keeps the content; the first read refuses either
+        # which keeps the content, or one digit of the scanned section
+        # changed, which makes 2916841 of order 223 the composite 2916851
+        # = 7 * 416693; the first read refuses each
         package = tmp_path / "overpseudo"
         shutil.copytree(self.FILE.parents[1], package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -513,8 +523,11 @@ class TestPhi2Table:
         merged = text.replace('"97": [[11447,1],[13842607235828485645766393,1]]',
                               f'"97": [[{(1 << 97) - 1},1]]')
         assert merged != text and (1 << 97) - 1 == 11447 * 13842607235828485645766393
+        section = text.replace('"223": [18287,196687,1466449,2916841]',
+                               '"223": [18287,196687,1466449,2916851]')
+        assert section != text and text.index('"scanned"') < text.index('"223": [18287,')
         (package / "data" / self.FILE.name).write_text(
-            {"merge": merged, "one byte": text[:-1] + " "}[tamper])
+            {"merge": merged, "one byte": text[:-1] + " ", "section": section}[tamper])
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
         proc = subprocess.run([sys.executable, "-c", f"from overpseudo import *; {call}"],
                               env=env, timeout=120, capture_output=True, text=True)
@@ -582,6 +595,146 @@ class TestPhi2Table:
         assert proc.returncode == 0, proc.stderr
 
 
+def _factor_table_script():
+    """scripts/factor_table.py, loaded as a module."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "factor_table.py"
+    spec = importlib.util.spec_from_file_location("factor_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestScannedSection:
+    """The table's scanned section lists every prime of each partial order up
+    to its bound B; count reads a partial order there below B, at no
+    charge, and scans only above B."""
+
+    def test_section_holds_the_primes_of_exactly_the_partial_orders(self):
+        # sympy's primality and the order by pow, for every listed prime
+        data = json.loads(TestPhi2Table.FILE.read_text())
+        bound, scanned = primover._phi2_scanned()
+        assert data["scanned"]["bound"] == bound == 1 << 30
+        assert sorted(scanned) == sorted(primover._phi2_partial())
+        for h, primes in scanned.items():
+            assert primes == sorted(set(primes)) and all(q <= bound for q in primes), h
+            for q in primes:
+                assert isprime(q) and pow(2, h, q) == 1, (h, q)
+                assert all(pow(2, h // r, q) != 1 for r in primefactors(h)), (h, q)
+            # the partial entry keeps what factoring found, so its primes up
+            # to B are among them, though not always all of them
+            assert {p for p, _ in primover._phi2_partial()[h] if p <= bound} <= set(primes), h
+
+    def test_rescan_below_2_25_and_of_every_order_from_900(self):
+        # a slice, about 5 s, of the rescan of the whole section that
+        # scripts/factor_table.py --check runs (about 30 s; opt-in below)
+        bound, scanned = primover._phi2_scanned()
+        assert sum(h >= 900 for h in scanned) > 50
+        for h, primes in scanned.items():
+            upto = bound if h >= 900 else 1 << 25
+            got = count_module._scan(h, primefactors(h), 0, upto, Budget(upto))
+            assert got == [q for q in primes if q <= upto], h
+
+    @pytest.mark.parametrize("tamper", ["none", "drop", "composite", "other order",
+                                        "bound", "orders"])
+    def test_check_fails_on_a_tampered_section(self, tamper):
+        # the script's check of the section, on h = 223 and 299 up to 2**24:
+        # a dropped prime, an added composite (447 = 3 * 149 = 1 (mod 446)),
+        # a prime of another order (599, of order 299), another bound, or a
+        # missing order each fail it
+        script = _factor_table_script()
+        upto = 1 << 24
+        scanned = primover._phi2_scanned()[1]
+        primes = {h: [q for q in scanned[h] if q <= upto] for h in (223, 299)}
+        assert primes == {223: [18287, 196687, 1466449, 2916841], 299: [599, 9341359]}
+        section = {"bound": upto, "primes": {str(h): list(v) for h, v in primes.items()}}
+        if tamper == "drop":
+            section["primes"]["223"].remove(1466449)
+        elif tamper == "composite":
+            section["primes"]["223"].insert(0, 447)
+        elif tamper == "other order":
+            section["primes"]["223"].insert(0, 599)
+        elif tamper == "bound":
+            section["bound"] = upto + 1
+        elif tamper == "orders":
+            del section["primes"]["299"]
+        problems = script.scanned_problems(section, [223, 299], upto)
+        assert bool(problems) == (tamper != "none"), problems
+
+    def test_partial_order_is_read_below_the_bound_at_no_charge(self):
+        # 1466449 and 2916841 divide 2**223 - 1 but not h = 223's partial entry
+        assert 1466449 not in {p for p, _ in primover._phi2_partial()[223]}
+        got = count_module._primes_of_order(223, (223,), 10**5, 10**7, Budget(0))
+        assert got == [196687, 1466449, 2916841]
+
+    @pytest.mark.parametrize("h", [223, 299])
+    def test_reads_up_to_the_bound_and_scans_above_it(self, monkeypatch, h):
+        # on (B - 10**6, B + 10**6] the read and the scan above B give what
+        # the scan of the whole interval gives, and only the candidates
+        # above B are charged
+        bound = primover._phi2_scanned()[0]
+        lo, limit = bound - 10**6, bound + 10**6
+        budget = Budget()
+        got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
+        assert budget.spent == len(candidates_above(h, bound, limit)) > 0
+        with monkeypatch.context() as hidden:
+            hidden.setattr(primover, "_phi2_scanned", lambda: (0, {}))
+            scan_budget = Budget()
+            scanned = count_module._primes_of_order(h, primefactors(h), lo, limit, scan_budget)
+        assert got == scanned, h
+        assert scan_budget.spent == len(candidates_above(h, lo, limit))
+
+    def test_read_and_scan_meet_at_the_bound(self, monkeypatch):
+        # a section cut at 2e6 puts h = 223's primes on both sides of its
+        # bound: 196687 and 1466449 read, 2916841 scanned
+        scanned = primover._phi2_scanned()[1]
+        cut = 2 * 10**6
+        monkeypatch.setattr(primover, "_phi2_scanned",
+                            lambda: (cut, {223: [q for q in scanned[223] if q <= cut]}))
+        budget = Budget()
+        got = count_module._primes_of_order(223, (223,), 10**5, 10**7, budget)
+        assert got == [196687, 1466449, 2916841]
+        assert budget.spent == len(candidates_above(223, cut, 10**7))
+
+    def test_section_hidden_route_at_1e9(self, request):
+        # with only the section hidden, every partial order is scanned from
+        # sqrt(x) up, for the same count and the parent's charge
+        section = ov_count(10**9)
+        request.getfixturevalue("no_scanned_section")
+        budget = Budget()
+        scan = ov_count(10**9, budget)
+        assert section.ov == scan.ov == 663
+        assert scan.by_order == section.by_order
+        assert scan.members == section.members
+        assert budget.spent == 169923
+
+
+@pytest.mark.skipif(not os.environ.get("OVERPSEUDO_SLOW"),
+                    reason="opt-in checks of the scanned section: set OVERPSEUDO_SLOW=1")
+class TestCrossChecksOfTheScannedSection:
+    """The whole scanned section against a rescan, and count with it hidden at 1e10 and 1e11."""
+
+    def test_full_rescan(self):
+        # what scripts/factor_table.py --check runs, about 30 s
+        script = _factor_table_script()
+        data = json.loads(TestPhi2Table.FILE.read_text())
+        partial = sorted(primover._phi2_partial())
+        assert script.scanned_problems(data["scanned"], partial, script.SCAN_BOUND) == []
+
+    @pytest.mark.parametrize("x, ov, spent", [(10**10, 1730, 1867171),
+                                              (10**11, 4480, 19417801)])
+    def test_section_hidden_route(self, request, x, ov, spent):
+        section = ov_count(x)
+        request.getfixturevalue("no_scanned_section")
+        budget = Budget(10**8)
+        scan = ov_count(x, budget)
+        assert section.ov == scan.ov == ov
+        assert scan.by_order == section.by_order
+        assert scan.members == section.members
+        assert budget.spent == spent
+
+
 class TestSweepFactorsNothing:
     def test_no_factorize_call_and_no_order_alone(self, monkeypatch):
         from overpseudo import arith
@@ -633,7 +786,7 @@ class TestCountFactorsNothing:
     def test_counts_run_without_factoring(self):
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 169923
+        assert budget.spent == 69599
         by_order = sum(ov_count_by_order(10**8, n) for n in range(1, 200))
         assert by_order == ov_count_upto_order(10**8, 199)
         assert ov_count_by_order(10**6, 2) == 0
@@ -670,10 +823,11 @@ class TestCrossChecksAt1e10:
     """Each of count's routes against another at 1e10, where no outside value exists."""
 
     def test_remainder_and_pow_tests_agree(self, monkeypatch):
-        # every untabled order of the sweep over its completion interval, by
-        # the pow test alone (REMAINDER_BITS = 0) and by the remainder of
-        # Phi_h(2) wherever enough candidates survive the sieve; about 1 s.
-        # 802 primes is a self-computed pin
+        # every order of the sweep with no complete entry, partial ones too,
+        # scanned over its completion interval, by the pow test alone
+        # (REMAINDER_BITS = 0) and by the remainder of Phi_h(2) wherever
+        # enough candidates survive the sieve; about 1 s.  802 primes is a
+        # self-computed pin
         x = 10**10
         sample = [(h, h_primes, x // seeds[0])
                   for h, (seeds, h_primes) in sorted(count_module._sweep(x).items())
@@ -690,8 +844,7 @@ class TestCrossChecksAt1e10:
         for bits in (0, 10**6):
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             built.clear()
-            got[bits] = [count_module._primes_of_order(h, h_primes, math.isqrt(x), limit,
-                                                       Budget(10**9))
+            got[bits] = [count_module._scan(h, h_primes, math.isqrt(x), limit, Budget(10**9))
                          for h, h_primes, limit in sample]
             assert (len(built) > 500) == (bits > 0), bits
         assert got[0] == got[10**6]
@@ -761,7 +914,7 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
-        assert budget.spent == 13648
+        assert budget.spent == 4707
         assert tested and min(tested) > math.isqrt(x)
 
     def test_count_and_units_at_1e9(self, monkeypatch):
@@ -778,7 +931,7 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 169923
+        assert budget.spent == 69599
         assert tested and len(tested) == len(set(tested))
 
     def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch):
@@ -799,15 +952,15 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "_strip", strip_spy)
         budget = Budget()
         assert ov_count(10**10, budget).ov == 1730
-        assert budget.spent == 1867171
+        assert budget.spent == 821269
         assert tests["remainder"] > 0 and tests["pow"] > 0
 
     def test_default_budget_reach(self):
         # README's largest x on the grid of multiples of 1e9 that the default
         # budget completes, and the next grid point, which it refuses
-        assert ov_count(102 * 10**9).ov == 4512
+        assert ov_count(224 * 10**9).ov == 6295
         with pytest.raises(EffortError, match="of 20000000 units"):
-            ov_count(103 * 10**9)
+            ov_count(225 * 10**9)
 
     def test_distinct_primes_per_order_stay_under_omega_bound(self):
         from sympy import factorint
@@ -883,7 +1036,7 @@ class TestByOrder:
         assert budget.spent == spent
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 28, 9), (10**8, 1000, 168, 8956)])
+        (1194649, 364, 28, 0), (10**8, 1000, 168, 15)])
     def test_upto_order_charge(self, x, n, count, spent):
         # self-computed regression pins: the whole sweep, then the
         # completion of the orders up to n
