@@ -5,18 +5,15 @@ and its least prime factor is at most sqrt(x).  The sweep gives every prime
 p <= sqrt(x) its order h (the primes of p - 1, read off one table of
 largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
-primes of each order h in (sqrt(x), x / p_min(h)]: 3 alone for h = 2; the
-primes of primover's complete table entry of the reduced Phi_h(2) for a
-tabled h; for an order the table left partial, the primes its scanned
-section lists up to its bound B; and above what was read an order test of
-each q = 1 (mod h) that survives a sieve and a mod-8 mask: q | Phi_h(2)
-while phi(h) < REMAINDER_BITS and enough candidates survive to pay for
-Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The sieve reads
+primes of each order h in (sqrt(x), x / p_min(h)]: primover lists, count
+scans above the listed bound.  Above it each q = 1 (mod h) that survives a
+sieve and a mod-8 mask gets an order test: q | Phi_h(2) while phi(h) <
+REMAINDER_BITS and enough candidates survive to pay for Phi_h(2), else
+2**h = 1 (mod q) and no smaller order.  The sieve reads
 candidates below TRIAL_DIVISION_LIMIT off the trial-division sieve
 (arith.small_prime_flags), which flags exactly the primes, and strikes the
 multiples of small primes above it.  A scan costs one unit per candidate
-q = 1 (mod h) it sieves and tests; what is read from the table costs
-nothing, as primover's table reads do.
+q = 1 (mod h) it sieves and tests; what primover lists costs nothing.
 Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
 two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
@@ -44,29 +41,16 @@ REMAINDER_BITS = 2048
 def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
 
-    3 is the only prime of order 2.  Every other order reads what primover's
-    table holds for it, and with no odd candidate q = 1 (mod h) in
-    (lo, limit] reads nothing.  A complete entry factors Phi_h(2) without
-    its intrinsic prime, so its primes in (lo, limit] are the answer, read
-    with no bound.  An order the table's budget left partial is read from
-    the table's scanned section, which lists its primes up to the section's
-    bound B, checked where the table is built.  Reads charge nothing, as
-    primover's do; the candidates above what was read, all of them for an
-    untabled order and those above B for a partial one, go to _scan.
+    primover lists, count scans above the listed bound: the primes
+    primover._listed_primes lists in (lo, limit], free, then _scan above
+    max(lo, bound) unless bound is None.  No odd q = 1 (mod h) there: [].
     """
-    if h < 3:
-        return [3] if h == 2 and lo < 3 <= limit else []
     start, _ = _progression(h, lo)
     if limit < start:
         return []
-    if h in primover._phi2_table():
-        return [q for q in primover._tabled_factorization(h, tuple(h_primes)).primes()
-                if lo < q <= limit]
-    bound, scanned = primover._phi2_scanned()
-    if h in scanned:
-        return ([q for q in scanned[h] if lo < q <= limit]
-                + _scan(h, h_primes, max(lo, bound), limit, budget))
-    return _scan(h, h_primes, lo, limit, budget)
+    listed, bound = primover._listed_primes(h, h_primes)
+    got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
+    return got if bound is None else got + _scan(h, h_primes, max(lo, bound), limit, budget)
 
 
 def _progression(h: int, lo: int) -> tuple[int, int]:

@@ -160,6 +160,22 @@ def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
     return Factorization(value, factors, complete, _entry_rest(n, value, factors, complete))
 
 
+def _listed_primes(n: int, n_primes) -> tuple[tuple[int, ...] | list[int], int | None]:
+    """(the primes of order n known without a scan, ascending; B, up to which they are all).
+
+    B is None when they are all: 3 for n = 2, none for n = 1, a complete
+    entry's primes, read through _tabled_factorization.  A partial order
+    lists its scanned section, checked where the table is built, up to its
+    bound B; any other order lists none, B = 0.
+    """
+    if n < 3:
+        return ((3,) if n == 2 else ()), None
+    if n in _phi2_table():
+        return _tabled_factorization(n, tuple(n_primes)).primes(), None
+    bound, scanned = _phi2_scanned()
+    return (scanned[n], bound) if n in scanned else ((), 0)
+
+
 def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:
     """A table entry's full check: _entry_rest's, every factor prime, a partial rest composite.
 

@@ -350,6 +350,12 @@ class TestPrimesOfOrder:
         budget = Budget()
         assert count_module._primes_of_order(499991, (79, 6329), 0, 2 * 10**6, budget) == [999983]
         assert budget.spent == 2
+        # order 2249 = 13 * 173 has a prime on each side of 10**6, and pays
+        # for every candidate in (9e5, 2e6]
+        budget = Budget()
+        got = count_module._primes_of_order(2249, (13, 173), 900_000, 2 * 10**6, budget)
+        assert got == [931087, 1619281]
+        assert budget.spent == len(candidates_above(2249, 900_000, 2 * 10**6)) == 244
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_intervals_across_the_limit_match_oracle(self):
@@ -376,12 +382,24 @@ class TestPhi2Table:
         assert len(tabled) >= 450
         assert primover._phi2_table() == {int(h): f for h, f in data["factors"].items()}
         assert primover._phi2_partial() == {int(h): f for h, f in data["partial"].items()}
+        # what primover lists is all of an order's primes for h <= 2 and a
+        # complete entry, all up to the section's bound for a partial order,
+        # and nothing for an untabled one
+        assert primover._listed_primes(1, ()) == ((), None)
+        assert primover._listed_primes(2, (2,)) == ((3,), None)
+        bound = data["scanned"]["bound"]
+        for h in [*range(1, 1001), 1001, 1122, 2249, 499991]:
+            listed, upto = primover._listed_primes(h, primefactors(h))
+            assert list(listed) == sorted(set(listed)), h
+            assert upto == (None if h <= 2 or h in tabled else bound if h in partial else 0), h
+            assert upto != 0 or listed == (), h
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
         for h, factors in primover._phi2_table().items():
             primes = [p for p, _ in factors]
             assert primes == sorted(set(primes)), h
+            assert primover._listed_primes(h, primefactors(h)) == (tuple(primes), None), h
             assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
             for p, e in factors:
                 assert e >= 1 and isprime(p), (h, p)
@@ -496,6 +514,21 @@ class TestPhi2Table:
         got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
         assert len(candidates_above(97, 0, 5 * 10**5)) == 2577
         assert got == [11447] and looked_up == [97]
+        # the same read in a fresh process: one entry through the cheap
+        # checks, and no primality test of its prime above 2**64
+        from overpseudo import arith
+
+        lucas, lucas_tested = arith._strong_lucas_prp, []
+
+        def lucas_spy(n):
+            lucas_tested.append(n)
+            return lucas(n)
+
+        monkeypatch.setattr(arith, "_strong_lucas_prp", lucas_spy)
+        monkeypatch.setattr(primover, "_tabled_factorization", cache(lookup.__wrapped__))
+        got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
+        assert got == [11447] and lucas_tested == []
+        assert primover._tabled_factorization.cache_info().currsize == 1
 
     def test_every_entry_passes_the_full_check(self):
         # what scripts/factor_table.py --check runs, with the package's own is_prime
@@ -585,14 +618,25 @@ class TestPhi2Table:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import overpseudo.cli\n"
+        # with sympy, numpy and gmpy2 blocked, so the core runs on pure Python
+        code = ("import sys\n"
+                "for name in ('sympy', 'numpy', 'gmpy2'):\n"
+                "    sys.modules[name] = None\n"
+                "import overpseudo.cli\n"
                 "from overpseudo import count, primover\n"
                 "assert primover._phi2_table.cache_info().currsize == 0\n"
                 "assert count.ov_count(10**6).ov == 24\n"
-                "assert primover._phi2_table.cache_info().currsize == 1\n")
+                "assert primover._phi2_table.cache_info().currsize == 1\n"
+                "import overpseudo as o\n"
+                "assert o.classify(2047).flags.overpseudoprime_base2\n"
+                "assert o.least_witness(2047).witness == 3\n"
+                "assert o.primitive_part(97).primitive_factors == "
+                "((11447, 1), (13842607235828485645766393, 1))\n"
+                "assert overpseudo.cli.main(['count', '1000000']) == 0\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert "ov: 24\n" in proc.stdout
 
 
 def _factor_table_script():
@@ -619,6 +663,7 @@ class TestScannedSection:
         assert sorted(scanned) == sorted(primover._phi2_partial())
         for h, primes in scanned.items():
             assert primes == sorted(set(primes)) and all(q <= bound for q in primes), h
+            assert primover._listed_primes(h, primefactors(h)) == (primes, bound), h
             for q in primes:
                 assert isprime(q) and pow(2, h, q) == 1, (h, q)
                 assert all(pow(2, h // r, q) != 1 for r in primefactors(h)), (h, q)
@@ -816,6 +861,20 @@ class TestCountFactorsNothing:
         assert scan.members == table.members
         assert budget.spent == 116429383
 
+    def test_table_reaches_count_only_through_listed_primes(self, monkeypatch, request):
+        # primover listing nothing for h >= 3 gives what hiding the whole
+        # table gives: the same record, and the same charge for the scans
+        listed_primes = primover._listed_primes
+        with monkeypatch.context() as unlisted:
+            unlisted.setattr(primover, "_listed_primes",
+                             lambda h, h_primes: listed_primes(h, h_primes) if h < 3 else ((), 0))
+            unlisted_budget = Budget()
+            got = ov_count(10**7, unlisted_budget)
+        request.getfixturevalue("no_phi2_table")
+        hidden_budget = Budget()
+        assert ov_count(10**7, hidden_budget) == got and got.ov == 91
+        assert unlisted_budget.spent == hidden_budget.spent > 0
+
 
 @pytest.mark.skipif(not os.environ.get("OVERPSEUDO_SLOW"),
                     reason="opt-in cross-checks at 1e10: set OVERPSEUDO_SLOW=1")
@@ -870,6 +929,8 @@ class TestOvCount:
     def test_record_at_2047(self):
         rec = ov_count(2047)
         assert rec.ov == 1
+        # 2047 = 23 * 89 has the tabled order 11, so it needs no budget
+        assert ov_count(2047, Budget(0)) == rec
         assert rec.members == (2047,)
         assert rec.by_order == {11: 1}
         assert rec.ratio == pytest.approx(1 / 2047**0.75)
