@@ -7,20 +7,27 @@ is known to be 1 (mod lcm(2, h)), and for h = 4 (mod 8) the Aurifeuillian
 halves are factored apart) under a fresh Budget(B).  Each complete
 factorization is written as [[p, e], ...] under "factors"; for an order
 left incomplete, the primes found are written the same way under
-"partial", with the range and B.  Each partial order is then scanned with
-count's own scan, count._scan, up to SCAN_BOUND, and every prime of that
-order up to it is written, ascending, under "scanned" with the bound:
-count reads a partial order there up to the bound and scans only above it.
-The partial entries keep exactly what factoring found.  The same inputs
-give the same file, byte for byte.  A build prints the file's SHA-256,
-which must replace primover.PHI2_SHA256: the package reads no table with
-another digest, and so checks no entry at run time beyond its product.
+"partial", with the range and B.  Then every order h < SCAN_BELOW without
+a complete entry, the partial ones and all of 1000..9999, is scanned with
+count's own scan, count._scan, up to SCAN_BOUND, and every prime of those
+orders up to it is written under "scanned" with "below" and "bound", as
+two flat lists ascending by (order, prime): "orders" holds each prime's
+order and "primes" the prime.  Count reads such an order there up to the
+bound and scans only above it.  The scans run on a pool of worker
+processes, one per CPU, and are assembled in order.  The partial entries
+keep exactly what factoring found.  The same inputs give the same file,
+byte for byte, whatever the number of CPUs.  A build (about 16 minutes
+for the factors and 2 more for the scan on 2 cores) prints the file's
+SHA-256, which must replace primover.PHI2_SHA256: the package reads no
+table with another digest, and so checks no entry at run time beyond its
+product.
 
 --check compares the file's digest with primover.PHI2_SHA256, puts every
 entry through primover._prove_entry (each factor through the package's
 is_prime, the product, a partial entry's composite rest), rebuilds
-h = 3..150 to compare, and rescans the whole scanned section (about 30 s):
-its bound, its orders, which must be the partial ones, and every list.
+h = 3..150 to compare, and rescans the whole scanned section: "below",
+the bound, and the primes of every order it covers.  It takes about 2
+minutes on 2 cores.
 
 Usage:
   python scripts/factor_table.py                 # rebuild the table
@@ -34,6 +41,9 @@ import hashlib
 import json
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+from multiprocessing import get_context
 from pathlib import Path
 
 from overpseudo import Budget, ContractViolationError, factorize
@@ -44,7 +54,8 @@ TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" /
 ORDERS = (3, 999)
 BUDGET = 1_000_000
 CHECK_UPTO = 150  # the slice --check rebuilds, about 2 s
-SCAN_BOUND = 1 << 30  # the partial orders' scanned primes go up to it, about 30 s
+SCAN_BELOW = 10_000  # the scanned section covers every order below it with no complete entry
+SCAN_BOUND = 1 << 30  # and lists their primes up to it
 
 
 def build(first: int, last: int, budget: int) -> dict:
@@ -57,26 +68,44 @@ def build(first: int, last: int, budget: int) -> dict:
             "partial": partial}
 
 
+def scanned_orders(complete) -> list[int]:
+    """The orders the scanned section covers: every h in 3..SCAN_BELOW-1 not in complete."""
+    complete = set(map(int, complete))
+    return [h for h in range(3, SCAN_BELOW) if h not in complete]
+
+
 def scan(orders, bound: int) -> dict:
-    """The scanned section: every prime of each order up to bound, by count's scan."""
-    return {"bound": bound,
-            "primes": {h: _scan(h, factorize(h).primes(), 0, bound, Budget(bound))
-                       for h in orders}}
+    """Every prime of each order up to bound, by count's scan, as the section's two lists.
+
+    The orders are scanned on one worker process per CPU and assembled in
+    ascending order, so the lists ascend by (order, prime) and do not
+    depend on the number of CPUs.
+    """
+    orders = sorted(orders)
+    with ProcessPoolExecutor(mp_context=get_context("spawn")) as pool:
+        found = pool.map(_scan, orders, [factorize(h).primes() for h in orders], repeat(0),
+                         repeat(bound), [Budget(bound) for _ in orders])
+        pairs = [(h, q) for h, primes in zip(orders, found) for q in primes]
+    return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
+
+
+def compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def dumps(table: dict) -> str:
-    """JSON with one line per order, in ascending order."""
+    """JSON with one line per tabled order, ascending, and one per scanned list."""
     def entries(section):
-        return ",\n".join(f'  "{h}": {json.dumps(v, separators=(",", ":"))}'
-                           for h, v in sorted(section.items()))
+        return ",\n".join(f'  "{h}": {compact(v)}' for h, v in sorted(section.items()))
 
     lines = [f'{{"orders": {json.dumps(table["orders"])},',
              f' "budget": {table["budget"]},']
     for key in ("factors", "partial"):
         lines += [f' "{key}": {{', entries(table[key]), " },"]
     scanned = table["scanned"]
-    lines += [f' "scanned": {{"bound": {scanned["bound"]}, "primes": {{',
-              entries(scanned["primes"]), " }}}"]
+    lines += [f' "scanned": {{"below": {scanned["below"]}, "bound": {scanned["bound"]},',
+              f'  "orders": {compact(scanned["orders"])},',
+              f'  "primes": {compact(scanned["primes"])}}}}}']
     return "\n".join(lines) + "\n"
 
 
@@ -106,27 +135,42 @@ def check(path: Path, last: int) -> list[str]:
             got = stored[key].get(str(h))
             if want != got:
                 problems.append(f"{key} of h = {h}: file has {got}, rebuild gives {want}")
-    partial = sorted(map(int, stored["partial"]))
-    return problems + scanned_problems(stored["scanned"], partial, SCAN_BOUND)
+    section = stored["scanned"]
+    if section["below"] != SCAN_BELOW:
+        problems.append(f"scanned below is {section['below']}, not {SCAN_BELOW}")
+    orders = scanned_orders(stored["factors"])
+    return problems + scanned_problems(section, orders, SCAN_BOUND)
+
+
+def _by_order(section: dict) -> dict[int, list[int]]:
+    got: dict[int, list[int]] = {}
+    for h, q in zip(section["orders"], section["primes"]):
+        got.setdefault(h, []).append(q)
+    return got
 
 
 def scanned_problems(section: dict, orders, bound: int) -> list[str]:
     """The scanned section's problems against a rescan of the orders up to bound.
 
-    Its bound must be bound, its orders exactly orders, and each list the
-    scan's, so a dropped prime, an added composite or a prime of another
-    order each fail.
+    Its bound must be bound, its two lists of one length and ascending
+    strictly by (order, prime), and each order's primes the rescan's, with
+    none of an order outside orders: so a dropped prime, an added
+    composite, a prime of another order or a missing order each fail.
     """
     problems = []
     if section["bound"] != bound:
         problems.append(f"scanned bound is {section['bound']}, not {bound}")
-    got = {int(h): primes for h, primes in section["primes"].items()}
-    if sorted(got) != sorted(orders):
-        problems.append(f"scanned orders {sorted(set(got) ^ set(orders))} are not "
-                        "exactly the partial ones")
-    for h, want in scan(orders, bound)["primes"].items():
-        if got.get(h) != want:
-            problems.append(f"scanned of h = {h}: file has {got.get(h)}, rescan gives {want}")
+    if len(section["orders"]) != len(section["primes"]):
+        problems.append(f"scanned lists hold {len(section['orders'])} orders but "
+                        f"{len(section['primes'])} primes")
+    pairs = list(zip(section["orders"], section["primes"]))
+    if any(a >= b for a, b in zip(pairs, pairs[1:])):
+        problems.append("scanned pairs do not ascend strictly by (order, prime)")
+    got, want = _by_order(section), _by_order(scan(orders, bound))
+    for h in sorted(set(got) | set(want)):
+        if got.get(h, []) != want.get(h, []):
+            problems.append(f"scanned of h = {h}: file has {got.get(h, [])}, "
+                            f"rescan gives {want.get(h, [])}")
     return problems
 
 
@@ -148,12 +192,13 @@ def main() -> int:
         print(f"{len(problems)} problems, {time.time() - t0:.1f}s")
         return 1 if problems else 0
     table = build(ORDERS[0], ORDERS[1], BUDGET)
-    table["scanned"] = scan(sorted(table["partial"]), SCAN_BOUND)
+    table["scanned"] = {"below": SCAN_BELOW,
+                        **scan(scanned_orders(table["factors"]), SCAN_BOUND)}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(dumps(table))
     done = len(table["factors"])
     print(f"wrote {args.out}: {done} complete, {len(table['partial'])} partial, "
-          f"{time.time() - t0:.1f}s")
+          f"{len(table['scanned']['primes'])} scanned primes, {time.time() - t0:.1f}s")
     print(f"SHA-256 {sha256(args.out)}")
     return 0
 

@@ -80,7 +80,11 @@ def _emit_text(value, out, indent: str) -> None:
                 out.write(f"{indent}{key}: {item}\n")
     elif isinstance(value, list):
         for item in value:
-            _emit_text(item, out, indent)
+            # a row of scalars, like a [p, e] pair or a coset, stays on one line
+            if isinstance(item, list) and not any(isinstance(v, (dict, list)) for v in item):
+                out.write(f"{indent}{' '.join(map(str, item))}\n")
+            else:
+                _emit_text(item, out, indent)
     else:
         out.write(f"{indent}{value}\n")
 

@@ -6,10 +6,13 @@ p <= sqrt(x) its order h (the primes of p - 1, read off one table of
 largest prime factors, give both h and h's primes) and lists them by order
 as P_h.  The completion pass takes any map of such lists and finds the
 primes of each order h in (sqrt(x), x / p_min(h)]: primover lists, count
-scans above the listed bound.  Above it each q = 1 (mod h) that survives a
-sieve and a mod-8 mask gets an order test: q | Phi_h(2) while phi(h) <
-REMAINDER_BITS and enough candidates survive to pay for Phi_h(2), else
-2**h = 1 (mod q) and no smaller order.  The sieve reads
+scans above the listed bound.  primover lists all the primes of a complete
+table entry, and those up to 2**30 of any other order below 10**4, from
+the table's scanned section; an order from 10**4 up lists none.  Above the
+bound each q = 1 (mod h) that survives a sieve and a mod-8 mask gets an
+order test: q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough
+candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
+smaller order.  The sieve reads
 candidates below TRIAL_DIVISION_LIMIT off the trial-division sieve
 (arith.small_prime_flags), which flags exactly the primes, and strikes the
 multiples of small primes above it.  A scan costs one unit per candidate
@@ -76,7 +79,8 @@ def _scan(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
     smaller order do.  A composite of primes of order h (88357 = 149 * 593
     for h = 148) can pass either, so primality is tested last, once per
     prime, by its own order.  scripts/factor_table.py builds the table's
-    scanned section with it.
+    scanned section with it, each order below 10**4 with no complete entry
+    up to 2**30.
     """
     start, step = _progression(h, lo)
     if limit < start:

@@ -10,6 +10,7 @@ overpseudoprime.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -94,7 +95,7 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
 
 # SHA-256 of data/phi2_factors.json, as scripts/factor_table.py prints it after a
 # build; a rebuilt table must update it
-PHI2_SHA256 = "3fdc9324987f22e1a18c10e1f05de2ea9fae972c25ee15eb67d915c460b21d10"
+PHI2_SHA256 = "c82d44bd6de8c837b9667b025e369117e47d531a38578d21e7eab555c74b8de7"
 
 
 @cache
@@ -124,10 +125,17 @@ def _phi2_partial() -> dict[int, list[list[int]]]:
 
 
 @cache
-def _phi2_scanned() -> tuple[int, dict[int, list[int]]]:
-    """(B, {n: primes}): every prime of order n up to B, for each order the table left partial."""
+def _phi2_scanned() -> tuple[int, int, list[int], list[int]]:
+    """(below, B, orders, primes): the table's scanned section, read as stored.
+
+    It lists every prime up to B of each order 3 <= n < below with no
+    complete entry.  The two lists pair up and ascend by (order, prime):
+    primes[i] has order orders[i], and an order with no prime up to B
+    appears in neither.  Parsed, they hold about half what one list per
+    order would.
+    """
     scanned = _phi2_data()["scanned"]
-    return scanned["bound"], {int(n): primes for n, primes in scanned["primes"].items()}
+    return scanned["below"], scanned["bound"], scanned["orders"], scanned["primes"]
 
 
 def _entry_rest(n: int, value: int, factors, complete: bool) -> int:
@@ -164,16 +172,21 @@ def _listed_primes(n: int, n_primes) -> tuple[tuple[int, ...] | list[int], int |
     """(the primes of order n known without a scan, ascending; B, up to which they are all).
 
     B is None when they are all: 3 for n = 2, none for n = 1, a complete
-    entry's primes, read through _tabled_factorization.  A partial order
-    lists its scanned section, checked where the table is built, up to its
-    bound B; any other order lists none, B = 0.
+    entry's primes, read through _tabled_factorization.  Any other order
+    below the scanned section's limit, partial or untabled, lists its
+    primes there, found by bisection and checked where the table is built,
+    up to the section's bound B; an order from the limit up lists none,
+    B = 0.
     """
     if n < 3:
         return ((3,) if n == 2 else ()), None
     if n in _phi2_table():
         return _tabled_factorization(n, tuple(n_primes)).primes(), None
-    bound, scanned = _phi2_scanned()
-    return (scanned[n], bound) if n in scanned else ((), 0)
+    below, bound, orders, primes = _phi2_scanned()
+    if n >= below:
+        return (), 0
+    first = bisect_left(orders, n)
+    return primes[first:bisect_right(orders, n, first)], bound
 
 
 def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:

@@ -62,7 +62,8 @@ def no_phi2_table(monkeypatch, no_scanned_section):
 @pytest.fixture
 def no_scanned_section(monkeypatch):
     """Hide only the table's scanned section, so that count scans every
-    partial order from sqrt(x) up, as it does an untabled one."""
+    order without a complete entry from sqrt(x) up, as it does one above
+    the section's limit."""
     from overpseudo import primover
 
-    monkeypatch.setattr(primover, "_phi2_scanned", lambda: (0, {}))
+    monkeypatch.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))

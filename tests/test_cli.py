@@ -216,29 +216,33 @@ class TestCountCommand:
         code, out, err = run_cli(capsys, "count", "100000000", "--format", "json")
         assert (code, err) == (0, "")
         assert out.startswith(
-            '{"command": "count", "effort_spent": 4707, "input": {"x": 100000000}, '
+            '{"command": "count", "effort_spent": 0, "input": {"x": 100000000}, '
             '"result": {"by_order": [[11, 1], [23, 1], [25, 1], [28, 1], [29, 3], '
         )
         assert out.endswith(
             '[4482, 1], [4812, 1], [5748, 1]], "ov": 266, "ratio": 0.000266, '
             '"x": 100000000, "x_3_4": 1000000.0}, "warnings": []}\n'
         )
-        assert len(out.encode()) == 2087
+        assert len(out.encode()) == 2084
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "45af47f9b6ac04b507442bd1e15f6a06c0bb3ea88677b1174a5ab5039ffcf222"
+            "9b534e906506c28f85ebf2c6b0435d1c5dfe95fcaf73076aa79fde839b58bd78"
         )
 
     def test_budget_exhaustion_bytes(self, capsys):
-        # every order of Ov(10**6) is read from the table, at no charge; at
-        # 3e6 the first untabled order, 1122, scans
-        code, out, err = run_cli(capsys, "count", "3000000", "--budget", "5")
+        # every order below 10**4 is read from the table, at no charge; at
+        # 3e8 the first order above it, 10098, scans, after the orders with
+        # members below it, which the library's count at 3e8 lists
+        from overpseudo import ov_count
+
+        code, out, err = run_cli(capsys, "count", "300000000", "--budget", "5")
         assert (code, out) == (2, "")
+        completed = [h for h in ov_count(3 * 10**8).by_order if h < 10098]
+        assert completed[:5] == [11, 23, 25, 28, 29] and completed[-1] == 9900
         assert err == (
             "effort exhausted: work budget exhausted (6 of 5 units); "
-            "orders below 1122 were completed: [11, 25, 28, 29, 36, 44, 48, 50, 51, 52, "
-            "55, 60, 66, 68, 76, 92, 100, 102, 148, 156, 166, 179, 194, 204, 224, 239, "
-            "244, 292, 346, 364, 371, 388, 431, 460, 618, 660, 772, 828]\n"
+            f"orders below 10098 were completed: {completed}\n"
         )
+        assert len(err.encode()) == 1682
 
     def test_tabled_orders_need_no_budget(self, capsys):
         # 2047 = 23 * 89 has order 11, a complete table entry, read at no charge
@@ -323,8 +327,8 @@ class TestGlobalFlags:
         assert code == 1
 
     def test_effort_spent_reported(self, capsys):
-        # order 1122 is not tabled, so count at 3e6 scans it
-        code, records, _ = run_json(capsys, "count", "3000000")
+        # order 10098 lies above the table's scanned section, so count at 3e8 scans it
+        code, records, _ = run_json(capsys, "count", "300000000")
         assert code == 0
         assert records[0]["effort_spent"] > 0
 
@@ -494,3 +498,22 @@ class TestEmit:
         assert path.read_bytes() == out.encode()
         assert out == f"n,least_overpseudoprime\n28,{self.DIGITS}\n"
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_text_puts_each_row_of_scalars_on_one_line(self, capsys):
+        # count's by_order pairs and classify's factor pairs, each [a, b] row
+        # on one line as "a b"
+        code, out, err = run_cli(capsys, "count", "100000")
+        assert (code, err) == (0, "")
+        assert out == (
+            "# count {'x': 100000}\n"
+            "x: 100000\n"
+            "ov: 8\n"
+            "x_3_4: 5623.413251903491\n"
+            "ratio: 0.0014226235280311382\n"
+            "by_order:\n"
+            "  11 1\n  28 1\n  36 1\n  48 1\n  52 2\n  60 1\n  148 1\n"
+            "effort spent: 0 work units\n"
+        )
+        code, out, err = run_cli(capsys, "classify", "1541955409")
+        assert (code, err) == (0, "")
+        assert "\nfactors:\n  499 1\n  1163 1\n  2657 1\nfactorization_complete: True\n" in out

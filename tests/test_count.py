@@ -51,11 +51,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_overpseudoprimes(2)
 
+    @pytest.mark.usefixtures("no_scanned_section")
     def test_budget_exhaustion_names_completed_orders(self):
-        # below 1000 every order is read from the table; 3e6 scans order 1122
+        # every order below 10**4 is read from the table, at no charge, so
+        # the section is hidden: then 3e6 scans the partial orders, and runs
+        # out at order 243
         with pytest.raises(EffortError) as err:
             enumerate_overpseudoprimes(3 * 10**6, Budget(5))
-        assert "orders below" in str(err.value)
+        assert "orders below 243 were completed" in str(err.value)
 
 
 @cache
@@ -350,10 +353,11 @@ class TestPrimesOfOrder:
         budget = Budget()
         assert count_module._primes_of_order(499991, (79, 6329), 0, 2 * 10**6, budget) == [999983]
         assert budget.spent == 2
-        # order 2249 = 13 * 173 has a prime on each side of 10**6, and pays
-        # for every candidate in (9e5, 2e6]
+        # order 2249 = 13 * 173 has a prime on each side of 10**6, and its
+        # scan pays for every candidate in (9e5, 2e6]; count reads it from
+        # the scanned section, so the scan is called directly
         budget = Budget()
-        got = count_module._primes_of_order(2249, (13, 173), 900_000, 2 * 10**6, budget)
+        got = count_module._scan(2249, (13, 173), 900_000, 2 * 10**6, budget)
         assert got == [931087, 1619281]
         assert budget.spent == len(candidates_above(2249, 900_000, 2 * 10**6)) == 244
 
@@ -383,16 +387,18 @@ class TestPhi2Table:
         assert primover._phi2_table() == {int(h): f for h, f in data["factors"].items()}
         assert primover._phi2_partial() == {int(h): f for h, f in data["partial"].items()}
         # what primover lists is all of an order's primes for h <= 2 and a
-        # complete entry, all up to the section's bound for a partial order,
-        # and nothing for an untabled one
+        # complete entry, all up to the section's bound for any other order
+        # below 10**4, partial or untabled, and nothing for one above it
         assert primover._listed_primes(1, ()) == ((), None)
         assert primover._listed_primes(2, (2,)) == ((3,), None)
         bound = data["scanned"]["bound"]
-        for h in [*range(1, 1001), 1001, 1122, 2249, 499991]:
+        assert data["scanned"]["below"] == 10**4
+        for h in [*range(1, 1001), 1001, 1122, 2249, 9999, 10**4, 499991]:
             listed, upto = primover._listed_primes(h, primefactors(h))
             assert list(listed) == sorted(set(listed)), h
-            assert upto == (None if h <= 2 or h in tabled else bound if h in partial else 0), h
+            assert upto == (None if h <= 2 or h in tabled else bound if h < 10**4 else 0), h
             assert upto != 0 or listed == (), h
+        assert primover._listed_primes(2249, (13, 173))[0][:2] == [931087, 1619281]
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
@@ -439,6 +445,7 @@ class TestPhi2Table:
                     got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
                     with monkeypatch.context() as hidden:
                         hidden.setattr(primover, "_phi2_table", dict)
+                        hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
                         scanned = count_module._primes_of_order(h, h_primes, lo, limit,
                                                                 scan_budget)
                     assert got == scanned, (h, lo, limit)
@@ -457,8 +464,9 @@ class TestPhi2Table:
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
         # every tabled order with a candidate is read, at no charge, and so is
-        # every partial order, whose limits at 1e9 all lie below the scanned
-        # section's bound, so the charge is the untabled scans' alone
+        # every other order below 10**4, whose limits at 1e9 all lie below
+        # the scanned section's bound, so the charge is the scans' of the
+        # orders from 10**4 up alone
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
@@ -474,14 +482,13 @@ class TestPhi2Table:
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 69599
+        assert budget.spent == 1268
         table = primover._phi2_table()
-        bound, scanned = primover._phi2_scanned()
-        assert all(limit < bound for h, _, limit in calls if h in scanned)
+        below, bound = primover._phi2_scanned()[:2]
+        assert all(limit < bound for h, _, limit in calls if h < below)
         candidates = [(h, len(candidates_above(h, lo, limit))) for h, lo, limit in calls if h > 2]
         assert looked_up == [h for h, n in candidates if n and h in table]
-        assert budget.spent == sum(n for h, n in candidates
-                                   if h not in table and h not in scanned)
+        assert budget.spent == sum(n for h, n in candidates if h >= below) > 0
         assert 97 in looked_up
 
     def test_entries_with_a_prime_above_2_64_are_read_and_match_the_scan(self, monkeypatch):
@@ -507,6 +514,7 @@ class TestPhi2Table:
             assert got == [p for p, _ in factors if p <= limit] and looked_up == [h], h
             with monkeypatch.context() as hidden:
                 hidden.setattr(primover, "_phi2_table", dict)
+                hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
                 scanned = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
             assert scanned == got, h
         # h = 97: [[11447, 1], [13842607235828485645766393, 1]], read over 2577 candidates
@@ -556,9 +564,9 @@ class TestPhi2Table:
         merged = text.replace('"97": [[11447,1],[13842607235828485645766393,1]]',
                               f'"97": [[{(1 << 97) - 1},1]]')
         assert merged != text and (1 << 97) - 1 == 11447 * 13842607235828485645766393
-        section = text.replace('"223": [18287,196687,1466449,2916841]',
-                               '"223": [18287,196687,1466449,2916851]')
-        assert section != text and text.index('"scanned"') < text.index('"223": [18287,')
+        assert text.count(",2916841,") == 1
+        section = text.replace(",2916841,", ",2916851,")
+        assert text.index('"scanned"') < text.index(",2916841,")
         (package / "data" / self.FILE.name).write_text(
             {"merge": merged, "one byte": text[:-1] + " ", "section": section}[tamper])
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
@@ -650,60 +658,91 @@ def _factor_table_script():
     return script
 
 
+def _scanned_by_order() -> dict[int, list[int]]:
+    """The scanned section's primes by order, for each order that has one."""
+    by_order: dict[int, list[int]] = {}
+    _, _, orders, primes = primover._phi2_scanned()
+    for h, q in zip(orders, primes):
+        by_order.setdefault(h, []).append(q)
+    return by_order
+
+
 class TestScannedSection:
-    """The table's scanned section lists every prime of each partial order up
-    to its bound B; count reads a partial order there below B, at no
-    charge, and scans only above B."""
+    """The table's scanned section lists every prime up to its bound B of
+    each order below 10**4 with no complete entry; count reads such an order
+    there below B, at no charge, and scans only above B."""
 
     def test_section_holds_the_primes_of_exactly_the_partial_orders(self):
-        # sympy's primality and the order by pow, for every listed prime
+        # the orders below 10**4 with no complete entry, the partial ones and
+        # every order from 1000 up: sympy's primality and the order by pow,
+        # for every listed prime
         data = json.loads(TestPhi2Table.FILE.read_text())
-        bound, scanned = primover._phi2_scanned()
+        below, bound, orders, primes = primover._phi2_scanned()
         assert data["scanned"]["bound"] == bound == 1 << 30
-        assert sorted(scanned) == sorted(primover._phi2_partial())
-        for h, primes in scanned.items():
-            assert primes == sorted(set(primes)) and all(q <= bound for q in primes), h
-            assert primover._listed_primes(h, primefactors(h)) == (primes, bound), h
-            for q in primes:
+        assert data["scanned"]["below"] == below == 10**4
+        assert len(orders) == len(primes) > 8000
+        pairs = list(zip(orders, primes))
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        covered = [h for h in range(3, below) if h not in primover._phi2_table()]
+        assert set(covered) == set(primover._phi2_partial()) | set(range(1000, below))
+        by_order = _scanned_by_order()
+        assert set(by_order) <= set(covered)
+        for h in covered:
+            listed = by_order.get(h, [])
+            assert all(q <= bound for q in listed), h
+            assert primover._listed_primes(h, primefactors(h)) == (listed, bound), h
+            for q in listed:
                 assert isprime(q) and pow(2, h, q) == 1, (h, q)
                 assert all(pow(2, h // r, q) != 1 for r in primefactors(h)), (h, q)
-            # the partial entry keeps what factoring found, so its primes up
-            # to B are among them, though not always all of them
-            assert {p for p, _ in primover._phi2_partial()[h] if p <= bound} <= set(primes), h
+        # the partial entry keeps what factoring found, so its primes up to
+        # B are among them, though not always all of them
+        for h, factors in primover._phi2_partial().items():
+            assert {p for p, _ in factors if p <= bound} <= set(by_order.get(h, [])), h
 
     def test_rescan_below_2_25_and_of_every_order_from_900(self):
-        # a slice, about 5 s, of the rescan of the whole section that
-        # scripts/factor_table.py --check runs (about 30 s; opt-in below)
-        bound, scanned = primover._phi2_scanned()
-        assert sum(h >= 900 for h in scanned) > 50
-        for h, primes in scanned.items():
-            upto = bound if h >= 900 else 1 << 25
+        # a slice, about 8 s, of the rescan of the whole section that
+        # scripts/factor_table.py --check runs (about 2 minutes on 2 cores;
+        # opt-in below): the partial orders below 900 up to 2**25, the
+        # orders 900-999 and 9990-9999 up to B, and the others from 1000 up
+        # to 2**23
+        below, bound = primover._phi2_scanned()[:2]
+        by_order = _scanned_by_order()
+        covered = [h for h in range(3, below) if h not in primover._phi2_table()]
+        assert sum(900 <= h < 1000 for h in covered) > 50
+        for h in covered:
+            upto = (bound if 900 <= h < 1000 or h >= 9990 else
+                    1 << 25 if h < 900 else 1 << 23)
             got = count_module._scan(h, primefactors(h), 0, upto, Budget(upto))
-            assert got == [q for q in primes if q <= upto], h
+            assert got == [q for q in by_order.get(h, []) if q <= upto], h
 
     @pytest.mark.parametrize("tamper", ["none", "drop", "composite", "other order",
-                                        "bound", "orders"])
+                                        "bound", "orders", "lengths", "unordered"])
     def test_check_fails_on_a_tampered_section(self, tamper):
         # the script's check of the section, on h = 223 and 299 up to 2**24:
         # a dropped prime, an added composite (447 = 3 * 149 = 1 (mod 446)),
-        # a prime of another order (599, of order 299), another bound, or a
-        # missing order each fail it
+        # a prime of another order (599, of order 299), another bound, a
+        # missing order, lists of unequal length, or a pair out of order
+        # each fail it
         script = _factor_table_script()
         upto = 1 << 24
-        scanned = primover._phi2_scanned()[1]
-        primes = {h: [q for q in scanned[h] if q <= upto] for h in (223, 299)}
+        by_order = _scanned_by_order()
+        primes = {h: [q for q in by_order[h] if q <= upto] for h in (223, 299)}
         assert primes == {223: [18287, 196687, 1466449, 2916841], 299: [599, 9341359]}
-        section = {"bound": upto, "primes": {str(h): list(v) for h, v in primes.items()}}
+        pairs = [(h, q) for h in (223, 299) for q in primes[h]]
         if tamper == "drop":
-            section["primes"]["223"].remove(1466449)
+            pairs.remove((223, 1466449))
         elif tamper == "composite":
-            section["primes"]["223"].insert(0, 447)
+            pairs.insert(0, (223, 447))
         elif tamper == "other order":
-            section["primes"]["223"].insert(0, 599)
-        elif tamper == "bound":
-            section["bound"] = upto + 1
+            pairs.insert(0, (223, 599))
         elif tamper == "orders":
-            del section["primes"]["299"]
+            pairs = [(h, q) for h, q in pairs if h != 299]
+        elif tamper == "unordered":
+            pairs[1], pairs[2] = pairs[2], pairs[1]
+        section = {"bound": upto + (tamper == "bound"),
+                   "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
+        if tamper == "lengths":
+            section["orders"].append(299)
         problems = script.scanned_problems(section, [223, 299], upto)
         assert bool(problems) == (tamper != "none"), problems
 
@@ -718,13 +757,13 @@ class TestScannedSection:
         # on (B - 10**6, B + 10**6] the read and the scan above B give what
         # the scan of the whole interval gives, and only the candidates
         # above B are charged
-        bound = primover._phi2_scanned()[0]
+        bound = primover._phi2_scanned()[1]
         lo, limit = bound - 10**6, bound + 10**6
         budget = Budget()
         got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
         assert budget.spent == len(candidates_above(h, bound, limit)) > 0
         with monkeypatch.context() as hidden:
-            hidden.setattr(primover, "_phi2_scanned", lambda: (0, {}))
+            hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
             scan_budget = Budget()
             scanned = count_module._primes_of_order(h, primefactors(h), lo, limit, scan_budget)
         assert got == scanned, h
@@ -733,10 +772,10 @@ class TestScannedSection:
     def test_read_and_scan_meet_at_the_bound(self, monkeypatch):
         # a section cut at 2e6 puts h = 223's primes on both sides of its
         # bound: 196687 and 1466449 read, 2916841 scanned
-        scanned = primover._phi2_scanned()[1]
         cut = 2 * 10**6
+        kept = [q for q in _scanned_by_order()[223] if q <= cut]
         monkeypatch.setattr(primover, "_phi2_scanned",
-                            lambda: (cut, {223: [q for q in scanned[223] if q <= cut]}))
+                            lambda: (10**4, cut, [223] * len(kept), kept))
         budget = Budget()
         got = count_module._primes_of_order(223, (223,), 10**5, 10**7, budget)
         assert got == [196687, 1466449, 2916841]
@@ -761,11 +800,13 @@ class TestCrossChecksOfTheScannedSection:
     """The whole scanned section against a rescan, and count with it hidden at 1e10 and 1e11."""
 
     def test_full_rescan(self):
-        # what scripts/factor_table.py --check runs, about 30 s
+        # what scripts/factor_table.py --check runs, about 2 minutes on 2 cores
         script = _factor_table_script()
         data = json.loads(TestPhi2Table.FILE.read_text())
-        partial = sorted(primover._phi2_partial())
-        assert script.scanned_problems(data["scanned"], partial, script.SCAN_BOUND) == []
+        assert data["scanned"]["below"] == script.SCAN_BELOW
+        orders = script.scanned_orders(data["factors"])
+        assert len(orders) == len(primover._phi2_partial()) + script.SCAN_BELOW - 1000
+        assert script.scanned_problems(data["scanned"], orders, script.SCAN_BOUND) == []
 
     @pytest.mark.parametrize("x, ov, spent", [(10**10, 1730, 1867171),
                                               (10**11, 4480, 19417801)])
@@ -831,7 +872,7 @@ class TestCountFactorsNothing:
     def test_counts_run_without_factoring(self):
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 69599
+        assert budget.spent == 1268
         by_order = sum(ov_count_by_order(10**8, n) for n in range(1, 200))
         assert by_order == ov_count_upto_order(10**8, 199)
         assert ov_count_by_order(10**6, 2) == 0
@@ -961,10 +1002,16 @@ class TestOvCount:
         assert rec.ov == 266
         assert sum(rec.by_order.values()) == rec.ov
 
-    def test_no_prime_up_to_sqrt_x_tested_again(self, monkeypatch):
+    def test_no_prime_up_to_sqrt_x_tested_again(self, monkeypatch, request):
         # the sweep lists the primes <= sqrt(x) with their order; the scan
-        # tests only candidates above sqrt(x), for the same count and charge
+        # tests only candidates above sqrt(x), for the same count and charge.
+        # At 1e8 every order is below 10**4 and read from the table, at no
+        # charge, so the scans are watched with the scanned section hidden
         x = 10**8
+        budget = Budget()
+        assert ov_count(x, budget).ov == 266
+        assert budget.spent == 0
+        request.getfixturevalue("no_scanned_section")
         tested = []
         is_prime = count_module.is_prime
 
@@ -975,7 +1022,7 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
-        assert budget.spent == 4707
+        assert budget.spent == 13648
         assert tested and min(tested) > math.isqrt(x)
 
     def test_count_and_units_at_1e9(self, monkeypatch):
@@ -992,12 +1039,15 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "is_prime", spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
-        assert budget.spent == 69599
+        assert budget.spent == 1268
         assert tested and len(tested) == len(set(tested))
 
-    def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch):
-        # self-computed regression pin: the values this implementation gives,
-        # not checked against an outside source
+    def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch, request):
+        # self-computed regression pins: the values this implementation gives,
+        # not checked against an outside source.  With the table only orders
+        # from 10**4 up are scanned, and none of them has phi(h) below
+        # REMAINDER_BITS, so only the pow test runs; with the scanned section
+        # hidden the orders below 10**4 are scanned too, and run both tests
         tests = {"remainder": 0, "pow": 0}
         cyclotomic, strip = count_module._cyclotomic_value, count_module._strip
 
@@ -1013,15 +1063,20 @@ class TestOvCount:
         monkeypatch.setattr(count_module, "_strip", strip_spy)
         budget = Budget()
         assert ov_count(10**10, budget).ov == 1730
-        assert budget.spent == 821269
-        assert tests["remainder"] > 0 and tests["pow"] > 0
+        assert budget.spent == 36701
+        assert tests["remainder"] == 0 and tests["pow"] > 0
+        request.getfixturevalue("no_scanned_section")
+        budget = Budget()
+        assert ov_count(10**10, budget).ov == 1730
+        assert budget.spent == 1867171
+        assert tests["remainder"] > 0
 
     def test_default_budget_reach(self):
         # README's largest x on the grid of multiples of 1e9 that the default
         # budget completes, and the next grid point, which it refuses
-        assert ov_count(224 * 10**9).ov == 6295
+        assert ov_count(938 * 10**9).ov == 11440
         with pytest.raises(EffortError, match="of 20000000 units"):
-            ov_count(225 * 10**9)
+            ov_count(939 * 10**9)
 
     def test_distinct_primes_per_order_stay_under_omega_bound(self):
         from sympy import factorint
@@ -1088,19 +1143,21 @@ class TestByOrder:
             assert ov_count_upto_order(x, h - 1) == running - c, h
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 1, 0), (10**6, 28, 1, 0), (10**8, 1000, 0, 24)])
+        (1194649, 364, 1, 0), (10**6, 28, 1, 0), (10**8, 1000, 0, 0), (10**10, 10044, 1, 33)])
     def test_by_order_charge(self, x, n, count, spent):
         # self-computed regression pins: the seed scan up to sqrt(x), then
-        # the completion of the one order
+        # the completion of the one order; orders below 10**4 are read from
+        # the table, so only 10044 is charged
         budget = Budget()
         assert ov_count_by_order(x, n, budget) == count
         assert budget.spent == spent
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 28, 0), (10**8, 1000, 168, 15)])
+        (1194649, 364, 28, 0), (10**8, 1000, 168, 0), (3 * 10**8, 10098, 409, 6)])
     def test_upto_order_charge(self, x, n, count, spent):
         # self-computed regression pins: the whole sweep, then the
-        # completion of the orders up to n
+        # completion of the orders up to n; orders below 10**4 are read from
+        # the table, so only 10098 is charged
         budget = Budget()
         assert ov_count_upto_order(x, n, budget) == count
         assert budget.spent == spent
