@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build, or check, the table of factored Phi_h(2) that primover and count read.
+"""Build, or check, the table of factored Phi_h(2) and the index of 2 that primover and count read.
 
 For each order h in 3..999 the script factors Phi_h(2) without its
 intrinsic prime by _factor_reduced, never by the table itself (every prime
@@ -22,18 +22,28 @@ SHA-256, which must replace primover.PHI2_SHA256: the package reads no
 table with another digest, and so checks no entry at run time beyond its
 product.
 
---check compares the file's digest with primover.PHI2_SHA256, puts every
+The index of 2 is (p - 1) / ord_p(2) for every odd prime p below
+TRIAL_DIVISION_LIMIT, p ascending, which count reads in place of the order
+of 2 modulo such a prime.  The primes of each p - 1 come from count's
+_p_minus_1_primes and _strip takes p - 1 down to the order.  It is written
+as unsigned 16-bit little-endian words, zlib-compressed, to index2.zlib
+beside the table (about 0.5 s); its SHA-256, printed, must replace
+primover.INDEX2_SHA256.  A build writes both files.
+
+--check compares the table's digest with primover.PHI2_SHA256, puts every
 entry through primover._prove_entry (each factor through the package's
 is_prime, the product, a partial entry's composite rest), rebuilds
 h = 3..150 to compare, and rescans the whole scanned section: "below",
-the bound, and the primes of every order it covers.  It takes about 2
-minutes on 2 cores.
+the bound, and the primes of every order it covers.  It compares the
+index's digest with primover.INDEX2_SHA256 and its words, byte for byte,
+with a rebuild's (the words, not the compressed bytes, which another
+zlib may write differently).  It takes about 2 minutes on 2 cores.
 
 Usage:
-  python scripts/factor_table.py                 # rebuild the table
-  python scripts/factor_table.py --out phi2.json # write it elsewhere
-  python scripts/factor_table.py --check         # digest, every entry, rebuild h = 3..150,
-                                                 # rescan the scanned section
+  python scripts/factor_table.py                 # rebuild the table and the index
+  python scripts/factor_table.py --out phi2.json # write the table elsewhere
+  python scripts/factor_table.py --check         # digests, every entry, rebuild h = 3..150,
+                                                 # rescan the scanned section, rebuild the index
 """
 
 import argparse
@@ -41,16 +51,21 @@ import hashlib
 import json
 import sys
 import time
+import zlib
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from multiprocessing import get_context
 from pathlib import Path
 
 from overpseudo import Budget, ContractViolationError, factorize
-from overpseudo.count import _scan
-from overpseudo.primover import PHI2_SHA256, _factor_reduced, _prove_entry
+from overpseudo.arith import TRIAL_DIVISION_LIMIT
+from overpseudo.count import _p_minus_1_primes, _scan
+from overpseudo.order import _strip
+from overpseudo.primover import INDEX2_SHA256, PHI2_SHA256, _factor_reduced, _prove_entry
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
+INDEX = TABLE.with_name("index2.zlib")
 ORDERS = (3, 999)
 BUDGET = 1_000_000
 CHECK_UPTO = 150  # the slice --check rebuilds, about 2 s
@@ -83,10 +98,37 @@ def scan(orders, bound: int) -> dict:
     """
     orders = sorted(orders)
     with ProcessPoolExecutor(mp_context=get_context("spawn")) as pool:
-        found = pool.map(_scan, orders, [factorize(h).primes() for h in orders], repeat(0),
-                         repeat(bound), [Budget(bound) for _ in orders])
+        found = pool.map(_scan, orders, repeat(0), repeat(bound), [Budget(bound) for _ in orders])
         pairs = [(h, q) for h, primes in zip(orders, found) for q in primes]
     return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
+
+
+def build_index() -> bytes:
+    """The index of 2 of every odd prime below TRIAL_DIVISION_LIMIT as little-endian words."""
+    # an index above 65535 would not fit, and raises OverflowError
+    index = array("H", [(p - 1) // _strip(2, p - 1, p_primes, p)
+                        for p, p_primes in _p_minus_1_primes(3, TRIAL_DIVISION_LIMIT - 1)])
+    if sys.byteorder == "big":
+        index.byteswap()
+    return index.tobytes()
+
+
+def check_index(path: Path) -> list[str]:
+    """The index file's problems: its digest, and its words against a rebuild's."""
+    problems = []
+    digest = sha256(path)
+    if digest != INDEX2_SHA256:
+        problems.append(f"SHA-256 {digest} of {path.name} is not primover.INDEX2_SHA256 "
+                        f"{INDEX2_SHA256}")
+    if zlib.decompress(path.read_bytes()) != build_index():
+        problems.append(f"{path.name} is not what a rebuild of the index gives")
+    return problems
+
+
+def write_index(path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(zlib.compress(build_index(), 9))
+    print(f"wrote {path}, SHA-256 {sha256(path)}")
 
 
 def compact(value) -> str:
@@ -180,13 +222,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=TABLE)
     parser.add_argument("--check", action="store_true",
                         help="check --out's digest and every entry, rebuild the "
-                             f"orders up to {CHECK_UPTO} to compare, and rescan the "
-                             "scanned section")
+                             f"orders up to {CHECK_UPTO} to compare, rescan the "
+                             "scanned section, and check the index against a rebuild")
     args = parser.parse_args()
 
     t0 = time.time()
     if args.check:
-        problems = check(args.out, CHECK_UPTO)
+        problems = check(args.out, CHECK_UPTO) + check_index(INDEX)
         for line in problems:
             print(line)
         print(f"{len(problems)} problems, {time.time() - t0:.1f}s")
@@ -200,6 +242,7 @@ def main() -> int:
     print(f"wrote {args.out}: {done} complete, {len(table['partial'])} partial, "
           f"{len(table['scanned']['primes'])} scanned primes, {time.time() - t0:.1f}s")
     print(f"SHA-256 {sha256(args.out)}")
+    write_index(INDEX)
     return 0
 
 

@@ -210,19 +210,19 @@ def _odd_sieve(limit: int) -> bytearray:
 def small_prime_flags() -> bytearray:
     """_odd_sieve(TRIAL_DIVISION_LIMIT), cached: the one sieve below the trial-division limit.
 
-    small_primes() is read off it, and count's order scan reads the
-    primality of its candidates below the limit off it.
+    small_primes() is read off it, and count's order scan reads off it the
+    primality of each candidate below the limit before it reads the
+    candidate's index of 2.
     """
     return _odd_sieve(TRIAL_DIVISION_LIMIT)
 
 
-@lru_cache(maxsize=4)
 def _primes_below(limit: int) -> array:
     """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory).
 
     They are read off the odd-only sieve (_odd_sieve), with 2 put in front;
     up to the trial-division limit it is the held small_prime_flags(), read
-    only as far as limit, so count's sweep below x = 10**12 sieves nothing.
+    only as far as limit.
     """
     sieve = small_prime_flags() if limit <= TRIAL_DIVISION_LIMIT else _odd_sieve(limit)
     primes = array("I", (2,) * (limit > 2))
@@ -230,7 +230,7 @@ def _primes_below(limit: int) -> array:
     return primes
 
 
-@lru_cache(maxsize=1)  # its own: each x of count's sweep takes a slot of _primes_below's
+@lru_cache(maxsize=1)
 def small_primes() -> array:
     """Primes below the trial-division limit, cached, read off small_prime_flags()."""
     return _primes_below(TRIAL_DIVISION_LIMIT)

@@ -2,23 +2,25 @@
 
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x).  The sweep gives every prime
-p <= sqrt(x) its order h (the primes of p - 1, read off one table of
-largest prime factors, give both h and h's primes) and lists them by order
-as P_h.  The completion pass takes any map of such lists and finds the
-primes of each order h in (sqrt(x), x / p_min(h)]: primover lists, count
-scans above the listed bound.  primover lists all the primes of a complete
-table entry, and those up to 2**30 of any other order below 10**4, from
-the table's scanned section; an order from 10**4 up lists none.  Above the
-bound each q = 1 (mod h) that survives a sieve and a mod-8 mask gets an
-order test: q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough
-candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
-smaller order.  The sieve reads
-candidates below TRIAL_DIVISION_LIMIT off the trial-division sieve
-(arith.small_prime_flags), which flags exactly the primes, and strikes the
-multiples of small primes above it.  A scan costs one unit per candidate
-q = 1 (mod h) it sieves and tests; what primover lists costs nothing.
-Prime powers q**i dividing 2**h - 1 are admitted; every product of at least
-two slots is a member.  ov_count completes the sweep's orders,
+p <= sqrt(x) its order h and lists them by order as P_h: below
+TRIAL_DIVISION_LIMIT, h = (p - 1) / i_p for the index i_p of 2 that
+primover._index2 stores; above it (x > 10**12) the primes of p - 1, read
+off one table of largest prime factors, strip p - 1 down to h.  The
+completion pass takes any map of such lists and finds the primes of each
+order h in (sqrt(x), x / p_min(h)]: primover lists, count scans above the
+listed bound.  primover lists all the primes of a complete table entry,
+and those up to 2**30 of any other order below 10**4, from the table's
+scanned section; an order from 10**4 up lists none.  Above the bound a
+scan decides each candidate q = 1 (mod h) below TRIAL_DIVISION_LIMIT by the
+index: q has order h iff it is prime (arith.small_prime_flags) and
+i_q = (q - 1) / h.  From the limit up each candidate that survives a sieve
+and a mod-8 mask gets an order test: q | Phi_h(2) while
+phi(h) < REMAINDER_BITS and enough candidates survive to pay for Phi_h(2),
+else 2**h = 1 (mod q) and no smaller order.  The primes of h are found only
+for that order test and for a complete entry's read.  A scan costs one
+unit per candidate q = 1 (mod h) it decides; what primover lists costs
+nothing.  Prime powers q**i dividing 2**h - 1 are admitted; every product
+of at least two slots is a member.  ov_count completes the sweep's orders,
 ov_count_upto_order those up to n, and ov_count_by_order the one order n,
 its P_n from a scan up to sqrt(x).
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -41,8 +43,8 @@ from .primover import _cyclotomic_value, _slots_of_order
 REMAINDER_BITS = 2048
 
 
-def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
-    """All primes q in (lo, limit] with ord_q(2) == h, ascending, given h's primes h_primes.
+def _primes_of_order(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
+    """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
     primover lists, count scans above the listed bound: the primes
     primover._listed_primes lists in (lo, limit], free, then _scan above
@@ -51,9 +53,9 @@ def _primes_of_order(h: int, h_primes, lo: int, limit: int, budget: Budget) -> l
     start, _ = _progression(h, lo)
     if limit < start:
         return []
-    listed, bound = primover._listed_primes(h, h_primes)
+    listed, bound = primover._listed_primes(h)
     got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
-    return got if bound is None else got + _scan(h, h_primes, max(lo, bound), limit, budget)
+    return got if bound is None else got + _scan(h, max(lo, bound), limit, budget)
 
 
 def _progression(h: int, lo: int) -> tuple[int, int]:
@@ -63,67 +65,88 @@ def _progression(h: int, lo: int) -> tuple[int, int]:
     return start + max(0, (lo - start) // step + 1) * step, step
 
 
-def _scan(h: int, h_primes, lo: int, limit: int, budget: Budget) -> list[int]:
+def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     """The primes of order h in (lo, limit], h >= 3, by testing every candidate there.
 
-    One unit per candidate in (lo, limit], sieved out or not.  A scan tests
-    the order of 2 for each candidate.  _scan_sieve first drops the
-    candidates below TRIAL_DIVISION_LIMIT that the trial-division sieve
-    marks composite, composites above it with a small prime factor, and
-    primes of another order by a mod-8 mask; a scan of fewer than 8
-    candidates, where the sieve's set-up costs more than it saves, tests
-    each directly.  A candidate never divides h, so a prime q has order h
-    iff q | Phi_h(2): while phi(h) < REMAINDER_BITS and at least
+    One unit per candidate in (lo, limit], wherever it is decided.  Below
+    TRIAL_DIVISION_LIMIT the stored index of 2 decides: q has order h iff
+    it is prime, read off the trial-division sieve, and its index
+    (primover._index2) is (q - 1) / h.  From the limit up _scan_sieve
+    first drops composites with a small prime factor and primes of another
+    order by a mod-8 mask; a scan of fewer
+    than 8 such candidates, where the sieve's set-up costs more than it
+    saves, tests each directly.  A candidate never divides h, so a prime q
+    has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS and at least
     4 * 2**omega(h) candidates survive, enough to pay for building
     Phi_h(2), one remainder decides it; otherwise 2**h = 1 (mod q) and no
-    smaller order do.  A composite of primes of order h (88357 = 149 * 593
-    for h = 148) can pass either, so primality is tested last, once per
-    prime, by its own order.  scripts/factor_table.py builds the table's
-    scanned section with it, each order below 10**4 with no complete entry
-    up to 2**30.
+    smaller order do.  The primes of h are found (_order_primes) only for
+    these tests: when 8 candidates survive, or one passes 2**h = 1.  A
+    composite of primes of order h (2304167 = 1103 * 2089 for h = 29) can
+    pass either, so primality is tested last, once per prime, by its own
+    order.  scripts/factor_table.py builds the table's scanned section with
+    it, each order below 10**4 with no complete entry up to 2**30.
     """
     start, step = _progression(h, lo)
     if limit < start:
         return []
+    budget.charge((limit - start) // step + 1)
+    found = []
+    if start < TRIAL_DIVISION_LIMIT:
+        last = min(limit, TRIAL_DIVISION_LIMIT - 1)
+        # q, odd, is index q // 2 of the sieve, which advances by step // 2
+        flags = small_prime_flags()[start // 2:last // 2 + 1:step // 2]
+        primes, index = small_primes(), primover._index2()
+        found = [q for q in compress(range(start, last + 1, step), flags)
+                 if index[bisect_left(primes, q)] * h == q - 1]
+        start, _ = _progression(h, TRIAL_DIVISION_LIMIT - 1)
+        if limit < start:
+            return found
     n = (limit - start) // step + 1
-    budget.charge(n)
     qs = range(start, limit + 1, step)
     if n >= 8:
         qs = list(compress(qs, _scan_sieve(h, start, step, n)))
+    h_primes = None
+    # Phi_h(2) is built from 2**omega(h) >= 2 factors 2**d - 1: worth it at 4 survivors each
+    if len(qs) >= 8:
+        h_primes = _order_primes(h, budget)
         phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
-        # Phi_h(2) is built from 2**omega(h) factors 2**d - 1: worth it at 4 survivors each
         if phi < REMAINDER_BITS and len(qs) >= 4 << len(h_primes):
             c = _cyclotomic_value(h, h_primes)
-            return [q for q in qs if c % q == 0 and is_prime(q)]
-    return [q for q in qs
-            if pow(2, h, q) == 1 and _strip(2, h, h_primes, q) == h and is_prime(q)]
+            return found + [q for q in qs if c % q == 0 and is_prime(q)]
+    passed = [q for q in qs if pow(2, h, q) == 1]
+    if passed:
+        h_primes = h_primes or _order_primes(h, budget)
+        found += [q for q in passed if _strip(2, h, h_primes, q) == h and is_prime(q)]
+    return found
+
+
+def _order_primes(h: int, budget: Budget) -> tuple[int, ...]:
+    """The primes of h, for the order tests; EffortError when h is not fully factored."""
+    fz = factorize(h, budget)
+    if not fz.complete:
+        raise EffortError(f"cannot factor the order {h} to test its candidates")
+    return fz.primes()
 
 
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
     """Flags of the n candidates q = start + k*step that may have order h.
 
-    start = 1 (mod step).  A candidate below TRIAL_DIVISION_LIMIT is flagged
-    iff it is prime, read off the trial-division sieve (small_prime_flags).
-    Above the limit the odd primes r <= min(sqrt(q_last), m // 64) strike
-    their multiples, m the candidates above the limit and q_last the last
-    candidate; each such r lies below the limit, so it strikes no prime.  A
-    prime above sqrt(q_last) strikes nothing; below it, r strikes about m/r
-    candidates and pays only when that beats its set-up, about 64 tests.
-    Last, when (q-1)/h is even, the q = +-3 (mod 8) are dropped, which have
-    no square root of 2.
+    start = 1 (mod step) and start >= TRIAL_DIVISION_LIMIT.  The odd primes
+    r <= min(sqrt(q_last), n // 64) strike their multiples, q_last the last
+    candidate; each such r lies below the limit, so below every candidate,
+    and strikes no prime.  A prime above sqrt(q_last) strikes nothing; below
+    it, r strikes about n/r candidates and pays only when that beats its
+    set-up, about 64 tests.  Last, when (q-1)/h is even, the q = +-3 (mod 8)
+    are dropped, which have no square root of 2.
     """
-    # flags[k] is q = start + k*step; the first k0 candidates lie below the
-    # limit, and q, odd, is index q // 2 of the sieve, which advances by step // 2
-    k0 = min(n, max(0, -((start - TRIAL_DIVISION_LIMIT) // step)))
-    flags = small_prime_flags()[start // 2:start // 2 + k0 * (step // 2):step // 2]
-    flags += b"\x01" * (n - k0)
+    flags = bytearray(b"\x01") * n
     # q = 1 (mod step), so a prime r | step divides no candidate, and
     # q = 0 (mod r) iff k = -start * step**-1 (mod r)
     primes = small_primes()
-    bound = min(math.isqrt(start + (n - 1) * step), (n - k0) // 64)
+    bound = min(math.isqrt(start + (n - 1) * step), n // 64)
     for r in primes[1:bisect_right(primes, bound)]:
         if step % r:
-            k = k0 + (-start - k0 * step) * pow(step, -1, r) % r
+            k = -start * pow(step, -1, r) % r
             flags[k::r] = bytes(len(range(k, n, r)))
     # ord_q(2) = h | (q-1)/2 makes 2 a square mod q, so q = +-1 (mod 8);
     # parity of (q-1)/h and q mod 8 have period 4 in k since step is even
@@ -158,17 +181,19 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
     return out
 
 
-def _p_minus_1_primes(limit: int):
-    """(p, the primes of p - 1 ascending) for every odd prime p <= limit, p ascending.
+def _p_minus_1_primes(first: int, limit: int):
+    """(p, the primes of p - 1 ascending) for every prime p in [first, limit], p ascending.
 
-    One table of the largest prime factor of each m <= limit, written by
+    first >= 3.  One table of the largest prime factor of each m <= limit, written by
     the primes in ascending order, strips each p - 1 with no division test.
     """
+    if limit < first:
+        return
     primes = _primes_below(limit + 1)
     top = array("I", [0]) * (limit + 1)
     for r in primes:
         top[r::r] = array("I", [r]) * (limit // r)
-    for p in primes[1:]:
+    for p in primes[bisect_left(primes, first):]:
         m, p_primes = p - 1, []
         while m > 1:
             f = top[m]
@@ -178,32 +203,36 @@ def _p_minus_1_primes(limit: int):
         yield p, p_primes[::-1]
 
 
-def _sweep(x: int) -> dict:
-    """Every prime p <= sqrt(x) by its order h: {h: (P_h ascending, h's primes)}.
+def _sweep(x: int) -> dict[int, list[int]]:
+    """Every prime p <= sqrt(x) by its order h: {h: P_h ascending}.
 
-    The primes of each p - 1 come from _p_minus_1_primes, so nothing is
-    factored or charged.
+    Below TRIAL_DIVISION_LIMIT h = (p - 1) / i_p, the index i_p read off
+    primover._index2; from the limit up _strip takes p - 1 down to h, given
+    its primes from _p_minus_1_primes.  Nothing is factored or charged.
     """
-    orders = {}
+    orders: dict[int, list[int]] = {}
     # x < 0 sweeps nothing; _complete refuses every x < 3
-    for p, p_primes in _p_minus_1_primes(math.isqrt(max(x, 0))):
-        h = _strip(2, p - 1, p_primes, p)
-        if h not in orders:
-            orders[h] = [], tuple(f for f in p_primes if h % f == 0)
-        orders[h][0].append(p)
+    root = math.isqrt(max(x, 0))
+    primes, index = small_primes(), primover._index2()
+    k = bisect_right(primes, root)
+    # 2, index 0, has no order
+    for p, i in zip(primes[1:k], index[1:k]):
+        orders.setdefault((p - 1) // i, []).append(p)
+    for p, p_primes in _p_minus_1_primes(TRIAL_DIVISION_LIMIT, root):
+        orders.setdefault(_strip(2, p - 1, p_primes, p), []).append(p)
     return orders
 
 
-def _complete(x: int, orders: dict, budget: Budget) -> dict[int, list[int]]:
+def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int, list[int]]:
     """Members <= x by order, h ascending, for each h of a map like _sweep's that has any."""
     if x < 3:
         raise ValueError("x must be >= 3")
     root = math.isqrt(x)
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
-        seeds, h_primes = orders[h]
+        seeds = orders[h]
         try:
-            qs = seeds + _primes_of_order(h, h_primes, root, x // seeds[0], budget)
+            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget)
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:
             raise EffortError(
@@ -246,11 +275,9 @@ def ov_count_by_order(x: int, n: int, budget: Budget | None = None) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = Budget() if budget is None else budget
-    root = math.isqrt(max(x, 0))
-    # P_n from a scan up to sqrt(x); no candidate q = 1 (mod n) is <= root unless n < root
-    n_primes = factorize(n, budget).primes() if n < root else ()
-    seeds = _primes_of_order(n, n_primes, 0, root, budget)
-    return len(_complete(x, {n: (seeds, n_primes)} if seeds else {}, budget).get(n, []))
+    # P_n from a scan up to sqrt(x)
+    seeds = _primes_of_order(n, 0, math.isqrt(max(x, 0)), budget)
+    return len(_complete(x, {n: seeds} if seeds else {}, budget).get(n, []))
 
 
 def ov_count_upto_order(x: int, n: int, budget: Budget | None = None) -> int:
@@ -258,7 +285,7 @@ def ov_count_upto_order(x: int, n: int, budget: Budget | None = None) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = Budget() if budget is None else budget
-    orders = {h: group for h, group in _sweep(x).items() if h <= n}
+    orders = {h: seeds for h, seeds in _sweep(x).items() if h <= n}
     return sum(len(v) for v in _complete(x, orders, budget).values())
 
 

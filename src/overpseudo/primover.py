@@ -10,6 +10,8 @@ overpseudoprime.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -93,23 +95,51 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
                          a.unfactored_cofactor * b.unfactored_cofactor)
 
 
-# SHA-256 of data/phi2_factors.json, as scripts/factor_table.py prints it after a
-# build; a rebuilt table must update it
+# SHA-256 of data/phi2_factors.json and data/index2.zlib, as
+# scripts/factor_table.py prints them after a build; a rebuilt file must
+# update its digest
 PHI2_SHA256 = "c82d44bd6de8c837b9667b025e369117e47d531a38578d21e7eab555c74b8de7"
+INDEX2_SHA256 = "e698ff098214a5bb34ea981c7b2520b7705ed850e2b1ab9469b500caf1c0bd83"
+
+
+def _data_file(name: str, digest: str) -> bytes:
+    """The bytes of data/<name>; a file whose SHA-256 is not digest raises."""
+    # imported here: at module level they would add about 10 ms to the package's import
+    import hashlib
+    from importlib import resources
+
+    raw = (resources.files(__package__) / "data" / name).read_bytes()
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ContractViolationError(f"data/{name} does not match its SHA-256")
+    return raw
 
 
 @cache
 def _phi2_data() -> dict:
     """data/phi2_factors.json, read on first use; a file of another digest raises."""
-    # imported here: at module level they would add about 10 ms to the package's import
-    import hashlib
     import json
-    from importlib import resources
 
-    raw = (resources.files(__package__) / "data" / "phi2_factors.json").read_bytes()
-    if hashlib.sha256(raw).hexdigest() != PHI2_SHA256:
-        raise ContractViolationError("data/phi2_factors.json does not match its SHA-256")
-    return json.loads(raw)
+    return json.loads(_data_file("phi2_factors.json", PHI2_SHA256))
+
+
+@cache
+def _index2() -> array:
+    """The index (p - 1) / ord_p(2) of 2 for each prime p below TRIAL_DIVISION_LIMIT.
+
+    Aligned with small_primes(): index[j] belongs to small_primes()[j], and
+    2, which has no order, gets 0.  data/index2.zlib stores the 78497 odd
+    primes' entries, the largest 27594, as unsigned 16-bit little-endian
+    words, zlib-compressed; it is read on first use, and a file of another
+    digest raises.  scripts/factor_table.py builds it from the primes of
+    each p - 1 and checks it.
+    """
+    import zlib
+
+    index = array("H", [0])
+    index.frombytes(zlib.decompress(_data_file("index2.zlib", INDEX2_SHA256)))
+    if sys.byteorder == "big":
+        index.byteswap()
+    return index
 
 
 @cache
@@ -168,20 +198,20 @@ def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
     return Factorization(value, factors, complete, _entry_rest(n, value, factors, complete))
 
 
-def _listed_primes(n: int, n_primes) -> tuple[tuple[int, ...] | list[int], int | None]:
+def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
     """(the primes of order n known without a scan, ascending; B, up to which they are all).
 
     B is None when they are all: 3 for n = 2, none for n = 1, a complete
-    entry's primes, read through _tabled_factorization.  Any other order
-    below the scanned section's limit, partial or untabled, lists its
-    primes there, found by bisection and checked where the table is built,
-    up to the section's bound B; an order from the limit up lists none,
-    B = 0.
+    entry's primes, read through _tabled_factorization, which needs the
+    primes of n, found here.  Any other order below the scanned section's
+    limit, partial or untabled, lists its primes there, found by bisection
+    and checked where the table is built, up to the section's bound B; an
+    order from the limit up lists none, B = 0.
     """
     if n < 3:
         return ((3,) if n == 2 else ()), None
     if n in _phi2_table():
-        return _tabled_factorization(n, tuple(n_primes)).primes(), None
+        return _tabled_factorization(n, factorize(n).primes()).primes(), None
     below, bound, orders, primes = _phi2_scanned()
     if n >= below:
         return (), 0

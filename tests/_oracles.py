@@ -59,6 +59,16 @@ def sympy_primes_of_order(h, limit):
             and sympy.n_order(2, q) == h]
 
 
+def pow_primes_of_order(h, lo, limit):
+    """Primes q in (lo, limit] with ord_q(2) == h: q = 1 (mod h), 2**h = 1 (mod q),
+    2**(h/r) != 1 (mod q) for each prime r of h, and sympy's primality."""
+    rs = sympy.primefactors(h)
+    first = lo + 1 + (-lo) % h  # the least q = 1 (mod h) above lo
+    return [q for q in range(max(first, h + 1), limit + 1, h)
+            if pow(2, h, q) == 1 and all(pow(2, h // r, q) != 1 for r in rs)
+            and sympy.isprime(q)]
+
+
 def sieve_primes_below(limit):
     """Reference for arith._primes_below: a sieve over every number below limit."""
     sieve = bytearray(b"\x01") * limit

@@ -169,7 +169,7 @@ class TestPrimesBelow:
 
     def test_matches_the_full_sieve(self):
         for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 999984, 10**6]:
-            got = arith._primes_below.__wrapped__(limit)
+            got = arith._primes_below(limit)
             assert got.typecode == "I" and got == sieve_primes_below(limit), limit
 
     def test_below_the_limit_no_new_sieve(self, monkeypatch):
@@ -181,9 +181,9 @@ class TestPrimesBelow:
         monkeypatch.setattr(arith, "_odd_sieve", lambda limit: sieved.append(limit) or
                             odd_sieve(limit))
         for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 10**6]:
-            arith._primes_below.__wrapped__(limit)
+            arith._primes_below(limit)
         assert sieved == []
-        assert arith._primes_below.__wrapped__(10**6 + 1)[-1] == 999983
+        assert arith._primes_below(10**6 + 1)[-1] == 999983
         assert sieved == [10**6 + 1]
 
     def test_small_primes(self):

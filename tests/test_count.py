@@ -2,18 +2,20 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
+import zlib
 from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 
 import pytest
-from sympy import divisors, isprime, mobius, primefactors, primerange
+from sympy import divisors, isprime, mobius, n_order, primefactors, primerange
 
-from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, sieve_primes_below,
-                      sympy_primes_of_order)
+from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, pow_primes_of_order,
+                      sieve_primes_below, sympy_primes_of_order)
 from overpseudo import count as count_module
 from overpseudo import primover
 from overpseudo import (
@@ -114,7 +116,7 @@ class TestPrimesOfOrder:
             sieved.clear()
             read, scanned = [], []
             for h in range(2, last + 1):
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
+                got = count_module._primes_of_order(h, 0, limit, Budget())
                 assert got == sympy_primes_of_order(h, limit), (h, limit)
                 n = len(candidates_above(h, 0, limit))
                 if h in primover._phi2_table() and n:
@@ -129,7 +131,9 @@ class TestPrimesOfOrder:
     @pytest.mark.usefixtures("no_phi2_table")
     def test_interval_matches_oracle_and_charge_is_the_candidates_above_lo(self, monkeypatch):
         # the primes of order h in (lo, limit], every h >= 3 scanned; the
-        # charge counts the candidates in (lo, limit], those the scan tests
+        # charge counts the candidates in (lo, limit], those the scan tests.
+        # The intervals lie above 10**6, where the scan sieves; below it the
+        # index of 2 decides each candidate (TestIndexOf2)
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -138,16 +142,17 @@ class TestPrimesOfOrder:
             return sieve(h, start, step, n)
 
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
-        cases = [(h, limit) for limit in (10**3, 10**5, 10**6) for h in range(3, 121)]
+        cases = [(h, width) for width in (10**3, 10**5, 10**6) for h in range(3, 121)]
         cases += [(h, 10**5) for h in range(121, 401)]
         scans = unsieved = 0
-        for h, limit in cases:
-            expected = sympy_primes_of_order(h, limit)
-            for lo in (0, math.isqrt(limit), limit // 3):
+        for h, width in cases:
+            limit = 10**6 + width
+            expected = pow_primes_of_order(h, 10**6, limit)
+            for lo in (10**6 + d for d in (0, math.isqrt(width), width // 3)):
                 above = candidates_above(h, lo, limit)
                 sieved.clear()
                 budget = Budget()
-                got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
+                got = count_module._primes_of_order(h, lo, limit, budget)
                 assert got == [q for q in expected if q > lo], (h, lo, limit)
                 assert budget.spent == len(above), (h, lo, limit)
                 # the scan sieves exactly the candidates in (lo, limit], if
@@ -167,7 +172,7 @@ class TestPrimesOfOrder:
             monkeypatch.setattr(count_module, name, lambda *args, name=name: built.append(name))
         for lo in (99901, 10**5):
             budget = Budget()
-            assert count_module._primes_of_order(100, (2, 5), lo, 10**5, budget) == []
+            assert count_module._primes_of_order(100, lo, 10**5, budget) == []
             assert budget.spent == 0
         assert built == []
 
@@ -176,42 +181,47 @@ class TestPrimesOfOrder:
         # every q = 1 (mod 28) to 2**28 tested
         assert 28 in primover._phi2_table()
         budget = Budget()
-        got = count_module._primes_of_order(28, (2, 7), 0, (1 << 28) - 1, budget)
+        got = count_module._primes_of_order(28, 0, (1 << 28) - 1, budget)
         assert got == [29, 113]
         assert budget.spent == 0
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_sieve_keeps_sieving_primes_that_are_candidates(self):
-        # both take the order-test scan, and 53 and 101 are sieving primes
+        # both are scanned, and 53 and 101 are sieving primes; below 10**6
+        # the index decides, and from 10**6 up every candidate lies above
+        # every sieving prime
         primes_of_order = count_module._primes_of_order
-        assert primes_of_order(52, (2, 13), 0, 4000, Budget()) == [53, 157, 1613]
-        assert primes_of_order(100, (2, 5), 0, 10**5, Budget()) == [101, 8101]
+        assert primes_of_order(52, 0, 4000, Budget()) == [53, 157, 1613]
+        assert primes_of_order(100, 0, 10**5, Budget()) == [101, 8101]
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_charges_every_candidate(self):
         # h = 100 up to 1e5 takes the scan path: q = 101, 201, ..., 99901
         budget = Budget()
-        count_module._primes_of_order(100, (2, 5), 0, 10**5, budget)
+        count_module._primes_of_order(100, 0, 10**5, budget)
         assert budget.spent == (10**5 - 101) // 100 + 1
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_sieved_scan_matches_oracle(self):
-        # limits where isqrt(limit) and the candidate count bound the sieve
-        for limit in (4000, 16383):
-            for h in range(2, 121):
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
-                assert got == sympy_primes_of_order(h, limit), (h, limit)
+        # intervals above 10**6 where the candidate count, or for h <= 12
+        # over 2**20 isqrt(q_last), bounds the sieve
+        for width, last in ((4000, 120), (16383, 120), (1 << 20, 12)):
+            for h in range(2, last + 1):
+                got = count_module._primes_of_order(h, 10**6, 10**6 + width, Budget())
+                assert got == pow_primes_of_order(h, 10**6, 10**6 + width), (h, width)
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_remainder_and_pow_tests_match_oracle(self, monkeypatch):
         # REMAINDER_BITS = 0 sends every scan to the pow test and 10**6 every
         # scan to the remainder of Phi_h(2); the default sits between 2039
-        # (phi 2038) and 2053, 2063 (phi 2052, 2062)
-        cases = [(h, limit) for limit in (10**4, 10**5) for h in range(2, 401)]
-        cases += [(h, 10**6) for h in (2039, 2053, 2063)]
-        expected = {case: sympy_primes_of_order(*case) for case in cases}
-        # 88357 = 149 * 593 passes both order tests but is no prime
-        assert expected[148, 10**5] == [149, 593]
+        # (phi 2038) and 2053, 2063 (phi 2052, 2062).  The order tests run
+        # from 10**6 up, so the intervals lie there
+        cases = [(h, 10**6, 10**6 + width) for width in (10**4, 10**5) for h in range(2, 401)]
+        cases += [(h, 10**6, 2 * 10**6) for h in (2039, 2053, 2063)]
+        cases += [(29, 2 * 10**6, 3 * 10**6)]
+        expected = {case: pow_primes_of_order(*case) for case in cases}
+        # 2304167 = 1103 * 2089 passes both order tests but is no prime
+        assert pow(2, 29, 1103 * 2089) == 1 and expected[29, 2 * 10**6, 3 * 10**6] == []
         remainder = []
         cyclotomic = count_module._cyclotomic_value
 
@@ -223,10 +233,10 @@ class TestPrimesOfOrder:
         for bits in (0, count_module.REMAINDER_BITS, 10**6):
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             remainder.clear()
-            for h, limit in cases:
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
-                assert got == expected[h, limit], (bits, h, limit)
-            assert (148 in remainder) == (bits > 0)
+            for h, lo, limit in cases:
+                got = count_module._primes_of_order(h, lo, limit, Budget())
+                assert got == expected[h, lo, limit], (bits, h, limit)
+            assert (148 in remainder, 29 in remainder) == (bits > 0, bits > 0)
             assert (2039 in remainder, 2063 in remainder) == (bits > 2038, bits > 2062)
 
     @pytest.mark.usefixtures("no_phi2_table")
@@ -249,12 +259,12 @@ class TestPrimesOfOrder:
         monkeypatch.setattr(count_module, "_cyclotomic_value", cyclotomic_spy)
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         few = many = 0
-        for limit in (10**4, 10**5):
+        for limit in (10**6 + 10**4, 10**6 + 10**5):
             for h in range(3, 401):
                 built.clear()
                 survivors.clear()
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
-                assert got == sympy_primes_of_order(h, limit), (h, limit)
+                got = count_module._primes_of_order(h, 10**6, limit, Budget())
+                assert got == pow_primes_of_order(h, 10**6, limit), (h, limit)
                 enough = survivors.get(h, 0) >= 4 << len(primefactors(h))
                 assert built == ([h] if enough else []), (h, limit)
                 few += bool(survivors) and not enough
@@ -263,9 +273,9 @@ class TestPrimesOfOrder:
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_scan_without_sieve_matches_oracle(self, monkeypatch):
-        # scans of a handful of candidates, where the sieve has (almost) no
-        # primes below its bound min(isqrt(q_last), n // 64) to drop by, and
-        # below 8 candidates is skipped
+        # scans of a handful of candidates above 10**6, where the sieve has
+        # (almost) no primes below its bound min(isqrt(q_last), n // 64) to
+        # drop by, and below 8 candidates is skipped
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -275,13 +285,13 @@ class TestPrimesOfOrder:
 
         monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
         small = unsieved = 0
-        for limit in (200, 1000, 4000):
+        for limit in (10**6 + 200, 10**6 + 1000, 10**6 + 4000):
             for h in range(2, 121):
                 sieved.clear()
                 budget = Budget()
-                got = count_module._primes_of_order(h, primefactors(h), 0, limit, budget)
-                assert got == sympy_primes_of_order(h, limit), (h, limit)
-                n = len(candidates_above(h, 0, limit))
+                got = count_module._primes_of_order(h, 10**6, limit, budget)
+                assert got == pow_primes_of_order(h, 10**6, limit), (h, limit)
+                n = len(candidates_above(h, 10**6, limit))
                 # order 2 is a one-line case, every other order scans
                 if n == 0 or h == 2:
                     assert sieved == []
@@ -294,19 +304,19 @@ class TestPrimesOfOrder:
                     assert sieved == [n], (h, limit)
                     small += n <= 128
         assert small > 100 and unsieved > 50
-        # 88357 = 149 * 593 passes the order test of 148 but is no prime: a
-        # short scan around it, with no sieve, still tests primality last
+        # 2304167 = 1103 * 2089 passes the order test of 29 but is no prime:
+        # a short scan around it, with no sieve, still tests primality last
         sieved.clear()
         budget = Budget()
-        got = count_module._primes_of_order(148, (2, 37), 88357 - 444, 88357 + 444, budget)
+        got = count_module._primes_of_order(29, 2304167 - 174, 2304167 + 174, budget)
         assert got == [] and sieved == [] and budget.spent == 6
 
     def test_sieve_bound_comes_from_the_scan(self):
-        # q_last = 19200001 and n // 64 = 4687, so the bound is isqrt(q_last)
-        h, start, step, n = 64, 65, 64, 300000
+        # q_last = 20199937 and n // 64 = 4687, so the bound is isqrt(q_last)
+        h, start, step, n = 64, 1000001, 64, 300000
         q_last = start + (n - 1) * step
         bound = min(math.isqrt(q_last), n // 64)
-        assert bound == 4381
+        assert bound == 4494
         flags = count_module._scan_sieve(h, start, step, n)
         assert len(flags) == n
         for r in primerange(3, bound + 1):
@@ -320,44 +330,49 @@ class TestPrimesOfOrder:
 
     @pytest.mark.parametrize("h", [3, 4, 6, 27, 64, 100, 333, 996, 997, 499991])
     def test_sieve_reads_primality_below_the_trial_division_limit(self, h):
-        # the fast path against exact primality: below 10**6 a flag is the
-        # candidate's primality, but for the mod-8 mask; above it no prime
-        # the mask keeps is dropped
+        # the fast paths against exact primality: below 10**6 the scan reads
+        # a candidate's primality off the trial-division sieve and its order
+        # off the index of 2, and keeps exactly the primes of order h; from
+        # 10**6 up the sieve drops no prime the mod-8 mask keeps
         primes = _primes_below_1e6()
         start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
-        n = (1_100_000 - start) // step + 2
-        flags = count_module._scan_sieve(h, start, step, n)
+        below = pow_primes_of_order(h, 0, 10**6 - 1)
+        assert all(q in primes for q in below)
+        assert count_module._scan(h, 0, 10**6 - 1, Budget()) == below
+        first = start + (10**6 - start) // step * step + step
+        n = (1_100_000 - first) // step + 1
+        flags = count_module._scan_sieve(h, first, step, n)
         assert len(flags) == n
-        below = 0
         for k in range(n):
-            q = start + k * step
+            q = first + k * step
             masked = (q - 1) // h % 2 == 0 and q % 8 in (3, 5)
-            if q < 10**6:
-                below += 1
-                assert flags[k] == (q in primes and not masked), (h, q)
-            elif isprime(q) and not masked:
+            if isprime(q) and not masked:
                 assert flags[k], (h, q)
-        assert 0 < below < n
 
     def test_scans_straddling_the_limit_keep_999983_and_1000003(self):
         # the last prime below 10**6 and the first above it, each in scans
-        # with candidates on both sides: 999983 = 1 (mod 158 and 12658) and
-        # 1000003 = 1 (mod 6), where (q - 1) / 6 is odd, so no mask drops it
+        # with candidates on both sides: 999983 = 1 (mod 158 and 12658) is
+        # decided by its index, and gives each scan the oracle's primes;
+        # 1000003 = 1 (mod 6), where (q - 1) / 6 is odd, so no mask drops
+        # it, and the sieve from 10**6 up keeps it
         for h, q in ((79, 999983), (158, 999983), (6329, 999983), (6, 1000003)):
             start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
             for first in (start, q - 3 * step):
-                n = (q + 3 * step - first) // step + 1
-                flags = count_module._scan_sieve(h, first, step, n)
-                assert flags[(q - first) // step], (h, first)
+                last = q + 3 * step
+                budget = Budget()
+                got = count_module._scan(h, first - 1, last, budget)
+                assert got == pow_primes_of_order(h, first - 1, last), (h, first)
+                assert budget.spent == len(candidates_above(h, first - 1, last)), (h, first)
+        assert count_module._scan_sieve(6, 1000003, 6, 7)[0]
         # 999983 has order 499991 = 79 * 6329, and its scan's next candidate is 1999965
         budget = Budget()
-        assert count_module._primes_of_order(499991, (79, 6329), 0, 2 * 10**6, budget) == [999983]
+        assert count_module._primes_of_order(499991, 0, 2 * 10**6, budget) == [999983]
         assert budget.spent == 2
         # order 2249 = 13 * 173 has a prime on each side of 10**6, and its
         # scan pays for every candidate in (9e5, 2e6]; count reads it from
         # the scanned section, so the scan is called directly
         budget = Budget()
-        got = count_module._scan(2249, (13, 173), 900_000, 2 * 10**6, budget)
+        got = count_module._scan(2249, 900_000, 2 * 10**6, budget)
         assert got == [931087, 1619281]
         assert budget.spent == len(candidates_above(2249, 900_000, 2 * 10**6)) == 244
 
@@ -369,8 +384,74 @@ class TestPrimesOfOrder:
             lo = 900_000 + h * 7919 % 100_000
             limit = 1_000_001 + h * 104729 % 100_000
             expected = [q for q in sympy_primes_of_order(h, limit) if q > lo]
-            got = count_module._primes_of_order(h, primefactors(h), lo, limit, Budget())
+            got = count_module._primes_of_order(h, lo, limit, Budget())
             assert got == expected, (h, lo, limit)
+
+    @pytest.mark.parametrize("h", [3, 11, 148, 2249, 10044, 99991])
+    def test_scan_below_and_across_the_limit_matches_the_pow_oracle(self, monkeypatch, h):
+        # the index of 2 decides below 10**6 and the order tests from 10**6
+        # up: below, across and just above the limit the scan gives the pow
+        # oracle's primes at one unit per candidate, and sieves only
+        # candidates from 10**6 up
+        sieved = []
+        sieve = count_module._scan_sieve
+
+        def sieve_spy(h, start, step, n):
+            sieved.append(start)
+            return sieve(h, start, step, n)
+
+        monkeypatch.setattr(count_module, "_scan_sieve", sieve_spy)
+        step = h if h % 2 == 0 else 2 * h
+        for lo, limit in ((0, 10**6 - 1), (0, 2 * 10**6),
+                          (max(0, 10**6 - 40 * step), 10**6 + 40 * step),
+                          (10**6 - 1, 10**6 + 40 * step)):
+            budget = Budget()
+            got = count_module._scan(h, lo, limit, budget)
+            assert got == pow_primes_of_order(h, lo, limit), (h, lo, limit)
+            assert budget.spent == len(candidates_above(h, lo, limit)), (h, lo, limit)
+        assert sieved and min(sieved) > 10**6
+
+
+class TestIndexOf2:
+    """The stored index (p - 1) / ord_p(2) of 2 of every odd prime p below 10**6."""
+
+    FILE = Path(primover.__file__).parent / "data" / "index2.zlib"
+
+    def test_committed_index_equals_a_rebuild(self):
+        # scripts/factor_table.py's build from the primes of each p - 1 and
+        # _strip, about 0.6 s; the file holds one entry per odd prime
+        assert zlib.decompress(self.FILE.read_bytes()) == _factor_table_script().build_index()
+        # read aligned with small_primes(), 2 getting 0
+        index = primover._index2()
+        assert len(index) == len(count_module.small_primes()) == 78498
+        # 3 has index 1 (order 2), and 2**19 - 1 the largest, 27594 (order 19)
+        assert index[:2].tolist() == [0, 1] and max(index) == index[43389] == 27594
+        assert count_module.small_primes()[43389] == (1 << 19) - 1
+
+    def test_sampled_entries_match_sympy_n_order(self):
+        primes, index = count_module.small_primes(), primover._index2()
+        for j in random.Random(30).sample(range(1, len(primes)), 500):
+            assert index[j] == (primes[j] - 1) // n_order(2, primes[j]), primes[j]
+
+    def test_digest_is_the_committed_file_sha256(self):
+        assert primover.INDEX2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
+
+    def test_tampered_byte_fails_the_digest_on_first_read(self, tmp_path):
+        # a copy of the package whose index has one bit flipped: the first
+        # count refuses it, while primitive_part, which reads no index, runs
+        package = tmp_path / "overpseudo"
+        shutil.copytree(self.FILE.parents[1], package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        raw = bytearray(self.FILE.read_bytes())
+        raw[len(raw) // 2] ^= 1
+        (package / "data" / self.FILE.name).write_bytes(raw)
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        code = "from overpseudo import *; assert primitive_part(97).complete; ov_count(10**6)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert ("overpseudo.errors.ContractViolationError: data/index2.zlib "
+                "does not match its SHA-256") in proc.stderr, proc.stderr
 
 
 class TestPhi2Table:
@@ -389,23 +470,23 @@ class TestPhi2Table:
         # what primover lists is all of an order's primes for h <= 2 and a
         # complete entry, all up to the section's bound for any other order
         # below 10**4, partial or untabled, and nothing for one above it
-        assert primover._listed_primes(1, ()) == ((), None)
-        assert primover._listed_primes(2, (2,)) == ((3,), None)
+        assert primover._listed_primes(1) == ((), None)
+        assert primover._listed_primes(2) == ((3,), None)
         bound = data["scanned"]["bound"]
         assert data["scanned"]["below"] == 10**4
         for h in [*range(1, 1001), 1001, 1122, 2249, 9999, 10**4, 499991]:
-            listed, upto = primover._listed_primes(h, primefactors(h))
+            listed, upto = primover._listed_primes(h)
             assert list(listed) == sorted(set(listed)), h
             assert upto == (None if h <= 2 or h in tabled else bound if h < 10**4 else 0), h
             assert upto != 0 or listed == (), h
-        assert primover._listed_primes(2249, (13, 173))[0][:2] == [931087, 1619281]
+        assert primover._listed_primes(2249)[0][:2] == [931087, 1619281]
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
         for h, factors in primover._phi2_table().items():
             primes = [p for p, _ in factors]
             assert primes == sorted(set(primes)), h
-            assert primover._listed_primes(h, primefactors(h)) == (tuple(primes), None), h
+            assert primover._listed_primes(h) == (tuple(primes), None), h
             assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
             for p, e in factors:
                 assert e >= 1 and isprime(p), (h, p)
@@ -438,16 +519,14 @@ class TestPhi2Table:
         tabled = [h for h in sorted(primover._phi2_table()) if h <= 400]
         for limit in (10**4, 10**5, 10**6):
             for h in tabled:
-                h_primes = primefactors(h)
                 oracle = sympy_primes_of_order(h, limit) if h <= 120 else None
                 for lo in (0, math.isqrt(limit)):
                     table_budget, scan_budget = Budget(), Budget()
-                    got = count_module._primes_of_order(h, h_primes, lo, limit, table_budget)
+                    got = count_module._primes_of_order(h, lo, limit, table_budget)
                     with monkeypatch.context() as hidden:
                         hidden.setattr(primover, "_phi2_table", dict)
                         hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
-                        scanned = count_module._primes_of_order(h, h_primes, lo, limit,
-                                                                scan_budget)
+                        scanned = count_module._primes_of_order(h, lo, limit, scan_budget)
                     assert got == scanned, (h, lo, limit)
                     assert table_budget.spent == 0, (h, lo, limit)
                     assert scan_budget.spent == len(candidates_above(h, lo, limit)), \
@@ -459,7 +538,7 @@ class TestPhi2Table:
     def test_every_complete_entry_is_read_at_no_charge(self):
         # the entry is the answer for its order: no budget is needed to read it
         for h, factors in primover._phi2_table().items():
-            got = count_module._primes_of_order(h, primefactors(h), 0, 10**13, Budget(0))
+            got = count_module._primes_of_order(h, 0, 10**13, Budget(0))
             assert got == [p for p, _ in factors if p <= 10**13], h
 
     def test_count_scans_no_tabled_order(self, monkeypatch):
@@ -470,9 +549,9 @@ class TestPhi2Table:
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
-        def primes_of_order_spy(h, h_primes, lo, limit, budget):
+        def primes_of_order_spy(h, lo, limit, budget):
             calls.append((h, lo, limit))
-            return primes_of_order(h, h_primes, lo, limit, budget)
+            return primes_of_order(h, lo, limit, budget)
 
         def lookup_spy(h, h_primes):
             looked_up.append(h)
@@ -510,16 +589,16 @@ class TestPhi2Table:
             limit = first + 4096 * (first - 1)
             assert len(candidates_above(h, 0, limit)) == 4097
             looked_up.clear()
-            got = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget(0))
+            got = count_module._primes_of_order(h, 0, limit, Budget(0))
             assert got == [p for p, _ in factors if p <= limit] and looked_up == [h], h
             with monkeypatch.context() as hidden:
                 hidden.setattr(primover, "_phi2_table", dict)
                 hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
-                scanned = count_module._primes_of_order(h, primefactors(h), 0, limit, Budget())
+                scanned = count_module._primes_of_order(h, 0, limit, Budget())
             assert scanned == got, h
         # h = 97: [[11447, 1], [13842607235828485645766393, 1]], read over 2577 candidates
         looked_up.clear()
-        got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
+        got = count_module._primes_of_order(97, 0, 5 * 10**5, Budget(0))
         assert len(candidates_above(97, 0, 5 * 10**5)) == 2577
         assert got == [11447] and looked_up == [97]
         # the same read in a fresh process: one entry through the cheap
@@ -534,7 +613,7 @@ class TestPhi2Table:
 
         monkeypatch.setattr(arith, "_strong_lucas_prp", lucas_spy)
         monkeypatch.setattr(primover, "_tabled_factorization", cache(lookup.__wrapped__))
-        got = count_module._primes_of_order(97, (97,), 0, 5 * 10**5, Budget(0))
+        got = count_module._primes_of_order(97, 0, 5 * 10**5, Budget(0))
         assert got == [11447] and lucas_tested == []
         assert primover._tabled_factorization.cache_info().currsize == 1
 
@@ -602,7 +681,7 @@ class TestPhi2Table:
         if tamper.startswith("merge"):
             return
         with pytest.raises(ContractViolationError, match=message):
-            count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
+            count_module._primes_of_order(148, 0, 10**6, Budget())
         with pytest.raises(ContractViolationError, match=message):
             primitive_part(148)
 
@@ -618,7 +697,7 @@ class TestPhi2Table:
         monkeypatch.setattr(primover, "_tabled_factorization",
                             cache(primover._tabled_factorization.__wrapped__))
         for _ in range(3):
-            got = count_module._primes_of_order(148, (2, 37), 0, 10**6, Budget())
+            got = count_module._primes_of_order(148, 0, 10**6, Budget())
             assert got == [149, 593]
         assert checked == [148]
 
@@ -633,8 +712,10 @@ class TestPhi2Table:
                 "import overpseudo.cli\n"
                 "from overpseudo import count, primover\n"
                 "assert primover._phi2_table.cache_info().currsize == 0\n"
+                "assert primover._index2.cache_info().currsize == 0\n"
                 "assert count.ov_count(10**6).ov == 24\n"
                 "assert primover._phi2_table.cache_info().currsize == 1\n"
+                "assert primover._index2.cache_info().currsize == 1\n"
                 "import overpseudo as o\n"
                 "assert o.classify(2047).flags.overpseudoprime_base2\n"
                 "assert o.least_witness(2047).witness == 3\n"
@@ -690,7 +771,7 @@ class TestScannedSection:
         for h in covered:
             listed = by_order.get(h, [])
             assert all(q <= bound for q in listed), h
-            assert primover._listed_primes(h, primefactors(h)) == (listed, bound), h
+            assert primover._listed_primes(h) == (listed, bound), h
             for q in listed:
                 assert isprime(q) and pow(2, h, q) == 1, (h, q)
                 assert all(pow(2, h // r, q) != 1 for r in primefactors(h)), (h, q)
@@ -712,7 +793,7 @@ class TestScannedSection:
         for h in covered:
             upto = (bound if 900 <= h < 1000 or h >= 9990 else
                     1 << 25 if h < 900 else 1 << 23)
-            got = count_module._scan(h, primefactors(h), 0, upto, Budget(upto))
+            got = count_module._scan(h, 0, upto, Budget(upto))
             assert got == [q for q in by_order.get(h, []) if q <= upto], h
 
     @pytest.mark.parametrize("tamper", ["none", "drop", "composite", "other order",
@@ -749,7 +830,7 @@ class TestScannedSection:
     def test_partial_order_is_read_below_the_bound_at_no_charge(self):
         # 1466449 and 2916841 divide 2**223 - 1 but not h = 223's partial entry
         assert 1466449 not in {p for p, _ in primover._phi2_partial()[223]}
-        got = count_module._primes_of_order(223, (223,), 10**5, 10**7, Budget(0))
+        got = count_module._primes_of_order(223, 10**5, 10**7, Budget(0))
         assert got == [196687, 1466449, 2916841]
 
     @pytest.mark.parametrize("h", [223, 299])
@@ -760,12 +841,12 @@ class TestScannedSection:
         bound = primover._phi2_scanned()[1]
         lo, limit = bound - 10**6, bound + 10**6
         budget = Budget()
-        got = count_module._primes_of_order(h, primefactors(h), lo, limit, budget)
+        got = count_module._primes_of_order(h, lo, limit, budget)
         assert budget.spent == len(candidates_above(h, bound, limit)) > 0
         with monkeypatch.context() as hidden:
             hidden.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
             scan_budget = Budget()
-            scanned = count_module._primes_of_order(h, primefactors(h), lo, limit, scan_budget)
+            scanned = count_module._primes_of_order(h, lo, limit, scan_budget)
         assert got == scanned, h
         assert scan_budget.spent == len(candidates_above(h, lo, limit))
 
@@ -777,7 +858,7 @@ class TestScannedSection:
         monkeypatch.setattr(primover, "_phi2_scanned",
                             lambda: (10**4, cut, [223] * len(kept), kept))
         budget = Budget()
-        got = count_module._primes_of_order(223, (223,), 10**5, 10**7, budget)
+        got = count_module._primes_of_order(223, 10**5, 10**7, budget)
         assert got == [196687, 1466449, 2916841]
         assert budget.spent == len(candidates_above(223, cut, 10**7))
 
@@ -846,16 +927,42 @@ class TestSweepFactorsNothing:
             monkeypatch.setattr(module, "factorize", factorize_spy)
         monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
         assert ov_count(10**8).ov == 266
-        # the sweep takes each p - 1 from its table of largest prime factors
+        # the sweep reads each order off the index of 2, and at 1e8 no scan
+        # reaches 10**6, where count finds an order's primes
         assert [n for h, n in calls if h is None] == []
         assert all(n != h for h, n in calls)
 
+    def test_primes_of_an_order_found_only_where_used(self, monkeypatch):
+        # count finds the primes of h for a scan that reaches 10**6, and
+        # primover for a complete entry's read; at 1e10 every candidate of a
+        # scan lies below 10**6, so only the complete entries read factor h,
+        # each once, in ascending order
+        factored = {count_module: [], primover: []}
+        for module in factored:
+            def spy(n, budget=None, real=module.factorize, got=factored[module]):
+                got.append(n)
+                return real(n, budget)
+
+            monkeypatch.setattr(module, "factorize", spy)
+        assert ov_count(10**10).ov == 1730
+        read = factored[primover]
+        assert factored[count_module] == [] and read == sorted(set(read))
+        assert len(read) > 100 and set(read) <= set(primover._phi2_table())
+        # a scan across 10**6 factors its order, once
+        assert count_module._scan(2249, 900_000, 2 * 10**6, Budget()) == [931087, 1619281]
+        assert factored[count_module] == [2249]
+
     def test_primes_of_p_minus_1_match_sympy(self):
         limit = 10**6
-        got = list(count_module._p_minus_1_primes(limit))
+        got = list(count_module._p_minus_1_primes(3, limit))
         assert [p for p, _ in got] == list(primerange(3, limit + 1))
         for p, p_primes in got:
             assert p_primes == primefactors(p - 1), p
+        # from first up only, as the sweep takes them above 10**6
+        got = list(count_module._p_minus_1_primes(limit, limit + 1000))
+        assert [p for p, _ in got] == list(primerange(limit, limit + 1001))
+        assert all(p_primes == primefactors(p - 1) for p, p_primes in got)
+        assert list(count_module._p_minus_1_primes(limit, limit - 1)) == []
 
 
 class TestCountFactorsNothing:
@@ -887,7 +994,7 @@ class TestCountFactorsNothing:
             monkeypatch.setattr(primover, "_phi2_partial", dict)
         for lo in (-1, 0, 2, 3, 4, 10**6):
             for limit in (0, 2, 3, 4, 10**6, 10**12):
-                got = count_module._primes_of_order(2, (2,), lo, limit, Budget(0))
+                got = count_module._primes_of_order(2, lo, limit, Budget(0))
                 assert got == ([3] if lo < 3 <= limit else []), (lo, limit)
         assert sieved == []
 
@@ -908,7 +1015,7 @@ class TestCountFactorsNothing:
         listed_primes = primover._listed_primes
         with monkeypatch.context() as unlisted:
             unlisted.setattr(primover, "_listed_primes",
-                             lambda h, h_primes: listed_primes(h, h_primes) if h < 3 else ((), 0))
+                             lambda h: listed_primes(h) if h < 3 else ((), 0))
             unlisted_budget = Budget()
             got = ov_count(10**7, unlisted_budget)
         request.getfixturevalue("no_phi2_table")
@@ -929,8 +1036,7 @@ class TestCrossChecksAt1e10:
         # enough candidates survive the sieve; about 1 s.  802 primes is a
         # self-computed pin
         x = 10**10
-        sample = [(h, h_primes, x // seeds[0])
-                  for h, (seeds, h_primes) in sorted(count_module._sweep(x).items())
+        sample = [(h, x // seeds[0]) for h, seeds in sorted(count_module._sweep(x).items())
                   if h > 2 and h not in primover._phi2_table()]
         built = []
         cyclotomic = count_module._cyclotomic_value
@@ -944,8 +1050,8 @@ class TestCrossChecksAt1e10:
         for bits in (0, 10**6):
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             built.clear()
-            got[bits] = [count_module._scan(h, h_primes, math.isqrt(x), limit, Budget(10**9))
-                         for h, h_primes, limit in sample]
+            got[bits] = [count_module._scan(h, math.isqrt(x), limit, Budget(10**9))
+                         for h, limit in sample]
             assert (len(built) > 500) == (bits > 0), bits
         assert got[0] == got[10**6]
         assert sum(map(len, got[0])) == 802
@@ -1006,29 +1112,43 @@ class TestOvCount:
         # the sweep lists the primes <= sqrt(x) with their order; the scan
         # tests only candidates above sqrt(x), for the same count and charge.
         # At 1e8 every order is below 10**4 and read from the table, at no
-        # charge, so the scans are watched with the scanned section hidden
+        # charge, so the scans are watched with the scanned section hidden.
+        # Every candidate then lies below 10**6 and is decided by the index
+        # of 2, with no primality test; at 1e10 the scans find primes above
+        # 10**6, where the primality tests are watched
         x = 10**8
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 0
         request.getfixturevalue("no_scanned_section")
-        tested = []
-        is_prime = count_module.is_prime
+        tested, scanned_from = [], []
+        is_prime, scan = count_module.is_prime, count_module._scan
 
         def spy(q):
             tested.append(q)
             return is_prime(q)
 
+        def scan_spy(h, lo, limit, budget):
+            scanned_from.append(lo)
+            return scan(h, lo, limit, budget)
+
         monkeypatch.setattr(count_module, "is_prime", spy)
+        monkeypatch.setattr(count_module, "_scan", scan_spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 13648
-        assert tested and min(tested) > math.isqrt(x)
+        assert scanned_from and min(scanned_from) >= math.isqrt(x)
+        assert tested == []
+        assert ov_count(10**10).ov == 1730
+        assert tested and min(tested) > math.isqrt(10**10)
 
-    def test_count_and_units_at_1e9(self, monkeypatch):
+    def test_count_and_units_at_1e9(self, monkeypatch, request):
         # and no candidate is tested for primality twice: the order test
         # comes first, so a prime of order d is not tested again by every
-        # order h that d divides
+        # order h that d divides.  With the table every candidate at 1e9
+        # lies below 10**6, decided by the index of 2 with no primality
+        # test, so the tests are watched at 1e10 with the scanned section
+        # hidden, where the scans find primes above 10**6
         tested = []
         is_prime = count_module.is_prime
 
@@ -1040,14 +1160,19 @@ class TestOvCount:
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1268
+        assert tested == []
+        request.getfixturevalue("no_scanned_section")
+        assert ov_count(10**10).ov == 1730
         assert tested and len(tested) == len(set(tested))
 
     def test_count_and_units_at_1e10_run_both_order_tests(self, monkeypatch, request):
         # self-computed regression pins: the values this implementation gives,
         # not checked against an outside source.  With the table only orders
-        # from 10**4 up are scanned, and none of them has phi(h) below
-        # REMAINDER_BITS, so only the pow test runs; with the scanned section
-        # hidden the orders below 10**4 are scanned too, and run both tests
+        # from 10**4 up are scanned, every candidate below 10**6, decided by
+        # the index of 2, so neither order test runs (and none of those
+        # orders has phi(h) below REMAINDER_BITS); with the scanned section
+        # hidden the orders below 10**4 are scanned above 10**6 too, and run
+        # both tests
         tests = {"remainder": 0, "pow": 0}
         cyclotomic, strip = count_module._cyclotomic_value, count_module._strip
 
@@ -1064,12 +1189,12 @@ class TestOvCount:
         budget = Budget()
         assert ov_count(10**10, budget).ov == 1730
         assert budget.spent == 36701
-        assert tests["remainder"] == 0 and tests["pow"] > 0
+        assert tests["remainder"] == tests["pow"] == 0
         request.getfixturevalue("no_scanned_section")
         budget = Budget()
         assert ov_count(10**10, budget).ov == 1730
         assert budget.spent == 1867171
-        assert tests["remainder"] > 0
+        assert tests["remainder"] > 0 and tests["pow"] > 0
 
     def test_default_budget_reach(self):
         # README's largest x on the grid of multiples of 1e9 that the default
@@ -1094,12 +1219,22 @@ class TestTwoSteps:
     def test_sweep_lists_each_prime_up_to_sqrt_x_by_order(self):
         x = 10**6
         orders = count_module._sweep(x)
-        for h, (seeds, h_primes) in orders.items():
+        for h, seeds in orders.items():
             assert seeds == sorted(seeds)
             assert all(mult_order(2, p) == h for p in seeds), h
-            assert tuple(h_primes) == tuple(primefactors(h)), h
-        listed = sorted(p for seeds, _ in orders.values() for p in seeds)
+        listed = sorted(p for seeds in orders.values() for p in seeds)
         assert listed == list(primerange(3, math.isqrt(x) + 1))
+
+    def test_sweep_strips_p_minus_1_above_the_limit(self):
+        # (10**6 + 100)**2 puts six primes above 10**6 below sqrt(x), whose
+        # orders come from the primes of p - 1, not from the index
+        orders = count_module._sweep((10**6 + 100) ** 2)
+        assert all(seeds == sorted(seeds) for seeds in orders.values())
+        listed = sorted(p for seeds in orders.values() for p in seeds)
+        assert listed == list(primerange(3, 10**6 + 101))
+        above = {p: h for h, seeds in orders.items() for p in seeds if p > 10**6}
+        assert sorted(above) == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+        assert all(n_order(2, p) == h for p, h in above.items())
 
     def test_completion_of_any_subset_of_orders(self):
         # completing some orders of the sweep gives exactly their groups
