@@ -24,8 +24,8 @@ product.
 
 The index of 2 is (p - 1) / ord_p(2) for every odd prime p below
 TRIAL_DIVISION_LIMIT, p ascending, which count reads in place of the order
-of 2 modulo such a prime.  The primes of each p - 1 come from count's
-_p_minus_1_primes and _strip takes p - 1 down to the order.  It is written
+of 2 modulo such a prime.  The orders come from count's _prime_orders, the
+generator that gives count's sweep its orders above the limit.  It is written
 as unsigned 16-bit little-endian words, zlib-compressed, to index2.zlib
 beside the table (about 0.5 s); its SHA-256, printed, must replace
 primover.INDEX2_SHA256.  A build writes both files.
@@ -60,8 +60,7 @@ from pathlib import Path
 
 from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT
-from overpseudo.count import _p_minus_1_primes, _scan
-from overpseudo.order import _strip
+from overpseudo.count import _prime_orders, _scan
 from overpseudo.primover import INDEX2_SHA256, PHI2_SHA256, _factor_reduced, _prove_entry
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
@@ -106,8 +105,7 @@ def scan(orders, bound: int) -> dict:
 def build_index() -> bytes:
     """The index of 2 of every odd prime below TRIAL_DIVISION_LIMIT as little-endian words."""
     # an index above 65535 would not fit, and raises OverflowError
-    index = array("H", [(p - 1) // _strip(2, p - 1, p_primes, p)
-                        for p, p_primes in _p_minus_1_primes(3, TRIAL_DIVISION_LIMIT - 1)])
+    index = array("H", [(p - 1) // h for p, h in _prime_orders(3, TRIAL_DIVISION_LIMIT - 1)])
     if sys.byteorder == "big":
         index.byteswap()
     return index.tobytes()

@@ -85,9 +85,9 @@ def pow_mod(base: int, exponent: int, modulus: int) -> int:
 
 # Smallest strong pseudoprime to the listed bases exceeds the bound, so each
 # rung is a deterministic primality test below its bound; no rung is covered
-# by a later one with as few bases (Jaeschke, Math. Comp. 61, 1993).
+# by a later one with as few bases (Jaeschke, Math. Comp. 61, 1993).  Below
+# TRIAL_DIVISION_LIMIT is_prime reads the sieve instead.
 _MR_LADDER = (
-    (2_047, (2,)),
     (9_080_191, (31, 73)),
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1662803)),
@@ -170,11 +170,16 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: deterministic below 2**64, Baillie-PSW style above.
 
-    Above 2**64 no counterexample to the combined test is known; callers
-    that surface verdicts for such n should label them probable.
+    Below TRIAL_DIVISION_LIMIT the answer is read off small_prime_flags();
+    from there to 2**64 a Miller-Rabin rung of _MR_LADDER decides.  Above
+    2**64 no counterexample to the combined test is known; callers that
+    surface verdicts for such n should label them probable.
     """
     if n < 2:
         return False
+    if n < TRIAL_DIVISION_LIMIT:
+        # index i of the flags stands for the odd 2i + 1
+        return n == 2 if n % 2 == 0 else small_prime_flags()[n // 2] == 1
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -210,30 +215,22 @@ def _odd_sieve(limit: int) -> bytearray:
 def small_prime_flags() -> bytearray:
     """_odd_sieve(TRIAL_DIVISION_LIMIT), cached: the one sieve below the trial-division limit.
 
-    small_primes() is read off it, and count's order scan reads off it the
-    primality of each candidate below the limit before it reads the
-    candidate's index of 2.
+    is_prime answers below the limit from it, small_primes() is read off
+    it, and count's order scan reads off it the primality of each
+    candidate below the limit before it reads the candidate's index of 2.
     """
     return _odd_sieve(TRIAL_DIVISION_LIMIT)
 
 
-def _primes_below(limit: int) -> array:
-    """The primes below limit, ascending, as 4-byte items (a tenth of a tuple's memory).
-
-    They are read off the odd-only sieve (_odd_sieve), with 2 put in front;
-    up to the trial-division limit it is the held small_prime_flags(), read
-    only as far as limit.
-    """
-    sieve = small_prime_flags() if limit <= TRIAL_DIVISION_LIMIT else _odd_sieve(limit)
-    primes = array("I", (2,) * (limit > 2))
-    primes.extend(compress(range(1, limit, 2), sieve))
-    return primes
-
-
 @lru_cache(maxsize=1)
 def small_primes() -> array:
-    """Primes below the trial-division limit, cached, read off small_prime_flags()."""
-    return _primes_below(TRIAL_DIVISION_LIMIT)
+    """Primes below the trial-division limit, cached, read off small_prime_flags().
+
+    4-byte items, a tenth of a tuple's memory, 2 put in front of the flags' odd primes.
+    """
+    primes = array("I", [2])
+    primes.extend(compress(range(1, TRIAL_DIVISION_LIMIT, 2), small_prime_flags()))
+    return primes
 
 
 @lru_cache(maxsize=1024)

@@ -4,11 +4,11 @@ Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x).  The sweep gives every prime
 p <= sqrt(x) its order h and lists them by order as P_h: below
 TRIAL_DIVISION_LIMIT, h = (p - 1) / i_p for the index i_p of 2 that
-primover._index2 stores; above it (x > 10**12) the primes of p - 1, read
-off one table of largest prime factors, strip p - 1 down to h.  The
-completion pass takes any map of such lists and finds the primes of each
-order h in (sqrt(x), x / p_min(h)]: primover lists, count scans above the
-listed bound.  primover lists all the primes of a complete table entry,
+primover._index2 stores; above it (x > 10**12) one table of least prime
+factors sieves those p and gives the primes of p - 1 that strip it to h.
+The completion pass takes any map of such lists and finds the primes of
+each order h in (sqrt(x), x / p_min(h)]: primover lists, count scans above
+the listed bound.  primover lists all the primes of a complete table entry,
 and those up to 2**30 of any other order below 10**4, from the table's
 scanned section; an order from 10**4 up lists none.  Above the bound a
 scan decides each candidate q = 1 (mod h) below TRIAL_DIVISION_LIMIT by the
@@ -28,16 +28,16 @@ its P_n from a scan up to sqrt(x).
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 
 from . import primover
-from .arith import (TRIAL_DIVISION_LIMIT, Budget, _primes_below, factorize, is_prime,
-                    small_prime_flags, small_primes)
+from .arith import TRIAL_DIVISION_LIMIT, Budget, is_prime, small_prime_flags, small_primes
 from .errors import EffortError
-from .order import _strip
+from .order import _complete_factorization, _strip
 from .primover import _cyclotomic_value, _slots_of_order
 
 REMAINDER_BITS = 2048
@@ -73,18 +73,18 @@ def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     it is prime, read off the trial-division sieve, and its index
     (primover._index2) is (q - 1) / h.  From the limit up _scan_sieve
     first drops composites with a small prime factor and primes of another
-    order by a mod-8 mask; a scan of fewer
-    than 8 such candidates, where the sieve's set-up costs more than it
-    saves, tests each directly.  A candidate never divides h, so a prime q
-    has order h iff q | Phi_h(2): while phi(h) < REMAINDER_BITS and at least
-    4 * 2**omega(h) candidates survive, enough to pay for building
-    Phi_h(2), one remainder decides it; otherwise 2**h = 1 (mod q) and no
-    smaller order do.  The primes of h are found (_order_primes) only for
-    these tests: when 8 candidates survive, or one passes 2**h = 1.  A
-    composite of primes of order h (2304167 = 1103 * 2089 for h = 29) can
-    pass either, so primality is tested last, once per prime, by its own
-    order.  scripts/factor_table.py builds the table's scanned section with
-    it, each order below 10**4 with no complete entry up to 2**30.
+    order by a mod-8 mask; a scan of fewer than 8 such candidates, where
+    the sieve's set-up costs more than it saves, tests each directly.  A
+    candidate never divides h, so a prime q has order h iff q | Phi_h(2):
+    while phi(h) < REMAINDER_BITS and at least 4 * 2**omega(h) candidates
+    survive, enough to pay for building Phi_h(2), one remainder decides
+    it; otherwise 2**h = 1 (mod q) and no smaller order do.  h is factored
+    only for these tests, when 8 candidates survive or one passes
+    2**h = 1, and must factor completely.  A composite of primes of order h
+    (2304167 = 1103 * 2089 for h = 29) can pass either, so primality is
+    tested last, once per prime, by its own order.  scripts/factor_table.py
+    builds the table's scanned section with it, each order below 10**4 with
+    no complete entry up to 2**30.
     """
     start, step = _progression(h, lo)
     if limit < start:
@@ -108,24 +108,16 @@ def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     h_primes = None
     # Phi_h(2) is built from 2**omega(h) >= 2 factors 2**d - 1: worth it at 4 survivors each
     if len(qs) >= 8:
-        h_primes = _order_primes(h, budget)
+        h_primes = _complete_factorization(h, budget).primes()
         phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
         if phi < REMAINDER_BITS and len(qs) >= 4 << len(h_primes):
             c = _cyclotomic_value(h, h_primes)
             return found + [q for q in qs if c % q == 0 and is_prime(q)]
     passed = [q for q in qs if pow(2, h, q) == 1]
     if passed:
-        h_primes = h_primes or _order_primes(h, budget)
+        h_primes = h_primes or _complete_factorization(h, budget).primes()
         found += [q for q in passed if _strip(2, h, h_primes, q) == h and is_prime(q)]
     return found
-
-
-def _order_primes(h: int, budget: Budget) -> tuple[int, ...]:
-    """The primes of h, for the order tests; EffortError when h is not fully factored."""
-    fz = factorize(h, budget)
-    if not fz.complete:
-        raise EffortError(f"cannot factor the order {h} to test its candidates")
-    return fz.primes()
 
 
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
@@ -181,34 +173,38 @@ def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
     return out
 
 
-def _p_minus_1_primes(first: int, limit: int):
-    """(p, the primes of p - 1 ascending) for every prime p in [first, limit], p ascending.
+def _prime_orders(first: int, limit: int):
+    """(p, ord_p(2)) for every prime p in [first, limit], p ascending.
 
-    first >= 3.  One table of the largest prime factor of each m <= limit, written by
-    the primes in ascending order, strips each p - 1 with no division test.
+    first >= 3 and isqrt(limit) < TRIAL_DIVISION_LIMIT (x < 10**24).  The one
+    sieve is a table of least prime factors, struck from r*r by the held
+    primes r <= isqrt(limit), largest first: a prime reads 0 in it, and
+    _strip takes each p - 1 down to the order by the primes read off it.
     """
     if limit < first:
         return
-    primes = _primes_below(limit + 1)
-    top = array("I", [0]) * (limit + 1)
-    for r in primes:
-        top[r::r] = array("I", [r]) * (limit // r)
-    for p in primes[bisect_left(primes, first):]:
+    primes = small_primes()
+    least = array("I", [0]) * (limit + 1)
+    for r in reversed(primes[:bisect_right(primes, math.isqrt(limit))]):
+        least[r * r::r] = array("I", [r]) * ((limit - r * r) // r + 1)
+    start = first | 1
+    is_odd_prime = map(operator.not_, islice(least, start, None, 2))
+    for p in compress(range(start, limit + 1, 2), is_odd_prime):
         m, p_primes = p - 1, []
         while m > 1:
-            f = top[m]
+            f = least[m] or m  # m itself is prime when it reads 0
             p_primes.append(f)
             while m % f == 0:
                 m //= f
-        yield p, p_primes[::-1]
+        yield p, _strip(2, p - 1, p_primes, p)
 
 
 def _sweep(x: int) -> dict[int, list[int]]:
     """Every prime p <= sqrt(x) by its order h: {h: P_h ascending}.
 
     Below TRIAL_DIVISION_LIMIT h = (p - 1) / i_p, the index i_p read off
-    primover._index2; from the limit up _strip takes p - 1 down to h, given
-    its primes from _p_minus_1_primes.  Nothing is factored or charged.
+    primover._index2; from the limit up _prime_orders gives h off one
+    table of least prime factors.  Nothing is factored or charged.
     """
     orders: dict[int, list[int]] = {}
     # x < 0 sweeps nothing; _complete refuses every x < 3
@@ -218,8 +214,8 @@ def _sweep(x: int) -> dict[int, list[int]]:
     # 2, index 0, has no order
     for p, i in zip(primes[1:k], index[1:k]):
         orders.setdefault((p - 1) // i, []).append(p)
-    for p, p_primes in _p_minus_1_primes(TRIAL_DIVISION_LIMIT, root):
-        orders.setdefault(_strip(2, p - 1, p_primes, p), []).append(p)
+    for p, h in _prime_orders(TRIAL_DIVISION_LIMIT, root):
+        orders.setdefault(h, []).append(p)
     return orders
 
 

@@ -211,7 +211,7 @@ def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
     if n < 3:
         return ((3,) if n == 2 else ()), None
     if n in _phi2_table():
-        return _tabled_factorization(n, factorize(n).primes()).primes(), None
+        return _tabled_factorization(n, _complete_factorization(n, None).primes()).primes(), None
     below, bound, orders, primes = _phi2_scanned()
     if n >= below:
         return (), 0

@@ -3,6 +3,7 @@
 from array import array
 from itertools import compress
 from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import sympy
 
@@ -70,7 +71,7 @@ def pow_primes_of_order(h, lo, limit):
 
 
 def sieve_primes_below(limit):
-    """Reference for arith._primes_below: a sieve over every number below limit."""
+    """Reference for arith.small_primes: a sieve over every number below limit."""
     sieve = bytearray(b"\x01") * limit
     sieve[:2] = b"\x00\x00"
     for p in range(2, isqrt(limit - 1) + 1):
@@ -129,3 +130,14 @@ MEMBERS_1E6 = [
     220729, 253241, 256999, 280601, 390937, 458989, 486737, 514447,
     580337, 818201, 838861, 877099, 916327, 976873,
 ]
+
+
+def factor_table_script():
+    """scripts/factor_table.py, loaded as a module."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "factor_table.py"
+    spec = importlib.util.spec_from_file_location("factor_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script

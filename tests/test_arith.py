@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_prime_factorize, sieve_primes_below
+from _oracles import factor_table_script, per_prime_factorize, sieve_primes_below
 from overpseudo import arith, enumerate_overpseudoprimes
 from overpseudo.arith import (
     Budget,
@@ -49,6 +49,13 @@ class TestIsPrime:
         assert not is_prime(1)
         assert not is_prime(0)
         assert is_prime(2)
+
+    def test_flags_meet_the_ladder_at_the_limit(self):
+        # below 10**6 the held flags answer, from it a Miller-Rabin rung; the
+        # n < 2 guard keeps a negative odd n from reading the flags from the end
+        primes = set(sieve_primes_below(10**6 + 201))
+        wrong = [n for n in range(-10, 10**6 + 201) if is_prime(n) != (n in primes)]
+        assert wrong == []
 
     def test_matches_sieve_exhaustive(self):
         limit = 10**7
@@ -165,26 +172,25 @@ class TestFactorize:
 
 
 class TestPrimesBelow:
-    """The odd-only sieve against the sieve over every number it replaced."""
+    """The one odd-only sieve, held at the trial-division limit."""
 
-    def test_matches_the_full_sieve(self):
-        for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 999984, 10**6]:
-            got = arith._primes_below(limit)
-            assert got.typecode == "I" and got == sieve_primes_below(limit), limit
+    def test_one_sieve_per_process(self, monkeypatch):
+        # small_primes, is_prime below the limit, the sweep above it and the
+        # index build all read the held flags; nothing sieves again
+        from overpseudo import count
 
-    def test_below_the_limit_no_new_sieve(self, monkeypatch):
-        # up to the trial-division limit the primes are read off the held
-        # flags, so count's sweep at x below 10**12 sieves nothing again
-        arith.small_prime_flags()
         sieved = []
         odd_sieve = arith._odd_sieve
         monkeypatch.setattr(arith, "_odd_sieve", lambda limit: sieved.append(limit) or
                             odd_sieve(limit))
-        for limit in [*range(1, 3001), 10**5, 10**5 + 1, 999983, 10**6]:
-            arith._primes_below(limit)
-        assert sieved == []
-        assert arith._primes_below(10**6 + 1)[-1] == 999983
-        assert sieved == [10**6 + 1]
+        arith.small_prime_flags.cache_clear()
+        arith.small_primes.cache_clear()
+        assert arith.small_primes()[-1] == 999983
+        assert is_prime(999983)
+        orders = count._sweep((10**6 + 100) ** 2)
+        assert sum(map(len, orders.values())) == 78498 - 1 + 6
+        factor_table_script().build_index()
+        assert sieved == [TRIAL_DIVISION_LIMIT]
 
     def test_small_primes(self):
         primes = arith.small_primes()

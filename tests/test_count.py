@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 from sympy import divisors, isprime, mobius, n_order, primefactors, primerange
 
-from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, pow_primes_of_order,
-                      sieve_primes_below, sympy_primes_of_order)
+from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, factor_table_script,
+                      pow_primes_of_order, sieve_primes_below, sympy_primes_of_order)
 from overpseudo import count as count_module
 from overpseudo import primover
 from overpseudo import (
@@ -418,9 +418,9 @@ class TestIndexOf2:
     FILE = Path(primover.__file__).parent / "data" / "index2.zlib"
 
     def test_committed_index_equals_a_rebuild(self):
-        # scripts/factor_table.py's build from the primes of each p - 1 and
-        # _strip, about 0.6 s; the file holds one entry per odd prime
-        assert zlib.decompress(self.FILE.read_bytes()) == _factor_table_script().build_index()
+        # scripts/factor_table.py's build from count's _prime_orders, about
+        # 0.6 s; the file holds one entry per odd prime
+        assert zlib.decompress(self.FILE.read_bytes()) == factor_table_script().build_index()
         # read aligned with small_primes(), 2 getting 0
         index = primover._index2()
         assert len(index) == len(count_module.small_primes()) == 78498
@@ -728,17 +728,6 @@ class TestPhi2Table:
         assert "ov: 24\n" in proc.stdout
 
 
-def _factor_table_script():
-    """scripts/factor_table.py, loaded as a module."""
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "factor_table.py"
-    spec = importlib.util.spec_from_file_location("factor_table", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _scanned_by_order() -> dict[int, list[int]]:
     """The scanned section's primes by order, for each order that has one."""
     by_order: dict[int, list[int]] = {}
@@ -804,7 +793,7 @@ class TestScannedSection:
         # a prime of another order (599, of order 299), another bound, a
         # missing order, lists of unequal length, or a pair out of order
         # each fail it
-        script = _factor_table_script()
+        script = factor_table_script()
         upto = 1 << 24
         by_order = _scanned_by_order()
         primes = {h: [q for q in by_order[h] if q <= upto] for h in (223, 299)}
@@ -882,7 +871,7 @@ class TestCrossChecksOfTheScannedSection:
 
     def test_full_rescan(self):
         # what scripts/factor_table.py --check runs, about 2 minutes on 2 cores
-        script = _factor_table_script()
+        script = factor_table_script()
         data = json.loads(TestPhi2Table.FILE.read_text())
         assert data["scanned"]["below"] == script.SCAN_BELOW
         orders = script.scanned_orders(data["factors"])
@@ -923,14 +912,23 @@ class TestSweepFactorsNothing:
             finally:
                 active.pop()
 
-        for module in (order_module, count_module):
-            monkeypatch.setattr(module, "factorize", factorize_spy)
+        scan_factored = []  # the orders count's scans factor
+        complete_factorization = count_module._complete_factorization
+
+        def scan_spy(n, budget):
+            scan_factored.append(n)
+            return complete_factorization(n, budget)
+
+        monkeypatch.setattr(order_module, "factorize", factorize_spy)
         monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
+        monkeypatch.setattr(count_module, "_complete_factorization", scan_spy)
         assert ov_count(10**8).ov == 266
         # the sweep reads each order off the index of 2, and at 1e8 no scan
-        # reaches 10**6, where count finds an order's primes
+        # reaches 10**6, where count finds an order's primes; h is factored
+        # only for a complete entry's read
         assert [n for h, n in calls if h is None] == []
-        assert all(n != h for h, n in calls)
+        assert scan_factored == []
+        assert {n for h, n in calls if n == h} <= set(primover._phi2_table())
 
     def test_primes_of_an_order_found_only_where_used(self, monkeypatch):
         # count finds the primes of h for a scan that reaches 10**6, and
@@ -939,11 +937,11 @@ class TestSweepFactorsNothing:
         # each once, in ascending order
         factored = {count_module: [], primover: []}
         for module in factored:
-            def spy(n, budget=None, real=module.factorize, got=factored[module]):
+            def spy(n, budget, real=module._complete_factorization, got=factored[module]):
                 got.append(n)
                 return real(n, budget)
 
-            monkeypatch.setattr(module, "factorize", spy)
+            monkeypatch.setattr(module, "_complete_factorization", spy)
         assert ov_count(10**10).ov == 1730
         read = factored[primover]
         assert factored[count_module] == [] and read == sorted(set(read))
@@ -952,17 +950,31 @@ class TestSweepFactorsNothing:
         assert count_module._scan(2249, 900_000, 2 * 10**6, Budget()) == [931087, 1619281]
         assert factored[count_module] == [2249]
 
-    def test_primes_of_p_minus_1_match_sympy(self):
-        limit = 10**6
-        got = list(count_module._p_minus_1_primes(3, limit))
-        assert [p for p, _ in got] == list(primerange(3, limit + 1))
-        for p, p_primes in got:
-            assert p_primes == primefactors(p - 1), p
-        # from first up only, as the sweep takes them above 10**6
-        got = list(count_module._p_minus_1_primes(limit, limit + 1000))
-        assert [p for p, _ in got] == list(primerange(limit, limit + 1001))
-        assert all(p_primes == primefactors(p - 1) for p, p_primes in got)
-        assert list(count_module._p_minus_1_primes(limit, limit - 1)) == []
+    def test_prime_orders_reproduce_the_index(self):
+        # below 10**6 every prime's order gives back its stored index of 2
+        primes, index = count_module.small_primes(), primover._index2()
+        got = list(count_module._prime_orders(3, 10**6 - 1))
+        assert [p for p, _ in got] == list(primes[1:])
+        assert all((p - 1) // h == i for (p, h), i in zip(got, index[1:]))
+
+    def test_prime_orders_match_mult_order_above_the_limit(self):
+        # mult_order factors each p - 1 on its own
+        limit = 10**6 + 2 * 10**5
+        got = list(count_module._prime_orders(10**6, limit))
+        assert [p for p, _ in got] == list(primerange(10**6, limit + 1))
+        assert all(h == mult_order(2, p) for p, h in got)
+
+    def test_prime_orders_edges(self):
+        orders = count_module._prime_orders
+        assert list(orders(10**6 + 4, 10**6 + 3)) == []
+        # an even first starts at the next odd number
+        assert [p for p, _ in orders(4, 30)] == list(primerange(4, 31))
+        assert list(orders(1000003, 1000003)) == [(1000003, n_order(2, 1000003))]
+        # 1009**2 is struck by 1009 alone, the last striking prime
+        limit = 1009**2
+        got = list(orders(limit - 400, limit))
+        assert [p for p, _ in got] == list(primerange(limit - 400, limit + 1))
+        assert all(h == n_order(2, p) for p, h in got)
 
 
 class TestCountFactorsNothing:
