@@ -37,13 +37,16 @@ h = 3..150 to compare, and rescans the whole scanned section: "below",
 the bound, and the primes of every order it covers.  It compares the
 index's digest with primover.INDEX2_SHA256 and its words, byte for byte,
 with a rebuild's (the words, not the compressed bytes, which another
-zlib may write differently).  It takes about 2 minutes on 2 cores.
+zlib may write differently), and primover.WIEFERICH_PRIMES with a search
+of every prime below TRIAL_DIVISION_LIMIT, on which count's exponent of 1
+for every other prime there rests.  It takes about 2 minutes on 2 cores.
 
 Usage:
   python scripts/factor_table.py                 # rebuild the table and the index
   python scripts/factor_table.py --out phi2.json # write the table elsewhere
   python scripts/factor_table.py --check         # digests, every entry, rebuild h = 3..150,
-                                                 # rescan the scanned section, rebuild the index
+                                                 # rescan the scanned section, rebuild the index,
+                                                 # search the Wieferich primes below 10**6
 """
 
 import argparse
@@ -59,9 +62,10 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from overpseudo import Budget, ContractViolationError, factorize
-from overpseudo.arith import TRIAL_DIVISION_LIMIT
+from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
 from overpseudo.count import _prime_orders, _scan
-from overpseudo.primover import INDEX2_SHA256, PHI2_SHA256, _factor_reduced, _prove_entry
+from overpseudo.primover import (INDEX2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _factor_reduced,
+                                  _prove_entry)
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
 INDEX = TABLE.with_name("index2.zlib")
@@ -121,6 +125,15 @@ def check_index(path: Path) -> list[str]:
     if zlib.decompress(path.read_bytes()) != build_index():
         problems.append(f"{path.name} is not what a rebuild of the index gives")
     return problems
+
+
+def check_wieferich() -> list[str]:
+    """primover.WIEFERICH_PRIMES against every prime q below the limit with q*q | 2**(q-1) - 1."""
+    found = tuple(q for q in small_primes() if pow(2, q - 1, q * q) == 1)
+    if found == WIEFERICH_PRIMES:
+        return []
+    return [f"the Wieferich primes below {TRIAL_DIVISION_LIMIT} are {found}, "
+            f"not primover.WIEFERICH_PRIMES {WIEFERICH_PRIMES}"]
 
 
 def write_index(path: Path) -> None:
@@ -221,12 +234,13 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="check --out's digest and every entry, rebuild the "
                              f"orders up to {CHECK_UPTO} to compare, rescan the "
-                             "scanned section, and check the index against a rebuild")
+                             "scanned section, check the index against a rebuild, "
+                             "and search the Wieferich primes below the limit")
     args = parser.parse_args()
 
     t0 = time.time()
     if args.check:
-        problems = check(args.out, CHECK_UPTO) + check_index(INDEX)
+        problems = check(args.out, CHECK_UPTO) + check_index(INDEX) + check_wieferich()
         for line in problems:
             print(line)
         print(f"{len(problems)} problems, {time.time() - t0:.1f}s")

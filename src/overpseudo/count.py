@@ -11,18 +11,23 @@ each order h in (sqrt(x), x / p_min(h)]: primover lists, count scans above
 the listed bound.  primover lists all the primes of a complete table entry,
 and those up to 2**30 of any other order below 10**4, from the table's
 scanned section; an order from 10**4 up lists none.  Above the bound a
-scan decides each candidate q = 1 (mod h) below TRIAL_DIVISION_LIMIT by the
-index: q has order h iff it is prime (arith.small_prime_flags) and
-i_q = (q - 1) / h.  From the limit up each candidate that survives a sieve
-and a mod-8 mask gets an order test: q | Phi_h(2) while
-phi(h) < REMAINDER_BITS and enough candidates survive to pay for Phi_h(2),
-else 2**h = 1 (mod q) and no smaller order.  The primes of h are found only
-for that order test and for a complete entry's read.  A scan costs one
-unit per candidate q = 1 (mod h) it decides; what primover lists costs
-nothing.  Prime powers q**i dividing 2**h - 1 are admitted; every product
-of at least two slots is a member.  ov_count completes the sweep's orders,
-ov_count_upto_order those up to n, and ov_count_by_order the one order n,
-its P_n from a scan up to sqrt(x).
+scan finds the primes below TRIAL_DIVISION_LIMIT by the index: q has
+order h iff i_q = (q - 1) / h.  In the completion one walk over the primes
+in (sqrt(x), 10**6) and their indices (_held_primes), run by the first
+scan that starts below 10**6, gives that order and every order above it
+their primes there at once; a scan of one order alone (the by-order seed
+scan, the table's build) reads the index at its own candidates.  From the limit up
+each candidate that survives a sieve and a mod-8 mask gets an order test:
+q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough candidates survive
+to pay for Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The
+primes of h are found only for that order test and for a complete entry's
+read.  A scan costs one unit per candidate q = 1 (mod h) above its start,
+however it is decided; what primover lists costs nothing.  Prime powers
+q**i dividing 2**h - 1 are admitted (primover._exponent_cap); every product
+of at least two slots is a member, and an order whose one prime has
+exponent 1 forms none, so it builds no slots.  ov_count completes the
+sweep's orders, ov_count_upto_order those up to n, and ov_count_by_order
+the one order n, its P_n from a scan up to sqrt(x).
 """
 
 from __future__ import annotations
@@ -31,31 +36,38 @@ import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice
 
 from . import primover
 from .arith import TRIAL_DIVISION_LIMIT, Budget, is_prime, small_prime_flags, small_primes
 from .errors import EffortError
 from .order import _complete_factorization, _strip
-from .primover import _cyclotomic_value, _slots_of_order
+from .primover import _cyclotomic_value, _exponent_cap, _slots_of_order
 
 REMAINDER_BITS = 2048
 
+# gives, on its first call, the one pass's map of primes below the limit by order
+Held = Callable[[], dict[int, list[int]]]
 
-def _primes_of_order(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
+
+def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
+                     held: Held | None = None) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
     primover lists, count scans above the listed bound: the primes
     primover._listed_primes lists in (lo, limit], free, then _scan above
-    max(lo, bound) unless bound is None.  No odd q = 1 (mod h) there: [].
+    max(lo, bound), given held, unless bound is None.  No odd
+    q = 1 (mod h) there: [].
     """
     start, _ = _progression(h, lo)
     if limit < start:
         return []
     listed, bound = primover._listed_primes(h)
     got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
-    return got if bound is None else got + _scan(h, max(lo, bound), limit, budget)
+    return got if bound is None else got + _scan(h, max(lo, bound), limit, budget, held)
 
 
 def _progression(h: int, lo: int) -> tuple[int, int]:
@@ -65,16 +77,21 @@ def _progression(h: int, lo: int) -> tuple[int, int]:
     return start + max(0, (lo - start) // step + 1) * step, step
 
 
-def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
+def _scan(h: int, lo: int, limit: int, budget: Budget,
+          held: Held | None = None) -> list[int]:
     """The primes of order h in (lo, limit], h >= 3, by testing every candidate there.
 
-    One unit per candidate in (lo, limit], wherever it is decided.  Below
-    TRIAL_DIVISION_LIMIT the stored index of 2 decides: q has order h iff
-    it is prime, read off the trial-division sieve, and its index
-    (primover._index2) is (q - 1) / h.  From the limit up _scan_sieve
-    first drops composites with a small prime factor and primes of another
-    order by a mod-8 mask; a scan of fewer than 8 such candidates, where
-    the sieve's set-up costs more than it saves, tests each directly.  A
+    One unit per candidate in (lo, limit], wherever it is decided, charged
+    once those below TRIAL_DIVISION_LIMIT are decided.  There, given held,
+    its map (_held_primes's) holds every prime of order h in
+    (lo, min(limit, TRIAL_DIVISION_LIMIT - 1)], and the scan reads them off
+    it; without held the stored index of 2 decides this order's candidates
+    alone: q has order h iff it is prime, read off the trial-division
+    sieve, and its index (primover._index2) is (q - 1) / h.  From the limit
+    up _scan_sieve first drops composites with a small prime factor and
+    primes of another order by a mod-8 mask; a scan of fewer than 8 such
+    candidates, where the sieve's set-up costs more than it saves, tests
+    each directly.  A
     candidate never divides h, so a prime q has order h iff q | Phi_h(2):
     while phi(h) < REMAINDER_BITS and at least 4 * 2**omega(h) candidates
     survive, enough to pay for building Phi_h(2), one remainder decides
@@ -89,18 +106,22 @@ def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     start, step = _progression(h, lo)
     if limit < start:
         return []
-    budget.charge((limit - start) // step + 1)
+    total = (limit - start) // step + 1
     found = []
     if start < TRIAL_DIVISION_LIMIT:
-        last = min(limit, TRIAL_DIVISION_LIMIT - 1)
-        # q, odd, is index q // 2 of the sieve, which advances by step // 2
-        flags = small_prime_flags()[start // 2:last // 2 + 1:step // 2]
-        primes, index = small_primes(), primover._index2()
-        found = [q for q in compress(range(start, last + 1, step), flags)
-                 if index[bisect_left(primes, q)] * h == q - 1]
+        if held is None:
+            last = min(limit, TRIAL_DIVISION_LIMIT - 1)
+            # q, odd, is index q // 2 of the sieve, which advances by step // 2
+            flags = small_prime_flags()[start // 2:last // 2 + 1:step // 2]
+            primes, index = small_primes(), primover._index2()
+            found = [q for q in compress(range(start, last + 1, step), flags)
+                     if index[bisect_left(primes, q)] * h == q - 1]
+        else:
+            found = [q for q in held().get(h, ()) if lo < q]
         start, _ = _progression(h, TRIAL_DIVISION_LIMIT - 1)
-        if limit < start:
-            return found
+    budget.charge(total)
+    if limit < start:
+        return found
     n = (limit - start) // step + 1
     qs = range(start, limit + 1, step)
     if n >= 8:
@@ -150,10 +171,12 @@ def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
 
 
 def _products(slots: list[tuple[int, int]], x: int) -> list[int]:
-    """All products <= x, unsorted, of at least two slots (ascending, capped powers)."""
+    """All products <= x, unsorted, of at least two slots (ascending, capped powers).
+
+    A lone slot of exponent 1 gives none; _complete passes over such an
+    order without building its slots.
+    """
     out: list[int] = []
-    if sum(e for _, e in slots) < 2:  # a lone prime, as most orders have, forms none
-        return out
 
     def rec(i: int, prod: int, omega: int) -> None:
         if omega >= 2:
@@ -219,16 +242,42 @@ def _sweep(x: int) -> dict[int, list[int]]:
     return orders
 
 
+def _held_primes(x: int, orders: dict[int, list[int]], first: int) -> dict[int, list[int]]:
+    """{h: the primes q of order h in (sqrt(x), TRIAL_DIVISION_LIMIT) with q <= x // P_h[0]}.
+
+    For each order h >= first of the map, with P_h its list there, by one
+    pass over small_primes() and primover._index2() up to the largest such
+    x // P_h[0]: each prime q goes to h = (q - 1) / i_q.  Nothing is
+    charged.
+    """
+    primes, index = small_primes(), primover._index2()
+    start = bisect_right(primes, math.isqrt(x))
+    end = bisect_right(primes, x // min(seeds[0] for h, seeds in orders.items() if h >= first))
+    held: dict[int, list[int]] = {}
+    for q, i in zip(islice(primes, start, end), islice(index, start, end)):
+        h = (q - 1) // i
+        seeds = orders.get(h)
+        if seeds and h >= first and q * seeds[0] <= x:
+            held.setdefault(h, []).append(q)
+    return held
+
+
 def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int, list[int]]:
     """Members <= x by order, h ascending, for each h of a map like _sweep's that has any."""
     if x < 3:
         raise ValueError("x must be >= 3")
     root = math.isqrt(x)
+    # the first scan that starts below TRIAL_DIVISION_LIMIT runs the pass,
+    # before its charge, for its order h, read when called, and those above
+    held = cache(lambda: _held_primes(x, orders, h))
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
         seeds = orders[h]
         try:
-            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget)
+            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget, held)
+            # a lone prime of exponent 1, as most orders have, forms no member
+            if len(qs) == 1 and _exponent_cap(h, qs[0], x) == 1:
+                continue
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:
             raise EffortError(

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import Budget, Factorization, factorize, is_prime
+from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize, is_prime
 from .errors import ContractViolationError, EffortError
 from .order import _complete_factorization, _has_order, _two_routes
 
@@ -276,16 +276,31 @@ class PrimitivePart:
         return out
 
 
+# The Wieferich primes to base 2 below TRIAL_DIVISION_LIMIT: the primes q
+# there with q*q | 2**(q - 1) - 1.  scripts/factor_table.py --check and the
+# tests search every prime below the limit for another.
+WIEFERICH_PRIMES = (1093, 3511)
+
+
+def _exponent_cap(h: int, q: int, x: int) -> int:
+    """The largest e with q**e | 2**h - 1 and q**e <= x, for a prime q of order h.
+
+    q*q | 2**h - 1 with h | q - 1 makes q a Wieferich prime, so below
+    TRIAL_DIVISION_LIMIT every prime but WIEFERICH_PRIMES has e = 1 with no
+    pow; from the limit up each power is tested.
+    """
+    e, nq = 1, q * q
+    if q < TRIAL_DIVISION_LIMIT and q not in WIEFERICH_PRIMES:
+        return e
+    while nq <= x and pow(2, h, nq) == 1:
+        e += 1
+        nq *= q
+    return e
+
+
 def _slots_of_order(h: int, primes, x: int) -> list[tuple[int, int]]:
-    """Cap each prime's exponent at its admissible power q**i | 2**h - 1, q**i <= x."""
-    slots = []
-    for q in primes:
-        e, nq = 1, q * q
-        while nq <= x and pow(2, h, nq) == 1:
-            e += 1
-            nq *= q
-        slots.append((q, e))
-    return slots
+    """Cap each prime of order h at its admissible power q**i | 2**h - 1, q**i <= x."""
+    return [(q, _exponent_cap(h, q, x)) for q in primes]
 
 
 def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import sympy
 
-from overpseudo import is_overpseudoprime_def
+from overpseudo import EffortError, is_overpseudoprime_def
+from overpseudo import count
 from overpseudo.arith import (
     Budget,
     Factorization,
@@ -122,6 +123,36 @@ def per_prime_factorize(n, budget=None):
         stack.append(c // d)
     return Factorization(n, tuple(sorted(found.items())), unfactored == 1,
                          unfactored)
+
+
+def per_order_complete(x, orders, budget):
+    """Reference for count._complete: the per-order loop it replaced.
+
+    Each order in ascending h takes its primes in (sqrt(x), x // P_h[0]]
+    from its own call of count._primes_of_order, whose scan reads the index
+    of 2 at that order's candidates below 10**6, and every prime's exponent
+    from pow, with no order passed over; the charges and the exhaustion
+    message are count's.
+    """
+    root = isqrt(x)
+    groups = {}
+    for h in sorted(orders):
+        seeds = orders[h]
+        try:
+            slots = []
+            for q in seeds + count._primes_of_order(h, root, x // seeds[0], budget):
+                e, nq = 1, q * q
+                while nq <= x and pow(2, h, nq) == 1:
+                    e, nq = e + 1, nq * q
+                slots.append((q, e))
+            prods = count._products(slots, x)
+        except EffortError as exc:
+            raise EffortError(
+                f"{exc}; orders below {h} were completed: {sorted(groups)}"
+            ) from exc
+        if prods:
+            groups[h] = prods
+    return groups
 
 
 # verified against sympy_overpseudoprimes and the published sequence data

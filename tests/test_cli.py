@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,29 @@ class TestCountCommand:
             f"orders below 10098 were completed: {completed}\n"
         )
         assert len(err.encode()) == 1682
+
+    def test_small_budget_at_1e10_exits_2_within_a_second(self):
+        # in a fresh process: the sweep, the table's read and the one pass
+        # over the index of 2 all run before the first charge, which already
+        # exceeds 10 units, at the first order above 10**4 with a candidate
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "overpseudo.cli", "count", "10000000000", "--budget", "10"],
+            capture_output=True, env=env, timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(
+            b"effort exhausted: work budget exhausted (20 of 10 units); "
+            b"orders below 10011 were completed: [11, 23, 25, ")
+        assert len(proc.stderr) == 4674
+        assert hashlib.sha256(proc.stderr).hexdigest() == (
+            "92ccd9c8cd959972d8969393a15a84c1cf5498804d5eeb4040c3ac5344d31900"
+        )
+        assert elapsed < 1.0
 
     def test_tabled_orders_need_no_budget(self, capsys):
         # 2047 = 23 * 89 has order 11, a complete table entry, read at no charge

@@ -15,7 +15,8 @@ import pytest
 from sympy import divisors, isprime, mobius, n_order, primefactors, primerange
 
 from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, factor_table_script,
-                      pow_primes_of_order, sieve_primes_below, sympy_primes_of_order)
+                      per_order_complete, pow_primes_of_order, sieve_primes_below,
+                      sympy_primes_of_order)
 from overpseudo import count as count_module
 from overpseudo import primover
 from overpseudo import (
@@ -549,9 +550,9 @@ class TestPhi2Table:
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
-        def primes_of_order_spy(h, lo, limit, budget):
+        def primes_of_order_spy(h, lo, limit, budget, held):
             calls.append((h, lo, limit))
-            return primes_of_order(h, lo, limit, budget)
+            return primes_of_order(h, lo, limit, budget, held)
 
         def lookup_spy(h, h_primes):
             looked_up.append(h)
@@ -1125,31 +1126,32 @@ class TestOvCount:
         # tests only candidates above sqrt(x), for the same count and charge.
         # At 1e8 every order is below 10**4 and read from the table, at no
         # charge, so the scans are watched with the scanned section hidden.
-        # Every candidate then lies below 10**6 and is decided by the index
-        # of 2, with no primality test; at 1e10 the scans find primes above
-        # 10**6, where the primality tests are watched
+        # Every candidate then lies below 10**6 and is decided by the one
+        # pass over the index of 2, with no primality test; at 1e10 the
+        # scans find primes above 10**6, where the primality tests are watched
         x = 10**8
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 0
         request.getfixturevalue("no_scanned_section")
         tested, scanned_from = [], []
-        is_prime, scan = count_module.is_prime, count_module._scan
+        is_prime, held_primes = count_module.is_prime, count_module._held_primes
 
         def spy(q):
             tested.append(q)
             return is_prime(q)
 
-        def scan_spy(h, lo, limit, budget):
-            scanned_from.append(lo)
-            return scan(h, lo, limit, budget)
+        def held_spy(x, orders, first):
+            held = held_primes(x, orders, first)
+            scanned_from.extend(q for qs in held.values() for q in qs)
+            return held
 
         monkeypatch.setattr(count_module, "is_prime", spy)
-        monkeypatch.setattr(count_module, "_scan", scan_spy)
+        monkeypatch.setattr(count_module, "_held_primes", held_spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 13648
-        assert scanned_from and min(scanned_from) >= math.isqrt(x)
+        assert scanned_from and min(scanned_from) > math.isqrt(x)
         assert tested == []
         assert ov_count(10**10).ov == 1730
         assert tested and min(tested) > math.isqrt(10**10)
@@ -1208,6 +1210,18 @@ class TestOvCount:
         assert budget.spent == 1867171
         assert tests["remainder"] > 0 and tests["pow"] > 0
 
+    def test_count_units_and_members_at_1e11(self):
+        # self-computed regression pin: the first x of the grid whose pass
+        # over the index of 2 meets 10**6, so that orders from 10**4 up read
+        # their primes below 10**6 off the pass and scan above it
+        budget = Budget()
+        rec = ov_count(10**11, budget)
+        assert rec.ov == 4480
+        assert budget.spent == 548745
+        assert hashlib.sha256(",".join(map(str, rec.members)).encode()).hexdigest() == (
+            "e18c0842175f56d9db62e3137d623c2452f62fb475f0fb26ae2c5ebd5af3b94b"
+        )
+
     def test_default_budget_reach(self):
         # README's largest x on the grid of multiples of 1e9 that the default
         # budget completes, and the next grid point, which it refuses
@@ -1259,6 +1273,47 @@ class TestTwoSteps:
             h: c for h, c in full.by_order.items() if h % 2}
         members = sorted(m for v in groups.values() for m in v)
         assert members == [m for m in full.members if mult_order(2, m) % 2]
+
+
+class TestOnePass:
+    """count._complete's one pass over the index of 2 against the per-order loop it replaced."""
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    @pytest.mark.parametrize("x", [10**9, 10**10 - 10**8, 10**10 + 10**8, 2 * 10**10])
+    def test_equals_the_per_order_loop(self, request, x, hidden):
+        if hidden:
+            request.getfixturevalue("no_scanned_section")
+        orders = count_module._sweep(x)
+        one_pass, per_order = Budget(10**8), Budget(10**8)
+        got = count_module._complete(x, orders, one_pass)
+        assert got == per_order_complete(x, orders, per_order)
+        assert one_pass.spent == per_order.spent > 0
+
+    @pytest.mark.parametrize("units", [1, 10, 5000, 20000, 36700])
+    def test_runs_out_where_the_per_order_loop_does(self, units):
+        # ov_count(10**10) spends 36701 units
+        orders = count_module._sweep(10**10)
+        with pytest.raises(EffortError) as one_pass:
+            count_module._complete(10**10, orders, Budget(units))
+        with pytest.raises(EffortError) as per_order:
+            per_order_complete(10**10, orders, Budget(units))
+        assert str(one_pass.value) == str(per_order.value)
+
+    def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, monkeypatch):
+        passes = []
+        held_primes = count_module._held_primes
+
+        def spy(x, orders, first):
+            passes.append((x, first))
+            return held_primes(x, orders, first)
+
+        monkeypatch.setattr(count_module, "_held_primes", spy)
+        # up to 1e8 every order is read from the table, so no scan needs the
+        # pass; at 1e10 it runs for the first order above 10**4 that scans,
+        # and those above it
+        assert ov_count(10**8).ov == 266
+        assert ov_count(10**10).ov == 1730
+        assert passes == [(10**10, 10011)]
 
 
 class TestByOrder:

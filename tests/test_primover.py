@@ -106,6 +106,27 @@ class TestPrimitivePart:
         assert part.unfactored > 1
         assert part.cofactor % 3511**2 == 0
 
+    def test_wieferich_primes_below_the_limit_are_the_held_pair(self):
+        # below 10**6 only these two primes q have q*q | 2**(q-1) - 1, so
+        # _slots_of_order runs no pow for any other prime there
+        from overpseudo.arith import TRIAL_DIVISION_LIMIT
+
+        assert primover.WIEFERICH_PRIMES == (1093, 3511)
+        assert all((pow(2, q - 1, q * q) == 1) == (q in primover.WIEFERICH_PRIMES)
+                   for q in sympy.primerange(TRIAL_DIVISION_LIMIT))
+        assert primover._slots_of_order(364, [1093], 1093**3) == [(1093, 2)]
+        assert primover._slots_of_order(1755, [3511], 3511**2 - 1) == [(3511, 1)]
+
+    def test_factor_table_check_searches_the_wieferich_primes(self, monkeypatch):
+        from _oracles import factor_table_script
+
+        script = factor_table_script()
+        assert script.check_wieferich() == []
+        monkeypatch.setattr(script, "WIEFERICH_PRIMES", (1093,))
+        assert script.check_wieferich() == [
+            "the Wieferich primes below 1000000 are (1093, 3511), "
+            "not primover.WIEFERICH_PRIMES (1093,)"]
+
     @pytest.mark.usefixtures("no_phi2_table")
     @pytest.mark.parametrize("stray", [7, 127])
     def test_prime_of_another_order_is_a_contract_violation(self, monkeypatch, stray):
