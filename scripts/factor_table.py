@@ -8,19 +8,21 @@ halves are factored apart) under a fresh Budget(B).  Each complete
 factorization is written as [[p, e], ...] under "factors"; for an order
 left incomplete, the primes found are written the same way under
 "partial", with the range and B.  Then every order h < SCAN_BELOW without
-a complete entry, the partial ones and all of 1000..9999, is scanned with
-count's own scan, count._scan, up to SCAN_BOUND, and every prime of those
-orders up to it is written under "scanned" with "below" and "bound", as
-two flat lists ascending by (order, prime): "orders" holds each prime's
-order and "primes" the prime.  Count reads such an order there up to the
-bound and scans only above it.  The scans run on a pool of worker
-processes, one per CPU, and are assembled in order.  The partial entries
-keep exactly what factoring found.  The same inputs give the same file,
-byte for byte, whatever the number of CPUs.  A build (about 16 minutes
-for the factors and 2 more for the scan on 2 cores) prints the file's
-SHA-256, which must replace primover.PHI2_SHA256: the package reads no
-table with another digest, and so checks no entry at run time beyond its
-product.
+a complete entry, the partial ones and all of 1000..9999, is searched up
+to SCAN_BOUND as count searches it: every order's primes below
+TRIAL_DIVISION_LIMIT come from one walk of the index of 2,
+count._held_primes, and those from the limit up from count's own scan,
+count._scan.  Every prime of those orders up to the bound is written under
+"scanned" with "below" and "bound", as two flat lists ascending by
+(order, prime): "orders" holds each prime's order and "primes" the prime.
+Count reads such an order there up to the bound and scans only above it.
+The scans run on a pool of worker processes, one per CPU, and are
+assembled in order.  The partial entries keep exactly what factoring
+found.  The same inputs give the same file, byte for byte, whatever the
+number of CPUs.  A build (about 16 minutes for the factors and 2 more for
+the scan on 2 cores) prints the file's SHA-256, which must replace
+primover.PHI2_SHA256: the package reads no table with another digest, and
+so checks no entry at run time beyond its product.
 
 The index of 2 is (p - 1) / ord_p(2) for every odd prime p below
 TRIAL_DIVISION_LIMIT, p ascending, which count reads in place of the order
@@ -63,7 +65,7 @@ from pathlib import Path
 
 from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
-from overpseudo.count import _prime_orders, _scan
+from overpseudo.count import _held_primes, _prime_orders, _scan
 from overpseudo.primover import (INDEX2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _factor_reduced,
                                   _prove_entry)
 
@@ -93,16 +95,18 @@ def scanned_orders(complete) -> list[int]:
 
 
 def scan(orders, bound: int) -> dict:
-    """Every prime of each order up to bound, by count's scan, as the section's two lists.
+    """Every prime of each order up to bound, by count's walk and scan, as the section's two lists.
 
-    The orders are scanned on one worker process per CPU and assembled in
-    ascending order, so the lists ascend by (order, prime) and do not
-    depend on the number of CPUs.
+    One walk of the index of 2 gives every order its primes below
+    TRIAL_DIVISION_LIMIT; the orders are scanned from the limit up on one
+    worker process per CPU and assembled in ascending order, so the lists
+    ascend by (order, prime) and do not depend on the number of CPUs.
     """
     orders = sorted(orders)
+    below = _held_primes(0, dict.fromkeys(orders, bound))
     with ProcessPoolExecutor(mp_context=get_context("spawn")) as pool:
-        found = pool.map(_scan, orders, repeat(0), repeat(bound), [Budget(bound) for _ in orders])
-        pairs = [(h, q) for h, primes in zip(orders, found) for q in primes]
+        above = pool.map(_scan, orders, repeat(0), repeat(bound), [Budget(bound) for _ in orders])
+        pairs = [(h, q) for h, primes in zip(orders, above) for q in below.get(h, []) + primes]
     return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
 
 

@@ -7,27 +7,28 @@ TRIAL_DIVISION_LIMIT, h = (p - 1) / i_p for the index i_p of 2 that
 primover._index2 stores; above it (x > 10**12) one table of least prime
 factors sieves those p and gives the primes of p - 1 that strip it to h.
 The completion pass takes any map of such lists and finds the primes of
-each order h in (sqrt(x), x / p_min(h)]: primover lists, count scans above
-the listed bound.  primover lists all the primes of a complete table entry,
-and those up to 2**30 of any other order below 10**4, from the table's
-scanned section; an order from 10**4 up lists none.  Above the bound a
-scan finds the primes below TRIAL_DIVISION_LIMIT by the index: q has
-order h iff i_q = (q - 1) / h.  In the completion one walk over the primes
-in (sqrt(x), 10**6) and their indices (_held_primes), run by the first
-scan that starts below 10**6, gives that order and every order above it
-their primes there at once; a scan of one order alone (the by-order seed
-scan, the table's build) reads the index at its own candidates.  From the limit up
-each candidate that survives a sieve and a mod-8 mask gets an order test:
-q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough candidates survive
-to pay for Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The
-primes of h are found only for that order test and for a complete entry's
-read.  A scan costs one unit per candidate q = 1 (mod h) above its start,
-however it is decided; what primover lists costs nothing.  Prime powers
-q**i dividing 2**h - 1 are admitted (primover._exponent_cap); every product
-of at least two slots is a member, and an order whose one prime has
-exponent 1 forms none, so it builds no slots.  ov_count completes the
-sweep's orders, ov_count_upto_order those up to n, and ov_count_by_order
-the one order n, its P_n from a scan up to sqrt(x).
+each order h in (sqrt(x), x / p_min(h)]: primover lists, count reads and
+tests above the listed bound.  primover lists all the primes of a complete
+table entry, and those up to 2**30 of any other order below 10**4, from
+the table's scanned section; an order from 10**4 up lists none.  Above the
+bound count reads the primes below TRIAL_DIVISION_LIMIT by one walk of the
+index (_held_primes): q has order h iff i_q = (q - 1) / h.  In the
+completion the first order whose candidates start below 10**6 runs that
+walk over (sqrt(x), 10**6), each order up to its own limit, for itself
+and every order above it at once; a read of one order alone (the by-order
+seed scan, the table's build) walks for that order.  From the limit up
+_scan tests: each candidate that survives a sieve and a mod-8 mask gets an
+order test, q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough
+candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
+smaller order.  The primes of h are found only for that order test and
+for a complete entry's read.  An order costs one unit per candidate
+q = 1 (mod h) above the listed bound, however it is decided; what
+primover lists costs nothing.  Prime powers q**i dividing 2**h - 1 are
+admitted (primover._exponent_cap); every product of at least two slots is
+a member, and an order whose one prime has exponent 1 forms none, so it
+builds no slots.  ov_count completes the sweep's orders,
+ov_count_upto_order those up to n, and ov_count_by_order the one order n,
+its P_n read up to sqrt(x).
 """
 
 from __future__ import annotations
@@ -35,21 +36,21 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, islice
 
 from . import primover
-from .arith import TRIAL_DIVISION_LIMIT, Budget, is_prime, small_prime_flags, small_primes
+from .arith import TRIAL_DIVISION_LIMIT, Budget, is_prime, small_primes
 from .errors import EffortError
 from .order import _complete_factorization, _strip
 from .primover import _cyclotomic_value, _exponent_cap, _slots_of_order
 
 REMAINDER_BITS = 2048
 
-# gives, on its first call, the one pass's map of primes below the limit by order
+# gives, on its first call, the one walk's map of primes below the limit by order
 Held = Callable[[], dict[int, list[int]]]
 
 
@@ -57,17 +58,30 @@ def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
                      held: Held | None = None) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
-    primover lists, count scans above the listed bound: the primes
-    primover._listed_primes lists in (lo, limit], free, then _scan above
-    max(lo, bound), given held, unless bound is None.  No odd
-    q = 1 (mod h) there: [].
+    In this order: the primes primover._listed_primes lists in (lo, limit],
+    free; unless those are all (bound None), the primes in
+    (max(lo, bound), limit] below TRIAL_DIVISION_LIMIT, read off held(),
+    a map like _held_primes's, or off a walk for this order alone; one unit
+    per candidate in that interval, however it is decided, the one charge;
+    and _scan's order tests from the limit up.  No odd q = 1 (mod h) in
+    the interval: nothing more, at no charge.
     """
-    start, _ = _progression(h, lo)
+    start, step = _progression(h, lo)
     if limit < start:
         return []
     listed, bound = primover._listed_primes(h)
     got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
-    return got if bound is None else got + _scan(h, max(lo, bound), limit, budget, held)
+    if bound is None:
+        return got
+    lo = max(lo, bound)
+    start, _ = _progression(h, lo)
+    if limit < start:
+        return got
+    if start < TRIAL_DIVISION_LIMIT:
+        read = held() if held else _held_primes(lo, {h: limit})
+        got += [q for q in read.get(h, ()) if lo < q]
+    budget.charge((limit - start) // step + 1)
+    return got + _scan(h, lo, limit, budget) if limit >= TRIAL_DIVISION_LIMIT else got
 
 
 def _progression(h: int, lo: int) -> tuple[int, int]:
@@ -77,51 +91,29 @@ def _progression(h: int, lo: int) -> tuple[int, int]:
     return start + max(0, (lo - start) // step + 1) * step, step
 
 
-def _scan(h: int, lo: int, limit: int, budget: Budget,
-          held: Held | None = None) -> list[int]:
-    """The primes of order h in (lo, limit], h >= 3, by testing every candidate there.
+def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
+    """The primes of order h in (lo, limit] from TRIAL_DIVISION_LIMIT up, h >= 3, by order tests.
 
-    One unit per candidate in (lo, limit], wherever it is decided, charged
-    once those below TRIAL_DIVISION_LIMIT are decided.  There, given held,
-    its map (_held_primes's) holds every prime of order h in
-    (lo, min(limit, TRIAL_DIVISION_LIMIT - 1)], and the scan reads them off
-    it; without held the stored index of 2 decides this order's candidates
-    alone: q has order h iff it is prime, read off the trial-division
-    sieve, and its index (primover._index2) is (q - 1) / h.  From the limit
-    up _scan_sieve first drops composites with a small prime factor and
-    primes of another order by a mod-8 mask; a scan of fewer than 8 such
-    candidates, where the sieve's set-up costs more than it saves, tests
-    each directly.  A
-    candidate never divides h, so a prime q has order h iff q | Phi_h(2):
-    while phi(h) < REMAINDER_BITS and at least 4 * 2**omega(h) candidates
+    lo is raised to TRIAL_DIVISION_LIMIT - 1, below which _held_primes
+    reads the primes off the index of 2, and nothing is charged here:
+    _primes_of_order charges the candidates.  _scan_sieve first drops
+    composites with a small prime factor and primes of another order by a
+    mod-8 mask; a scan of fewer than 8 such candidates, where the sieve's
+    set-up costs more than it saves, tests each directly.  A candidate
+    never divides h, so a prime q has order h iff q | Phi_h(2): while
+    phi(h) < REMAINDER_BITS and at least 4 * 2**omega(h) candidates
     survive, enough to pay for building Phi_h(2), one remainder decides
     it; otherwise 2**h = 1 (mod q) and no smaller order do.  h is factored
     only for these tests, when 8 candidates survive or one passes
     2**h = 1, and must factor completely.  A composite of primes of order h
     (2304167 = 1103 * 2089 for h = 29) can pass either, so primality is
     tested last, once per prime, by its own order.  scripts/factor_table.py
-    builds the table's scanned section with it, each order below 10**4 with
-    no complete entry up to 2**30.
+    builds the table's scanned section with it and _held_primes, each order
+    below 10**4 with no complete entry up to 2**30.
     """
-    start, step = _progression(h, lo)
+    start, step = _progression(h, max(lo, TRIAL_DIVISION_LIMIT - 1))
     if limit < start:
         return []
-    total = (limit - start) // step + 1
-    found = []
-    if start < TRIAL_DIVISION_LIMIT:
-        if held is None:
-            last = min(limit, TRIAL_DIVISION_LIMIT - 1)
-            # q, odd, is index q // 2 of the sieve, which advances by step // 2
-            flags = small_prime_flags()[start // 2:last // 2 + 1:step // 2]
-            primes, index = small_primes(), primover._index2()
-            found = [q for q in compress(range(start, last + 1, step), flags)
-                     if index[bisect_left(primes, q)] * h == q - 1]
-        else:
-            found = [q for q in held().get(h, ()) if lo < q]
-        start, _ = _progression(h, TRIAL_DIVISION_LIMIT - 1)
-    budget.charge(total)
-    if limit < start:
-        return found
     n = (limit - start) // step + 1
     qs = range(start, limit + 1, step)
     if n >= 8:
@@ -133,12 +125,12 @@ def _scan(h: int, lo: int, limit: int, budget: Budget,
         phi = h // math.prod(h_primes) * math.prod(f - 1 for f in h_primes)
         if phi < REMAINDER_BITS and len(qs) >= 4 << len(h_primes):
             c = _cyclotomic_value(h, h_primes)
-            return found + [q for q in qs if c % q == 0 and is_prime(q)]
+            return [q for q in qs if c % q == 0 and is_prime(q)]
     passed = [q for q in qs if pow(2, h, q) == 1]
-    if passed:
-        h_primes = h_primes or _complete_factorization(h, budget).primes()
-        found += [q for q in passed if _strip(2, h, h_primes, q) == h and is_prime(q)]
-    return found
+    if not passed:
+        return []
+    h_primes = h_primes or _complete_factorization(h, budget).primes()
+    return [q for q in passed if _strip(2, h, h_primes, q) == h and is_prime(q)]
 
 
 def _scan_sieve(h: int, start: int, step: int, n: int) -> bytearray:
@@ -242,22 +234,21 @@ def _sweep(x: int) -> dict[int, list[int]]:
     return orders
 
 
-def _held_primes(x: int, orders: dict[int, list[int]], first: int) -> dict[int, list[int]]:
-    """{h: the primes q of order h in (sqrt(x), TRIAL_DIVISION_LIMIT) with q <= x // P_h[0]}.
+def _held_primes(lo: int, caps: dict[int, int]) -> dict[int, list[int]]:
+    """{h: the primes q of order h in (lo, caps[h]], q < TRIAL_DIVISION_LIMIT, ascending}.
 
-    For each order h >= first of the map, with P_h its list there, by one
-    pass over small_primes() and primover._index2() up to the largest such
-    x // P_h[0]: each prime q goes to h = (q - 1) / i_q.  Nothing is
-    charged.
+    For each order h of caps, by one walk over small_primes() and
+    primover._index2() from lo up to the largest cap: each prime q goes to
+    h = (q - 1) / i_q.  Nothing is charged.
     """
     primes, index = small_primes(), primover._index2()
-    start = bisect_right(primes, math.isqrt(x))
-    end = bisect_right(primes, x // min(seeds[0] for h, seeds in orders.items() if h >= first))
+    # 2, index 0, has no order
+    start = max(1, bisect_right(primes, lo))
+    end = bisect_right(primes, max(caps.values()))
     held: dict[int, list[int]] = {}
     for q, i in zip(islice(primes, start, end), islice(index, start, end)):
         h = (q - 1) // i
-        seeds = orders.get(h)
-        if seeds and h >= first and q * seeds[0] <= x:
+        if q <= caps.get(h, 0):
             held.setdefault(h, []).append(q)
     return held
 
@@ -267,9 +258,11 @@ def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int,
     if x < 3:
         raise ValueError("x must be >= 3")
     root = math.isqrt(x)
-    # the first scan that starts below TRIAL_DIVISION_LIMIT runs the pass,
-    # before its charge, for its order h, read when called, and those above
-    held = cache(lambda: _held_primes(x, orders, h))
+    # the first order whose candidates start below TRIAL_DIVISION_LIMIT runs
+    # the walk, before its charge, for its order h, read when called, and
+    # those above, each up to its limit x // P_g[0]
+    held = cache(lambda: _held_primes(root, {g: x // seeds[0] for g, seeds in orders.items()
+                                             if g >= h}))
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
         seeds = orders[h]
@@ -320,7 +313,7 @@ def ov_count_by_order(x: int, n: int, budget: Budget | None = None) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = Budget() if budget is None else budget
-    # P_n from a scan up to sqrt(x)
+    # P_n read up to sqrt(x)
     seeds = _primes_of_order(n, 0, math.isqrt(max(x, 0)), budget)
     return len(_complete(x, {n: seeds} if seeds else {}, budget).get(n, []))
 

@@ -91,6 +91,13 @@ def candidates_above(h, lo, limit):
     return candidates[bisect_right(candidates, lo):]
 
 
+def walk_and_scan(h, lo, limit):
+    """The primes of order h in (lo, limit] by count's two halves: the walk
+    of the index of 2 below 10**6, then the scan's order tests from there up."""
+    below = count_module._held_primes(lo, {h: limit}).get(h, [])
+    return below + count_module._scan(h, lo, limit, Budget())
+
+
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
         # with the table, a tabled order with a candidate reads its entry, a
@@ -331,15 +338,16 @@ class TestPrimesOfOrder:
 
     @pytest.mark.parametrize("h", [3, 4, 6, 27, 64, 100, 333, 996, 997, 499991])
     def test_sieve_reads_primality_below_the_trial_division_limit(self, h):
-        # the fast paths against exact primality: below 10**6 the scan reads
-        # a candidate's primality off the trial-division sieve and its order
-        # off the index of 2, and keeps exactly the primes of order h; from
-        # 10**6 up the sieve drops no prime the mod-8 mask keeps
+        # the fast paths against exact primality: below 10**6 the walk reads
+        # each prime's order off the index of 2, and keeps exactly the
+        # primes of order h, where the scan tests nothing; from 10**6 up the
+        # sieve drops no prime the mod-8 mask keeps
         primes = _primes_below_1e6()
         start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
         below = pow_primes_of_order(h, 0, 10**6 - 1)
         assert all(q in primes for q in below)
-        assert count_module._scan(h, 0, 10**6 - 1, Budget()) == below
+        assert count_module._held_primes(0, {h: 10**6 - 1}).get(h, []) == below
+        assert count_module._scan(h, 0, 10**6 - 1, Budget()) == []
         first = start + (10**6 - start) // step * step + step
         n = (1_100_000 - first) // step + 1
         flags = count_module._scan_sieve(h, first, step, n)
@@ -350,30 +358,36 @@ class TestPrimesOfOrder:
             if isprime(q) and not masked:
                 assert flags[k], (h, q)
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_scans_straddling_the_limit_keep_999983_and_1000003(self):
-        # the last prime below 10**6 and the first above it, each in scans
-        # with candidates on both sides: 999983 = 1 (mod 158 and 12658) is
-        # decided by its index, and gives each scan the oracle's primes;
-        # 1000003 = 1 (mod 6), where (q - 1) / 6 is odd, so no mask drops
-        # it, and the sieve from 10**6 up keeps it
+        # the last prime below 10**6 and the first above it, each in
+        # intervals with candidates on both sides: 999983 = 1 (mod 158 and
+        # 12658) is read by its index, and the walk and the scan give each
+        # interval the oracle's primes; 1000003 = 1 (mod 6), where
+        # (q - 1) / 6 is odd, so no mask drops it, and the sieve from 10**6
+        # up keeps it.  With the table hidden, _primes_of_order gives the
+        # same primes and charges every candidate
         for h, q in ((79, 999983), (158, 999983), (6329, 999983), (6, 1000003)):
             start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
             for first in (start, q - 3 * step):
                 last = q + 3 * step
+                expected = pow_primes_of_order(h, first - 1, last)
+                assert walk_and_scan(h, first - 1, last) == expected, (h, first)
                 budget = Budget()
-                got = count_module._scan(h, first - 1, last, budget)
-                assert got == pow_primes_of_order(h, first - 1, last), (h, first)
+                got = count_module._primes_of_order(h, first - 1, last, budget)
+                assert got == expected, (h, first)
                 assert budget.spent == len(candidates_above(h, first - 1, last)), (h, first)
         assert count_module._scan_sieve(6, 1000003, 6, 7)[0]
         # 999983 has order 499991 = 79 * 6329, and its scan's next candidate is 1999965
         budget = Budget()
         assert count_module._primes_of_order(499991, 0, 2 * 10**6, budget) == [999983]
         assert budget.spent == 2
-        # order 2249 = 13 * 173 has a prime on each side of 10**6, and its
-        # scan pays for every candidate in (9e5, 2e6]; count reads it from
-        # the scanned section, so the scan is called directly
+        # order 2249 = 13 * 173 has a prime on each side of 10**6, and pays
+        # for every candidate in (9e5, 2e6]; count reads it from the scanned
+        # section, hidden here
+        assert walk_and_scan(2249, 900_000, 2 * 10**6) == [931087, 1619281]
         budget = Budget()
-        got = count_module._scan(2249, 900_000, 2 * 10**6, budget)
+        got = count_module._primes_of_order(2249, 900_000, 2 * 10**6, budget)
         assert got == [931087, 1619281]
         assert budget.spent == len(candidates_above(2249, 900_000, 2 * 10**6)) == 244
 
@@ -388,12 +402,14 @@ class TestPrimesOfOrder:
             got = count_module._primes_of_order(h, lo, limit, Budget())
             assert got == expected, (h, lo, limit)
 
+    @pytest.mark.usefixtures("no_phi2_table")
     @pytest.mark.parametrize("h", [3, 11, 148, 2249, 10044, 99991])
     def test_scan_below_and_across_the_limit_matches_the_pow_oracle(self, monkeypatch, h):
-        # the index of 2 decides below 10**6 and the order tests from 10**6
-        # up: below, across and just above the limit the scan gives the pow
-        # oracle's primes at one unit per candidate, and sieves only
-        # candidates from 10**6 up
+        # the walk of the index of 2 reads below 10**6 and the scan's order
+        # tests decide from 10**6 up: below, across and just above the limit
+        # the two halves give the pow oracle's primes, and so does
+        # _primes_of_order at one unit per candidate; only candidates from
+        # 10**6 up are sieved
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -406,9 +422,11 @@ class TestPrimesOfOrder:
         for lo, limit in ((0, 10**6 - 1), (0, 2 * 10**6),
                           (max(0, 10**6 - 40 * step), 10**6 + 40 * step),
                           (10**6 - 1, 10**6 + 40 * step)):
+            expected = pow_primes_of_order(h, lo, limit)
+            assert walk_and_scan(h, lo, limit) == expected, (h, lo, limit)
             budget = Budget()
-            got = count_module._scan(h, lo, limit, budget)
-            assert got == pow_primes_of_order(h, lo, limit), (h, lo, limit)
+            got = count_module._primes_of_order(h, lo, limit, budget)
+            assert got == expected, (h, lo, limit)
             assert budget.spent == len(candidates_above(h, lo, limit)), (h, lo, limit)
         assert sieved and min(sieved) > 10**6
 
@@ -780,10 +798,12 @@ class TestScannedSection:
         by_order = _scanned_by_order()
         covered = [h for h in range(3, below) if h not in primover._phi2_table()]
         assert sum(900 <= h < 1000 for h in covered) > 50
-        for h in covered:
-            upto = (bound if 900 <= h < 1000 or h >= 9990 else
-                    1 << 25 if h < 900 else 1 << 23)
-            got = count_module._scan(h, 0, upto, Budget(upto))
+        uptos = {h: (bound if 900 <= h < 1000 or h >= 9990 else
+                     1 << 25 if h < 900 else 1 << 23) for h in covered}
+        # one walk reads every order's primes below 10**6, the scans test above
+        held = count_module._held_primes(0, uptos)
+        for h, upto in uptos.items():
+            got = held.get(h, []) + count_module._scan(h, 0, upto, Budget(upto))
             assert got == [q for q in by_order.get(h, []) if q <= upto], h
 
     @pytest.mark.parametrize("tamper", ["none", "drop", "composite", "other order",
@@ -948,7 +968,7 @@ class TestSweepFactorsNothing:
         assert factored[count_module] == [] and read == sorted(set(read))
         assert len(read) > 100 and set(read) <= set(primover._phi2_table())
         # a scan across 10**6 factors its order, once
-        assert count_module._scan(2249, 900_000, 2 * 10**6, Budget()) == [931087, 1619281]
+        assert walk_and_scan(2249, 900_000, 2 * 10**6) == [931087, 1619281]
         assert factored[count_module] == [2249]
 
     def test_prime_orders_reproduce_the_index(self):
@@ -1060,10 +1080,12 @@ class TestCrossChecksAt1e10:
 
         monkeypatch.setattr(count_module, "_cyclotomic_value", spy)
         got = {}
+        held = count_module._held_primes(math.isqrt(x), dict(sample))
         for bits in (0, 10**6):
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             built.clear()
-            got[bits] = [count_module._scan(h, math.isqrt(x), limit, Budget(10**9))
+            got[bits] = [held.get(h, []) + count_module._scan(h, math.isqrt(x), limit,
+                                                              Budget(10**9))
                          for h, limit in sample]
             assert (len(built) > 500) == (bits > 0), bits
         assert got[0] == got[10**6]
@@ -1127,7 +1149,7 @@ class TestOvCount:
         # At 1e8 every order is below 10**4 and read from the table, at no
         # charge, so the scans are watched with the scanned section hidden.
         # Every candidate then lies below 10**6 and is decided by the one
-        # pass over the index of 2, with no primality test; at 1e10 the
+        # walk of the index of 2, with no primality test; at 1e10 the
         # scans find primes above 10**6, where the primality tests are watched
         x = 10**8
         budget = Budget()
@@ -1141,8 +1163,8 @@ class TestOvCount:
             tested.append(q)
             return is_prime(q)
 
-        def held_spy(x, orders, first):
-            held = held_primes(x, orders, first)
+        def held_spy(lo, caps):
+            held = held_primes(lo, caps)
             scanned_from.extend(q for qs in held.values() for q in qs)
             return held
 
@@ -1303,17 +1325,49 @@ class TestOnePass:
         passes = []
         held_primes = count_module._held_primes
 
-        def spy(x, orders, first):
-            passes.append((x, first))
-            return held_primes(x, orders, first)
+        def spy(lo, caps):
+            passes.append((lo, min(caps), len(caps)))
+            return held_primes(lo, caps)
 
         monkeypatch.setattr(count_module, "_held_primes", spy)
-        # up to 1e8 every order is read from the table, so no scan needs the
-        # pass; at 1e10 it runs for the first order above 10**4 that scans,
-        # and those above it
+        # up to 1e8 every order is read from the table, so no order needs
+        # the walk; at 1e10 it runs from sqrt(x) for the first order above
+        # 10**4 that lists none, and those above it
         assert ov_count(10**8).ov == 266
         assert ov_count(10**10).ov == 1730
-        assert passes == [(10**10, 10011)]
+        above = [h for h in count_module._sweep(10**10) if h >= 10011]
+        assert passes == [(10**5, 10011, len(above))]
+
+    def test_scan_tests_only_from_the_limit_up(self, monkeypatch):
+        # the walk reads every prime below 10**6, so at 1e10, where every
+        # limit lies below it, no order calls the scan; at 1e11 each call's
+        # limit reaches 10**6, and the primes it finds lie from there up
+        calls = []
+        scan = count_module._scan
+
+        def spy(h, lo, limit, budget):
+            got = scan(h, lo, limit, budget)
+            calls.append((limit, got))
+            return got
+
+        monkeypatch.setattr(count_module, "_scan", spy)
+        assert ov_count(10**10).ov == 1730
+        assert calls == []
+        budget = Budget()
+        assert ov_count(10**11, budget).ov == 4480
+        assert budget.spent == 548745
+        assert calls and all(limit >= 10**6 for limit, _ in calls)
+        assert any(got for _, got in calls)
+        assert all(q >= 10**6 for _, got in calls for q in got)
+        # order 11520 lists none and has a prime on each side of 10**6: the
+        # walk reads one and the scan finds the other, and the candidates
+        # in (9e5, 2e6] are charged once
+        calls.clear()
+        budget = Budget()
+        got = count_module._primes_of_order(11520, 900_000, 2 * 10**6, budget)
+        assert got == [921601, 1198081]
+        assert calls == [(2 * 10**6, [1198081])]
+        assert budget.spent == len(candidates_above(11520, 900_000, 2 * 10**6)) == 95
 
 
 class TestByOrder:
