@@ -32,16 +32,19 @@ as unsigned 16-bit little-endian words, zlib-compressed, to index2.zlib
 beside the table (about 0.5 s); its SHA-256, printed, must replace
 primover.INDEX2_SHA256.  A build writes both files.
 
---check compares the table's digest with primover.PHI2_SHA256, puts every
-entry through primover._prove_entry (each factor through the package's
-is_prime, the product, a partial entry's composite rest), rebuilds
-h = 3..150 to compare, and rescans the whole scanned section: "below",
-the bound, and the primes of every order it covers.  It compares the
-index's digest with primover.INDEX2_SHA256 and its words, byte for byte,
-with a rebuild's (the words, not the compressed bytes, which another
-zlib may write differently), and primover.WIEFERICH_PRIMES with a search
-of every prime below TRIAL_DIVISION_LIMIT, on which count's exponent of 1
-for every other prime there rests.  It takes about 2 minutes on 2 cores.
+--check compares the table's digest with primover.PHI2_SHA256, checks
+that every order of the range has exactly one entry, complete or partial
+(primover._check_entry, which count also applies as it reads), puts every
+entry through primover._prove_entry, which finds the primes of h itself
+(the product, each factor through the package's is_prime, a partial
+entry's composite rest), rebuilds h = 3..150 to compare, and rescans the
+whole scanned section: "below", the bound, and the primes of every order
+it covers.  It compares the index's digest with primover.INDEX2_SHA256
+and its words, byte for byte, with a rebuild's (the words, not the
+compressed bytes, which another zlib may write differently), and
+primover.WIEFERICH_PRIMES with a search of every prime below
+TRIAL_DIVISION_LIMIT, on which count's exponent of 1 for every other
+prime there rests.  It takes about 2 minutes on 2 cores.
 
 Usage:
   python scripts/factor_table.py                 # rebuild the table and the index
@@ -66,8 +69,8 @@ from pathlib import Path
 from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
 from overpseudo.count import _held_primes, _prime_orders, _scan
-from overpseudo.primover import (INDEX2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _factor_reduced,
-                                  _prove_entry)
+from overpseudo.primover import (INDEX2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _check_entry,
+                                  _factor_reduced, _prove_entry)
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
 INDEX = TABLE.with_name("index2.zlib")
@@ -177,10 +180,11 @@ def check(path: Path, last: int) -> list[str]:
     if digest != PHI2_SHA256:
         problems.append(f"SHA-256 {digest} is not primover.PHI2_SHA256 {PHI2_SHA256}")
     stored = json.loads(path.read_text())
+    problems += entry_problems(stored)
     for key in ("factors", "partial"):
         for h, factors in stored[key].items():
             try:
-                _prove_entry(int(h), factorize(int(h)).primes(), factors, key == "factors")
+                _prove_entry(int(h), factors, key == "factors")
             except ContractViolationError as exc:
                 problems.append(f"{key} of h = {h}: {exc}")
     first = stored["orders"][0]
@@ -197,6 +201,19 @@ def check(path: Path, last: int) -> list[str]:
         problems.append(f"scanned below is {section['below']}, not {SCAN_BELOW}")
     orders = scanned_orders(stored["factors"])
     return problems + scanned_problems(section, orders, SCAN_BOUND)
+
+
+def entry_problems(stored: dict) -> list[str]:
+    """What primover._check_entry finds for each order of the table's range."""
+    first, last = stored["orders"]
+    complete, partial = ({int(h) for h in stored[key]} for key in ("factors", "partial"))
+    problems = []
+    for h in range(first, last + 1):
+        try:
+            _check_entry(h, complete, partial)
+        except ContractViolationError as exc:
+            problems.append(str(exc))
+    return problems
 
 
 def _by_order(section: dict) -> dict[int, list[int]]:

@@ -548,8 +548,8 @@ def _split(n: int, budget: Budget) -> int | None:
     return _ecm(n, budget)
 
 
-# factorize results that charged units: (n, known) -> (result, cost, rem0)
-_factor_memo: dict[tuple[int, int], tuple[Factorization, int, int]] = {}
+# complete factorize results that charged units: (n, known) -> (result, cost)
+_factor_memo: dict[tuple[int, int], tuple[Factorization, int]] = {}
 _FACTOR_MEMO_SIZE = 1024
 
 
@@ -572,13 +572,12 @@ def factorize(n: int, budget: Budget | None = None, known: int = 1) -> Factoriza
     Composite leftovers land multiplied into unfactored_cofactor.  Each
     cofactor is tested for primality once.  With known = 1 no p-1 runs.
 
-    A call that charged units is kept in a per-process memo of
-    _FACTOR_MEMO_SIZE entries, keyed by (n, known), with its cost and the
-    budget remaining at the call.  The charges depend only on n, known and
-    the remaining budget, so a later call reuses the stored result,
-    charging the same cost, when that result was complete and cost fits in
-    what remains, or when it was incomplete and exactly rem0 remains;
-    results and Budget.spent are those of a fresh run.
+    A complete result that charged units is kept in a per-process memo of
+    _FACTOR_MEMO_SIZE entries, keyed by (n, known), with its cost.  The
+    charges depend only on n, known and the remaining budget, so a later
+    call whose remaining budget covers that cost reuses the result,
+    charging the same cost; results and Budget.spent are those of a fresh
+    run.  An incomplete result is not kept, and evicts nothing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -588,14 +587,11 @@ def factorize(n: int, budget: Budget | None = None, known: int = 1) -> Factoriza
         budget = Budget()
     if n == 1:
         return Factorization(1, (), True)
-    key = n, known
-    hit = _factor_memo.get(key)
-    if hit is not None:
-        fz, cost, rem0 = hit
-        if (budget.remaining >= cost) if fz.complete else (budget.remaining == rem0):
-            budget.spent += cost
-            return fz
-    rem0 = budget.remaining
+    hit = _factor_memo.get((n, known))
+    if hit is not None and budget.remaining >= hit[1]:
+        budget.spent += hit[1]
+        return hit[0]
+    spent0 = budget.spent
 
     found: dict[int, int] = {}
     m, m_prime = n, is_prime(n)
@@ -648,10 +644,9 @@ def factorize(n: int, budget: Budget | None = None, known: int = 1) -> Factoriza
                 stack.append(part)
 
     fz = Factorization(n, tuple(sorted(found.items())), unfactored == 1, unfactored)
-    cost = rem0 - budget.remaining
-    if cost:
-        _factor_memo.pop(key, None)
+    cost = budget.spent - spent0
+    if cost and fz.complete:
         if len(_factor_memo) >= _FACTOR_MEMO_SIZE:
             del _factor_memo[next(iter(_factor_memo))]  # the oldest entry
-        _factor_memo[key] = fz, cost, rem0
+        _factor_memo[n, known] = fz, cost
     return fz

@@ -254,7 +254,11 @@ def _held_primes(lo: int, caps: dict[int, int]) -> dict[int, list[int]]:
 
 
 def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int, list[int]]:
-    """Members <= x by order, h ascending, for each h of a map like _sweep's that has any."""
+    """Members <= x by order, h ascending, for each h of a map like _sweep's that has any.
+
+    A budget that runs out raises EffortError naming the orders completed,
+    with their members, ascending, as its partial: {h: members}.
+    """
     if x < 3:
         raise ValueError("x must be >= 3")
     root = math.isqrt(x)
@@ -274,7 +278,8 @@ def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int,
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:
             raise EffortError(
-                f"{exc}; orders below {h} were completed: {sorted(groups)}"
+                f"{exc}; orders below {h} were completed: {sorted(groups)}",
+                partial={g: sorted(groups[g]) for g in sorted(groups)},
             ) from exc
         if prods:
             groups[h] = prods

@@ -168,59 +168,78 @@ def _phi2_scanned() -> tuple[int, int, list[int], list[int]]:
     return scanned["below"], scanned["bound"], scanned["orders"], scanned["primes"]
 
 
-def _entry_rest(n: int, value: int, factors, complete: bool) -> int:
-    """value, the reduced Phi_n(2), over a table entry's prime powers, after the cheap checks.
+def _checked_entry(n: int, factors, complete: bool) -> tuple[Factorization, tuple[int, ...]]:
+    """(a table entry as the factored reduced Phi_n(2), the primes of n), after the cheap checks.
 
-    The primes must ascend strictly with exponents e >= 1, and the prime
-    powers must multiply to value, or for a partial entry divide it and
-    leave a rest above 1; else ContractViolationError.
+    The primes of n, found here, give the reduced Phi_n(2).  The entry's
+    primes must ascend strictly with exponents e >= 1, and its prime powers
+    must multiply to the reduced Phi_n(2), or for a partial entry divide it
+    and leave a rest above 1; else ContractViolationError.
     """
+    n_primes = _complete_factorization(n, None).primes()
+    value = _reduced_cyclotomic_value(n, n_primes)
     primes = [p for p, _ in factors]
     if primes != sorted(set(primes)) or any(e < 1 for _, e in factors):
         raise ContractViolationError(f"table entry for Phi_{n}(2) is unsorted or has e < 1")
     rest, left = divmod(value, math.prod(p**e for p, e in factors))
     if left or (rest == 1) != complete:
         raise ContractViolationError(f"table entry for Phi_{n}(2) does not multiply to it")
-    return rest
+    return Factorization(value, factors, complete, rest), n_primes
 
 
 @cache
-def _tabled_factorization(n: int, n_primes: tuple[int, ...]) -> Factorization:
-    """The table's entry for n, at no charge, put through _entry_rest once per process.
+def _tabled_factorization(n: int) -> tuple[Factorization, tuple[int, ...]]:
+    """_checked_entry of the table's entry for n, at no charge, once per process.
 
-    Its primality is not tested here: the file passed _phi2_data's digest,
-    and the entries behind that digest passed _prove_entry where the table
-    is built and checked.
+    It keeps the primes of n for the order check of _reduced_factorization,
+    so a tabled n is factored on its first read only.  Its primality is not
+    tested here: the file passed _phi2_data's digest, and the entries
+    behind that digest passed _prove_entry where the table is built and
+    checked.
     """
     complete = n in _phi2_table()
     factors = tuple(map(tuple, (_phi2_table() if complete else _phi2_partial())[n]))
-    value = _reduced_cyclotomic_value(n, n_primes)
-    return Factorization(value, factors, complete, _entry_rest(n, value, factors, complete))
+    return _checked_entry(n, factors, complete)
+
+
+def _check_entry(n: int, complete, partial) -> None:
+    """An order n of the table's factored range has one entry, complete or partial.
+
+    It must be in exactly one of the containers complete and partial; else
+    ContractViolationError.
+    """
+    if (n in complete) == (n in partial):
+        kind = "a complete and a partial entry" if n in complete else "no entry"
+        raise ContractViolationError(f"the table has {kind} for Phi_{n}(2)")
 
 
 def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
     """(the primes of order n known without a scan, ascending; B, up to which they are all).
 
     B is None when they are all: 3 for n = 2, none for n = 1, a complete
-    entry's primes, read through _tabled_factorization, which needs the
-    primes of n, found here.  Any other order below the scanned section's
-    limit, partial or untabled, lists its primes there, found by bisection
-    and checked where the table is built, up to the section's bound B; an
-    order from the limit up lists none, B = 0.
+    entry's primes, read through _tabled_factorization.  Any other order
+    below the scanned section's limit, partial or untabled, lists its
+    primes there, found by bisection and checked where the table is built,
+    up to the section's bound B; an order from the limit up lists none,
+    B = 0.  An order there inside the table's factored range goes through
+    _check_entry: one with no entry means the file's sections disagree.
     """
     if n < 3:
         return ((3,) if n == 2 else ()), None
     if n in _phi2_table():
-        return _tabled_factorization(n, _complete_factorization(n, None).primes()).primes(), None
+        return _tabled_factorization(n)[0].primes(), None
     below, bound, orders, primes = _phi2_scanned()
     if n >= below:
         return (), 0
+    least, most = _phi2_data()["orders"]
+    if least <= n <= most:
+        _check_entry(n, _phi2_table(), _phi2_partial())
     first = bisect_left(orders, n)
     return primes[first:bisect_right(orders, n, first)], bound
 
 
-def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:
-    """A table entry's full check: _entry_rest's, every factor prime, a partial rest composite.
+def _prove_entry(n: int, factors, complete: bool) -> None:
+    """A table entry's full check: _checked_entry's, every factor prime, a partial rest composite.
 
     scripts/factor_table.py --check runs it on every entry.  A partial
     entry's rest, a product of primes of order n, passes is_prime's base-2
@@ -228,7 +247,7 @@ def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:
     base 3 proves it composite first, and is_prime decides only a rest that
     passes it.
     """
-    rest = _entry_rest(n, _reduced_cyclotomic_value(n, n_primes), factors, complete)
+    rest = _checked_entry(n, factors, complete)[0].unfactored_cofactor
     # 3 has order 2, so it divides no rest and a failed base-3 test proves a
     # composite; a complete entry's rest 1 gives pow 0
     if not all(is_prime(p) for p, _ in factors) or (pow(3, rest - 1, rest) == 1
@@ -237,18 +256,29 @@ def _prove_entry(n: int, n_primes, factors, complete: bool) -> None:
                                      "or leaves a prime")
 
 
-def _reduced_factorization(n: int, n_primes, budget: Budget) -> Factorization:
+def _reduced_factorization(n: int, budget: Budget, n_primes=None) -> Factorization:
     """Factored Phi_n(2) without its intrinsic prime: the table's entry, else _factor_reduced's.
 
     A partial entry serves only a budget with no more than the table's
     budget B left.  Every charge of a run that completes with fewer units
     also succeeds under B, along the same steps, so such a call cannot
-    complete either; it gets the primes B found, at no charge.
+    complete either; it gets the primes B found, at no charge.  Any other
+    n is factored under the budget, unless its primes n_primes are given.
+    Either way every prime of the result must have order n; else
+    ContractViolationError.
     """
     if n in _phi2_table() or (n in _phi2_partial()
                               and budget.remaining <= _phi2_data()["budget"]):
-        return _tabled_factorization(n, tuple(n_primes))
-    return _factor_reduced(n, n_primes, budget)
+        fz, n_primes = _tabled_factorization(n)
+    else:
+        n_primes = n_primes or _complete_factorization(n, budget).primes()
+        fz = _factor_reduced(n, n_primes, budget)
+    for p in fz.primes():
+        if not _has_order(2, p, n, n_primes):
+            raise ContractViolationError(
+                f"prime {p} of the reduced cyclotomic value has order != {n}"
+            )
+    return fz
 
 
 @dataclass(frozen=True)
@@ -308,23 +338,18 @@ def primitive_part(n: int, budget: Budget | None = None) -> PrimitivePart:
 
     Takes the cyclotomic value at 2 (exponentially smaller than 2**n - 1)
     without its intrinsic prime (the largest prime factor of n), factored
-    by _reduced_factorization, and checks order exactly n for every prime
-    of it.  Exponents n = 1 and 6 legitimately produce an empty primitive
-    part.  A tabled n reads its factors at no charge.  Any other n is
-    factored in its two Aurifeuillian halves when n = 4 (mod 8), n >= 12,
-    each prime known to be 1 (mod lcm(2, n)), which gives each composite
-    cofactor a Pollard p-1 attempt before rho and ECM.
+    by _reduced_factorization, which checks order exactly n for every
+    prime of it.  Exponents n = 1 and 6 legitimately produce an empty
+    primitive part.  A tabled n reads its factors at no charge, and is
+    factored once per process, on that read.  Any other n is factored in its
+    two Aurifeuillian halves when n = 4 (mod 8), n >= 12, each prime known
+    to be 1 (mod lcm(2, n)), which gives each composite cofactor a Pollard
+    p-1 attempt before rho and ECM.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     budget = Budget() if budget is None else budget
-    n_primes = _complete_factorization(n, budget).primes()
-    fz = _reduced_factorization(n, n_primes, budget)
-    for p in fz.primes():
-        if not _has_order(2, p, n, n_primes):
-            raise ContractViolationError(
-                f"prime {p} of the reduced cyclotomic value has order != {n}"
-            )
+    fz = _reduced_factorization(n, budget)
     prim = _slots_of_order(n, fz.primes(), (1 << n) - 1)
     cofactor = fz.unfactored_cofactor * math.prod(p**e for p, e in prim)
     omega = sum(e for _, e in prim)
@@ -345,7 +370,7 @@ def check_mersenne_dichotomy(p: int, budget: Budget | None = None) -> str:
     budget = Budget() if budget is None else budget
     m = (1 << p) - 1
     # for prime p, Phi_p(2) is m itself and has no intrinsic prime
-    fz = _reduced_factorization(p, (p,), budget)
+    fz = _reduced_factorization(p, budget, (p,))
     # the factorization, tabled or not, lists m itself exactly when m is prime
     if fz.factors == ((m, 1),):
         return MERSENNE_PRIME

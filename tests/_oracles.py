@@ -151,7 +151,7 @@ def per_order_complete(x, orders, budget):
     from its own call of count._primes_of_order, given as held the primes
     below 10**6 that index_primes_of_order reads at that order's candidates,
     and every prime's exponent from pow, with no order passed over; the
-    charges and the exhaustion message are count's.
+    charges, the exhaustion message and its partial are count's.
     """
     root = isqrt(x)
     groups = {}
@@ -172,7 +172,8 @@ def per_order_complete(x, orders, budget):
             prods = count._products(slots, x)
         except EffortError as exc:
             raise EffortError(
-                f"{exc}; orders below {h} were completed: {sorted(groups)}"
+                f"{exc}; orders below {h} were completed: {sorted(groups)}",
+                partial={g: sorted(groups[g]) for g in sorted(groups)},
             ) from exc
         if prods:
             groups[h] = prods

@@ -371,10 +371,13 @@ class TestFactorMemo:
     def assert_reuse_exact(self, n, prime_at, spy, known=1):
         """Prime the memo at prime_at remaining, then compare nearby budgets."""
         arith._factor_memo.clear()
-        factorize(n, Budget(prime_at), known)
-        fz, cost, rem0 = arith._factor_memo[n, known]
-        assert rem0 == prime_at and cost > 0
-        for remaining in sorted({rem0 - 1, rem0, rem0 + 1, cost - 1, cost,
+        primed = Budget(prime_at)
+        fz = factorize(n, primed, known)
+        cost = primed.spent
+        # only a complete result is kept, with its cost
+        assert arith._factor_memo.get((n, known)) == ((fz, cost) if fz.complete else None)
+        assert cost > 0
+        for remaining in sorted({prime_at - 1, prime_at, prime_at + 1, cost - 1, cost,
                                  cost + 1, 2 * cost, cost // 2, 1}):
             want = self.cold(n, remaining, known)
             arith._factor_memo.clear()
@@ -384,7 +387,7 @@ class TestFactorMemo:
             got = self.run(n, Budget(remaining + 1000, spent=1000), known)
             assert got[:3] == want[:3], (n, prime_at, remaining)
             assert got[3] - 1000 == want[3], (n, prime_at, remaining)
-            reused = remaining >= cost if fz.complete else remaining == rem0
+            reused = fz.complete and remaining >= cost
             assert (spy == []) == reused, (n, prime_at, remaining)
 
     @pytest.fixture
@@ -411,6 +414,23 @@ class TestFactorMemo:
             for prime_at in (arith.DEFAULT_WORK_UNITS, cost, cost - 1,
                              cost // 3, 40):
                 self.assert_reuse_exact(n, prime_at, split_calls)
+
+    def test_incomplete_call_keeps_the_complete_entry(self, split_calls):
+        for n in _two_prime_products():
+            cost = self.cold(n, arith.DEFAULT_WORK_UNITS)[3]
+            want = self.cold(n, cost - 1)
+            arith._factor_memo.clear()
+            full = factorize(n, Budget())
+            assert full.complete and arith._factor_memo[n, 1][:2] == (full, cost)
+            # one unit short: the cold run's incomplete result and charge,
+            # and the complete entry stays
+            assert self.run(n, Budget(cost - 1)) == want and not want[1]
+            assert list(arith._factor_memo) == [(n, 1)]
+            assert arith._factor_memo[n, 1][:2] == (full, cost)
+            # so the full budget reuses it, with no split
+            split_calls.clear()
+            assert self.run(n, Budget()) == (full.factors, True, 1, cost)
+            assert split_calls == []
 
     def test_three_prime_product_runs_out_between_splits(self, split_calls):
         p, q, r = (sympy.nextprime(1 << b) for b in (21, 22, 24))
@@ -473,7 +493,7 @@ class TestFactorMemo:
             factorize(n)
         assert len(arith._factor_memo) == size
         assert set(arith._factor_memo) == {(n, 1) for n in ns[-size:]}
-        # storing a key again evicts nothing else
+        # an incomplete call on a stored key evicts nothing
         factorize(ns[-1], Budget(1))
         assert len(arith._factor_memo) == size
 

@@ -420,18 +420,22 @@ class TestFactorMemoAcrossCommands:
     # 2**24 + 43 times 2**30 + 3: both factors need rho
     SEMIPRIME = "18014444730712193"
 
-    # trial division alone splits 2**97 - 1, so nothing is stored for it
+    # stored: whether the memo holds anything after the runs at the default
+    # budget; budgets: each further budget, with the same flag after its
+    # runs.  Trial division alone splits 2**97 - 1, so nothing is stored
+    # for it, and the smaller budgets of 79 and the semiprime leave their
+    # results incomplete, which are not stored
     @pytest.mark.parametrize("commands, budgets, stored", [
-        ((["primover", "97"], ["table", "97", "97"]), [None, "10"], False),
-        ((["primover", "79"], ["table", "79", "79"]), [None, "20000"], True),
-        ((["classify", SEMIPRIME], ["witness", SEMIPRIME]), [None, "5000"], True),
+        ((["primover", "97"], ["table", "97", "97"]), {"10": False}, False),
+        ((["primover", "79"], ["table", "79", "79"]), {"20000": False}, True),
+        ((["classify", SEMIPRIME], ["witness", SEMIPRIME]), {"5000": False}, True),
         # p-1 completes 163 (known = 326), and the table replays it
-        ((["primover", "163"], ["table", "163", "163"]), [None, "100000"], True),
+        ((["primover", "163"], ["table", "163", "163"]), {"100000": True}, True),
     ])
     def test_same_output_as_cold_runs(self, capsys, commands, budgets, stored):
         from overpseudo import arith
 
-        for budget in budgets:
+        for budget, held in [(None, stored), *budgets.items()]:
             flags = ["--format", "json"] + ([] if budget is None else
                                             ["--budget", budget])
             cold = []
@@ -441,7 +445,8 @@ class TestFactorMemoAcrossCommands:
             arith._factor_memo.clear()
             warm = [run_cli(capsys, *argv, *flags) for argv in commands]
             assert warm == cold, (commands, budget)
-            assert bool(arith._factor_memo) == stored
+            assert bool(arith._factor_memo) == held, (commands, budget)
+            assert all(fz.complete for fz, _ in arith._factor_memo.values())
 
 
 class TestNoOrderStateAcrossCommands:

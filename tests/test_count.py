@@ -62,6 +62,13 @@ class TestEnumerate:
         with pytest.raises(EffortError) as err:
             enumerate_overpseudoprimes(3 * 10**6, Budget(5))
         assert "orders below 243 were completed" in str(err.value)
+        # the orders it names, with their members ascending, by mult_order
+        partial = err.value.partial
+        assert f"were completed: {list(partial)}" in str(err.value)
+        members = ov_count(3 * 10**6).members
+        assert partial == {h: [m for m in members if mult_order(2, m) == h]
+                           for h in sorted({mult_order(2, m) for m in members}) if h < 243}
+        assert partial
 
 
 @cache
@@ -107,9 +114,9 @@ class TestPrimesOfOrder:
         looked_up, sieved = [], []
         lookup, sieve = primover._tabled_factorization, count_module._scan_sieve
 
-        def lookup_spy(h, h_primes):
+        def lookup_spy(h):
             looked_up.append(h)
-            return lookup(h, h_primes)
+            return lookup(h)
 
         def sieve_spy(h, start, step, n):
             sieved.append(h)
@@ -530,9 +537,9 @@ class TestPhi2Table:
         lookup = primover._tabled_factorization
         looked_up = []
 
-        def lookup_spy(h, h_primes):
+        def lookup_spy(h):
             looked_up.append(h)
-            return lookup(h, h_primes)
+            return lookup(h)
 
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         tabled = [h for h in sorted(primover._phi2_table()) if h <= 400]
@@ -572,9 +579,9 @@ class TestPhi2Table:
             calls.append((h, lo, limit))
             return primes_of_order(h, lo, limit, budget, held)
 
-        def lookup_spy(h, h_primes):
+        def lookup_spy(h):
             looked_up.append(h)
-            return lookup(h, h_primes)
+            return lookup(h)
 
         monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
@@ -595,9 +602,9 @@ class TestPhi2Table:
         looked_up = []
         lookup = primover._tabled_factorization
 
-        def lookup_spy(h, h_primes):
+        def lookup_spy(h):
             looked_up.append(h)
-            return lookup(h, h_primes)
+            return lookup(h)
 
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         big = {h: f for h, f in primover._phi2_table().items()
@@ -641,7 +648,36 @@ class TestPhi2Table:
         for complete, entries in ((True, primover._phi2_table()),
                                   (False, primover._phi2_partial())):
             for h, factors in entries.items():
-                primover._prove_entry(h, primefactors(h), factors, complete)
+                primover._prove_entry(h, factors, complete)
+
+    def test_entry_problems_name_an_order_with_no_entry_or_two(self):
+        # the script's check that the file's complete and partial entries
+        # cover its range once each, on doctored copies of the parsed file
+        script = factor_table_script()
+        stored = json.loads(self.FILE.read_text())
+        assert script.entry_problems(stored) == []
+        doctored = json.loads(self.FILE.read_text())
+        del doctored["factors"]["5"]
+        doctored["factors"]["137"] = doctored["partial"]["137"]
+        assert script.entry_problems(doctored) == [
+            "the table has no entry for Phi_5(2)",
+            "the table has a complete and a partial entry for Phi_137(2)"]
+
+    @pytest.mark.parametrize("hide", ["_phi2_table", "_phi2_partial"])
+    def test_order_with_no_entry_in_the_range_raises(self, monkeypatch, hide):
+        # with only one of the two kinds of entry hidden, the section's
+        # orders no longer fit the entries: an order of the range that has
+        # neither kind raises instead of listing nothing; one above the
+        # range, and one above the section's limit, lists as before
+        h = 3 if hide == "_phi2_table" else 137
+        listed_1000, listed_10007 = primover._listed_primes(1000), primover._listed_primes(10007)
+        monkeypatch.setattr(primover, hide, dict)
+        with pytest.raises(ContractViolationError, match=f"no entry for Phi_{h}\\(2\\)"):
+            primover._listed_primes(h)
+        with pytest.raises(ContractViolationError, match=f"no entry for Phi_{h}\\(2\\)"):
+            count_module._primes_of_order(h, 0, 10**4, Budget())
+        assert primover._listed_primes(1000) == listed_1000
+        assert primover._listed_primes(10007) == listed_10007 == ((), 0)
 
     def test_digest_is_the_committed_file_sha256(self):
         assert primover.PHI2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
@@ -696,7 +732,7 @@ class TestPhi2Table:
         monkeypatch.setattr(primover, "_tabled_factorization",
                             cache(primover._tabled_factorization.__wrapped__))
         with pytest.raises(ContractViolationError, match=message):
-            primover._prove_entry(148, (2, 37), table[148], True)
+            primover._prove_entry(148, table[148], True)
         if tamper.startswith("merge"):
             return
         with pytest.raises(ContractViolationError, match=message):
@@ -943,6 +979,8 @@ class TestSweepFactorsNothing:
         monkeypatch.setattr(order_module, "factorize", factorize_spy)
         monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
         monkeypatch.setattr(count_module, "_complete_factorization", scan_spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
         assert ov_count(10**8).ov == 266
         # the sweep reads each order off the index of 2, and at 1e8 no scan
         # reaches 10**6, where count finds an order's primes; h is factored
@@ -963,6 +1001,8 @@ class TestSweepFactorsNothing:
                 return real(n, budget)
 
             monkeypatch.setattr(module, "_complete_factorization", spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
         assert ov_count(10**10).ov == 1730
         read = factored[primover]
         assert factored[count_module] == [] and read == sorted(set(read))
@@ -970,6 +1010,28 @@ class TestSweepFactorsNothing:
         # a scan across 10**6 factors its order, once
         assert walk_and_scan(2249, 900_000, 2 * 10**6) == [931087, 1619281]
         assert factored[count_module] == [2249]
+
+    def test_second_count_factors_nothing(self, monkeypatch):
+        # the table's reads are kept by order, so the first count factors
+        # each complete entry's order it reads, once, and a second count in
+        # the same process factors nothing
+        from overpseudo import order as order_module
+
+        calls = []
+        factorize = order_module.factorize
+
+        def factorize_spy(n, budget=None):
+            calls.append(n)
+            return factorize(n, budget)
+
+        monkeypatch.setattr(order_module, "factorize", factorize_spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
+        first = ov_count(10**7)
+        assert len(calls) == 181 and set(calls) <= set(primover._phi2_table())
+        calls.clear()
+        assert ov_count(10**7) == first and first.ov == 91
+        assert calls == []
 
     def test_prime_orders_reproduce_the_index(self):
         # below 10**6 every prime's order gives back its stored index of 2
@@ -1320,6 +1382,8 @@ class TestOnePass:
         with pytest.raises(EffortError) as per_order:
             per_order_complete(10**10, orders, Budget(units))
         assert str(one_pass.value) == str(per_order.value)
+        assert one_pass.value.partial == per_order.value.partial
+        assert list(one_pass.value.partial) == sorted(one_pass.value.partial)
 
     def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, monkeypatch):
         passes = []

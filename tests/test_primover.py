@@ -151,9 +151,13 @@ class TestPrimitivePart:
         arith_factorize = arith.factorize
         monkeypatch.setattr(primover, "factorize", spy)
         monkeypatch.setattr(order, "factorize", spy)
+        monkeypatch.setattr(primover, "_tabled_factorization",
+                            cache(primover._tabled_factorization.__wrapped__))
         part = primitive_part(300)
         assert len(part.primitive_factors) > 1
         assert factored.count(300) == 1
+        # a tabled order is factored on its first read only
+        assert primitive_part(300) == part and factored.count(300) == 1
 
     @pytest.mark.usefixtures("no_phi2_table")
     def test_newly_complete_at_1e5_units(self):
@@ -255,7 +259,7 @@ class TestPartialEntries:
         for entry, message in (([[32032215596496435569, 1]], "leaves a prime"),
                                ([[3, 1]], "does not multiply")):
             with pytest.raises(ContractViolationError, match=message):
-                primover._prove_entry(137, (137,), entry, False)
+                primover._prove_entry(137, entry, False)
         monkeypatch.setattr(primover, "_phi2_partial", lambda: {137: [[3, 1]]})
         monkeypatch.setattr(primover, "_tabled_factorization",
                             cache(primover._tabled_factorization.__wrapped__))
@@ -278,9 +282,8 @@ class TestPartialEntries:
 
     def test_partial_rest_is_proved_composite_before_the_lucas_test(self, lucas_tested):
         for n in (137, 274, 391):
-            n_primes = sympy.primefactors(n)
-            primover._prove_entry(n, n_primes, primover._phi2_partial()[n], False)
-            fz = primover._reduced_factorization(n, n_primes, Budget(0))
+            primover._prove_entry(n, primover._phi2_partial()[n], False)
+            fz = primover._reduced_factorization(n, Budget(0))
             assert not fz.complete and fz.unfactored_cofactor > 1, n
             assert fz.unfactored_cofactor not in lucas_tested, n
 
@@ -296,7 +299,7 @@ class TestPartialEntries:
         *entry, (big, _) = primover._phi2_table()[83]
         assert big >= 1 << 64 and pow(3, big - 1, big) == 1
         with pytest.raises(ContractViolationError, match="lists a composite or leaves a prime"):
-            primover._prove_entry(83, (83,), entry, False)
+            primover._prove_entry(83, entry, False)
         assert big in lucas_tested
 
 
