@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build, or check, the table of factored Phi_h(2) and the index of 2 that primover and count read.
+"""Build, or check, the package's data: the table of factored Phi_h(2), the index and links of 2.
 
 For each order h in 3..999 the script factors Phi_h(2) without its
 intrinsic prime by _factor_reduced, never by the table itself (every prime
@@ -26,11 +26,17 @@ so checks no entry at run time beyond its product.
 
 The index of 2 is (p - 1) / ord_p(2) for every odd prime p below
 TRIAL_DIVISION_LIMIT, p ascending, which count reads in place of the order
-of 2 modulo such a prime.  The orders come from count's _prime_orders, the
-generator that gives count's sweep its orders above the limit.  It is written
-as unsigned 16-bit little-endian words, zlib-compressed, to index2.zlib
-beside the table (about 0.5 s); its SHA-256, printed, must replace
-primover.INDEX2_SHA256.  A build writes both files.
+of 2 modulo such a prime.  The links give each prime q there that is not
+the largest of its order below the limit the next prime of that order,
+which count's completion follows from an order's largest prime up to
+sqrt(x).  Both come from one pass of count's _prime_orders, the generator
+that gives count's sweep its orders above the limit (about 0.6 s).  The
+index is written as unsigned 16-bit little-endian words, zlib-compressed,
+to index2.zlib beside the table; the links as the 4400 q ascending, then
+the next prime of each, unsigned 32-bit little-endian words,
+zlib-compressed, to next2.zlib.  Their SHA-256s, printed, must replace
+primover.INDEX2_SHA256 and primover.NEXT2_SHA256.  A build writes all
+three files.
 
 --check compares the table's digest with primover.PHI2_SHA256, checks
 that every order of the range has exactly one entry, complete or partial
@@ -39,19 +45,21 @@ entry through primover._prove_entry, which finds the primes of h itself
 (the product, each factor through the package's is_prime, a partial
 entry's composite rest), rebuilds h = 3..150 to compare, and rescans the
 whole scanned section: "below", the bound, and the primes of every order
-it covers.  It compares the index's digest with primover.INDEX2_SHA256
-and its words, byte for byte, with a rebuild's (the words, not the
-compressed bytes, which another zlib may write differently), and
+it covers.  It compares the digests of the index and the links with
+primover.INDEX2_SHA256 and primover.NEXT2_SHA256 and their words, byte for
+byte, with a rebuild's (the words, not the compressed bytes, which another
+zlib may write differently), and
 primover.WIEFERICH_PRIMES with a search of every prime below
 TRIAL_DIVISION_LIMIT, on which count's exponent of 1 for every other
 prime there rests.  It takes about 2 minutes on 2 cores.
 
 Usage:
-  python scripts/factor_table.py                 # rebuild the table and the index
+  python scripts/factor_table.py                 # rebuild the table, the index and the links
   python scripts/factor_table.py --out phi2.json # write the table elsewhere
   python scripts/factor_table.py --check         # digests, every entry, rebuild h = 3..150,
-                                                 # rescan the scanned section, rebuild the index,
-                                                 # search the Wieferich primes below 10**6
+                                                 # rescan the scanned section, rebuild the index
+                                                 # and the links, search the Wieferich primes
+                                                 # below 10**6
 """
 
 import argparse
@@ -69,11 +77,12 @@ from pathlib import Path
 from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
 from overpseudo.count import _held_primes, _prime_orders, _scan
-from overpseudo.primover import (INDEX2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _check_entry,
-                                  _factor_reduced, _prove_entry)
+from overpseudo.primover import (INDEX2_SHA256, NEXT2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES,
+                                  _check_entry, _factor_reduced, _prove_entry)
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
 INDEX = TABLE.with_name("index2.zlib")
+NEXT = TABLE.with_name("next2.zlib")
 ORDERS = (3, 999)
 BUDGET = 1_000_000
 CHECK_UPTO = 150  # the slice --check rebuilds, about 2 s
@@ -113,24 +122,40 @@ def scan(orders, bound: int) -> dict:
     return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
 
 
-def build_index() -> bytes:
-    """The index of 2 of every odd prime below TRIAL_DIVISION_LIMIT as little-endian words."""
+def build_words() -> dict[str, bytes]:
+    """{file name: its content as little-endian words}: the index of 2 and the links, one pass.
+
+    index2.zlib holds the index (p - 1) / ord_p(2) of every odd prime p
+    below TRIAL_DIVISION_LIMIT, p ascending, as 16-bit words; next2.zlib
+    each prime q there that is not the largest of its order below the
+    limit, ascending, then the next prime of that order after each q, as
+    32-bit words.  Both come from one pass of count's _prime_orders.
+    """
     # an index above 65535 would not fit, and raises OverflowError
-    index = array("H", [(p - 1) // h for p, h in _prime_orders(3, TRIAL_DIVISION_LIMIT - 1)])
+    index, links, last = array("H"), {}, {}
+    for p, h in _prime_orders(3, TRIAL_DIVISION_LIMIT - 1):
+        index.append((p - 1) // h)
+        if h in last:
+            links[last[h]] = p
+        last[h] = p
+    linked = sorted(links)
+    words = {INDEX.name: index, NEXT.name: array("I", linked + [links[q] for q in linked])}
     if sys.byteorder == "big":
-        index.byteswap()
-    return index.tobytes()
+        for w in words.values():
+            w.byteswap()
+    return {name: w.tobytes() for name, w in words.items()}
 
 
-def check_index(path: Path) -> list[str]:
-    """The index file's problems: its digest, and its words against a rebuild's."""
+def check_words() -> list[str]:
+    """The problems of the index and the links: each digest, and the words against a rebuild's."""
     problems = []
-    digest = sha256(path)
-    if digest != INDEX2_SHA256:
-        problems.append(f"SHA-256 {digest} of {path.name} is not primover.INDEX2_SHA256 "
-                        f"{INDEX2_SHA256}")
-    if zlib.decompress(path.read_bytes()) != build_index():
-        problems.append(f"{path.name} is not what a rebuild of the index gives")
+    fresh = build_words()
+    for path, want in ((INDEX, INDEX2_SHA256), (NEXT, NEXT2_SHA256)):
+        digest = sha256(path)
+        if digest != want:
+            problems.append(f"SHA-256 {digest} of {path.name} is not primover's {want}")
+        if zlib.decompress(path.read_bytes()) != fresh[path.name]:
+            problems.append(f"{path.name} is not what a rebuild gives")
     return problems
 
 
@@ -143,10 +168,11 @@ def check_wieferich() -> list[str]:
             f"not primover.WIEFERICH_PRIMES {WIEFERICH_PRIMES}"]
 
 
-def write_index(path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(zlib.compress(build_index(), 9))
-    print(f"wrote {path}, SHA-256 {sha256(path)}")
+def write_words() -> None:
+    for name, words in build_words().items():
+        path = TABLE.with_name(name)
+        path.write_bytes(zlib.compress(words, 9))
+        print(f"wrote {path}, SHA-256 {sha256(path)}")
 
 
 def compact(value) -> str:
@@ -255,13 +281,14 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="check --out's digest and every entry, rebuild the "
                              f"orders up to {CHECK_UPTO} to compare, rescan the "
-                             "scanned section, check the index against a rebuild, "
+                             "scanned section, check the index and the links against "
+                             "a rebuild, "
                              "and search the Wieferich primes below the limit")
     args = parser.parse_args()
 
     t0 = time.time()
     if args.check:
-        problems = check(args.out, CHECK_UPTO) + check_index(INDEX) + check_wieferich()
+        problems = check(args.out, CHECK_UPTO) + check_words() + check_wieferich()
         for line in problems:
             print(line)
         print(f"{len(problems)} problems, {time.time() - t0:.1f}s")
@@ -275,7 +302,7 @@ def main() -> int:
     print(f"wrote {args.out}: {done} complete, {len(table['partial'])} partial, "
           f"{len(table['scanned']['primes'])} scanned primes, {time.time() - t0:.1f}s")
     print(f"SHA-256 {sha256(args.out)}")
-    write_index(INDEX)
+    write_words()
     return 0
 
 

@@ -11,24 +11,23 @@ each order h in (sqrt(x), x / p_min(h)]: primover lists, count reads and
 tests above the listed bound.  primover lists all the primes of a complete
 table entry, and those up to 2**30 of any other order below 10**4, from
 the table's scanned section; an order from 10**4 up lists none.  Above the
-bound count reads the primes below TRIAL_DIVISION_LIMIT by one walk of the
-index (_held_primes): q has order h iff i_q = (q - 1) / h.  In the
-completion the first order whose candidates start below 10**6 runs that
-walk over (sqrt(x), 10**6), each order up to its own limit, for itself
-and every order above it at once; a read of one order alone (the by-order
-seed scan, the table's build) walks for that order.  From the limit up
-_scan tests: each candidate that survives a sieve and a mod-8 mask gets an
-order test, q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough
-candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
-smaller order.  The primes of h are found only for that order test and
-for a complete entry's read.  An order costs one unit per candidate
-q = 1 (mod h) above the listed bound, however it is decided; what
-primover lists costs nothing.  Prime powers q**i dividing 2**h - 1 are
-admitted (primover._exponent_cap); every product of at least two slots is
-a member, and an order whose one prime has exponent 1 forms none, so it
-builds no slots.  ov_count completes the sweep's orders,
-ov_count_upto_order those up to n, and ov_count_by_order the one order n,
-its P_n read up to sqrt(x).
+bound count reads the primes below TRIAL_DIVISION_LIMIT off stored links:
+primover._next2 gives each prime there the next prime of its order, so
+the completion follows them from the largest prime of P_h, a dict lookup
+per prime found.  A read of one order with no prime in hand (the by-order
+seed scan, the table's build) walks the index instead (_held_primes): q has
+order h iff i_q = (q - 1) / h.  From the limit up _scan tests: each
+candidate that survives a sieve and a mod-8 mask gets an order test,
+q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough candidates survive
+to pay for Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The
+primes of h are found only for that order test and for a complete entry's
+read.  An order costs one unit per candidate q = 1 (mod h) above the
+listed bound, however it is decided; what primover lists costs nothing.
+Prime powers q**i dividing 2**h - 1 are admitted (primover._exponent_cap);
+every product of at least two slots is a member, and an order whose one
+prime has exponent 1 forms none, so it builds no slots.  ov_count
+completes the sweep's orders, ov_count_upto_order those up to n, and
+ov_count_by_order the one order n, its P_n read up to sqrt(x).
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress, islice
 
 from . import primover
@@ -50,21 +47,19 @@ from .primover import _cyclotomic_value, _exponent_cap, _slots_of_order
 
 REMAINDER_BITS = 2048
 
-# gives, on its first call, the one walk's map of primes below the limit by order
-Held = Callable[[], dict[int, list[int]]]
-
 
 def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
-                     held: Held | None = None) -> list[int]:
+                     seed: int | None = None) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
     In this order: the primes primover._listed_primes lists in (lo, limit],
     free; unless those are all (bound None), the primes in
-    (max(lo, bound), limit] below TRIAL_DIVISION_LIMIT, read off held(),
-    a map like _held_primes's, or off a walk for this order alone; one unit
-    per candidate in that interval, however it is decided, the one charge;
-    and _scan's order tests from the limit up.  No odd q = 1 (mod h) in
-    the interval: nothing more, at no charge.
+    (max(lo, bound), limit] below TRIAL_DIVISION_LIMIT, read by following
+    primover._next2's links from seed, a prime of order h at or below lo,
+    or with no seed off a walk for this order alone; one unit per candidate
+    in that interval, however it is decided, the one charge; and _scan's
+    order tests from the limit up.  No odd q = 1 (mod h) in the interval:
+    nothing more, at no charge.
     """
     start, step = _progression(h, lo)
     if limit < start:
@@ -77,9 +72,14 @@ def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
     start, _ = _progression(h, lo)
     if limit < start:
         return got
-    if start < TRIAL_DIVISION_LIMIT:
-        read = held() if held else _held_primes(lo, {h: limit})
-        got += [q for q in read.get(h, ()) if lo < q]
+    if start < TRIAL_DIVISION_LIMIT and seed is None:
+        got += _held_primes(lo, {h: limit}).get(h, [])
+    elif start < TRIAL_DIVISION_LIMIT:
+        # a prime with no link is the largest of its order below the limit
+        links, q = primover._next2(), seed
+        while (q := links.get(q, limit + 1)) <= limit:
+            if lo < q:
+                got.append(q)
     budget.charge((limit - start) // step + 1)
     return got + _scan(h, lo, limit, budget) if limit >= TRIAL_DIVISION_LIMIT else got
 
@@ -94,8 +94,8 @@ def _progression(h: int, lo: int) -> tuple[int, int]:
 def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     """The primes of order h in (lo, limit] from TRIAL_DIVISION_LIMIT up, h >= 3, by order tests.
 
-    lo is raised to TRIAL_DIVISION_LIMIT - 1, below which _held_primes
-    reads the primes off the index of 2, and nothing is charged here:
+    lo is raised to TRIAL_DIVISION_LIMIT - 1, below which _primes_of_order
+    reads the primes, and nothing is charged here:
     _primes_of_order charges the candidates.  _scan_sieve first drops
     composites with a small prime factor and primes of another order by a
     mod-8 mask; a scan of fewer than 8 such candidates, where the sieve's
@@ -239,7 +239,8 @@ def _held_primes(lo: int, caps: dict[int, int]) -> dict[int, list[int]]:
 
     For each order h of caps, by one walk over small_primes() and
     primover._index2() from lo up to the largest cap: each prime q goes to
-    h = (q - 1) / i_q.  Nothing is charged.
+    h = (q - 1) / i_q.  Nothing is charged.  It serves the reads with no
+    prime of the order in hand; _complete follows primover._next2's links.
     """
     primes, index = small_primes(), primover._index2()
     # 2, index 0, has no order
@@ -262,16 +263,12 @@ def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int,
     if x < 3:
         raise ValueError("x must be >= 3")
     root = math.isqrt(x)
-    # the first order whose candidates start below TRIAL_DIVISION_LIMIT runs
-    # the walk, before its charge, for its order h, read when called, and
-    # those above, each up to its limit x // P_g[0]
-    held = cache(lambda: _held_primes(root, {g: x // seeds[0] for g, seeds in orders.items()
-                                             if g >= h}))
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
         seeds = orders[h]
         try:
-            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget, held)
+            # the links run on from P_h's largest prime, the last at or below sqrt(x)
+            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget, seeds[-1])
             # a lone prime of exponent 1, as most orders have, forms no member
             if len(qs) == 1 and _exponent_cap(h, qs[0], x) == 1:
                 continue

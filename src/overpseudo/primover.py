@@ -95,11 +95,12 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
                          a.unfactored_cofactor * b.unfactored_cofactor)
 
 
-# SHA-256 of data/phi2_factors.json and data/index2.zlib, as
-# scripts/factor_table.py prints them after a build; a rebuilt file must
+# SHA-256 of data/phi2_factors.json, data/index2.zlib and data/next2.zlib,
+# as scripts/factor_table.py prints them after a build; a rebuilt file must
 # update its digest
 PHI2_SHA256 = "c82d44bd6de8c837b9667b025e369117e47d531a38578d21e7eab555c74b8de7"
 INDEX2_SHA256 = "e698ff098214a5bb34ea981c7b2520b7705ed850e2b1ab9469b500caf1c0bd83"
+NEXT2_SHA256 = "90988065f9d614a30ecf0e21b462f389545b27b103f1432a055fc5b2284704d5"
 
 
 def _data_file(name: str, digest: str) -> bytes:
@@ -140,6 +141,27 @@ def _index2() -> array:
     if sys.byteorder == "big":
         index.byteswap()
     return index
+
+
+@cache
+def _next2() -> dict[int, int]:
+    """{q: the next prime of q's order of 2} for each prime q below TRIAL_DIVISION_LIMIT with one.
+
+    The links run through each order's primes below the limit, ascending,
+    and the largest has none.  data/next2.zlib stores the 4400 such q,
+    ascending, then the next prime of each, as unsigned 32-bit
+    little-endian words, zlib-compressed; it is read on first use, and a
+    file of another digest raises.  scripts/factor_table.py builds it with
+    the index of 2, from the same orders, and checks it.
+    """
+    import zlib
+
+    words = array("I")
+    words.frombytes(zlib.decompress(_data_file("next2.zlib", NEXT2_SHA256)))
+    if sys.byteorder == "big":
+        words.byteswap()
+    half = len(words) // 2
+    return dict(zip(words[:half], words[half:]))
 
 
 @cache

@@ -1,7 +1,6 @@
 """Test-side oracles kept independent of the code paths they check."""
 
 from array import array
-from bisect import bisect_left
 from itertools import compress
 from math import gcd, isqrt, lcm
 from pathlib import Path
@@ -9,14 +8,12 @@ from pathlib import Path
 import sympy
 
 from overpseudo import EffortError, is_overpseudoprime_def
-from overpseudo import count, primover
+from overpseudo import count
 from overpseudo.arith import (
-    TRIAL_DIVISION_LIMIT,
     Budget,
     Factorization,
     _split,
     is_prime,
-    small_prime_flags,
     small_primes,
 )
 
@@ -74,22 +71,6 @@ def pow_primes_of_order(h, lo, limit):
             and sympy.isprime(q)]
 
 
-def index_primes_of_order(h, lo, limit):
-    """Reference for count._held_primes of one order: the primes q of order h
-    in (lo, min(limit, TRIAL_DIVISION_LIMIT - 1)], read at this order's odd
-    candidates q = 1 (mod h) alone, primality off the trial-division sieve
-    and the order off the stored index of 2 (q - 1 == h * i_q) at q's place
-    in small_primes()."""
-    step = 2 * h if h % 2 else h
-    start = max(lo + 1 + (-lo) % step, step + 1)  # the least q = 1 (mod step) above lo
-    last = min(limit, TRIAL_DIVISION_LIMIT - 1)
-    # q, odd, is index q // 2 of the sieve, which advances by step // 2
-    flags = small_prime_flags()[start // 2:last // 2 + 1:step // 2]
-    primes, index = small_primes(), primover._index2()
-    return [q for q in compress(range(start, last + 1, step), flags)
-            if index[bisect_left(primes, q)] * h == q - 1]
-
-
 def sieve_primes_below(limit):
     """Reference for arith.small_primes: a sieve over every number below limit."""
     sieve = bytearray(b"\x01") * limit
@@ -145,26 +126,21 @@ def per_prime_factorize(n, budget=None):
 
 
 def per_order_complete(x, orders, budget):
-    """Reference for count._complete: the per-order loop it replaced.
+    """Reference for count._complete: a plain loop over the orders.
 
     Each order in ascending h takes its primes in (sqrt(x), x // P_h[0]]
-    from its own call of count._primes_of_order, given as held the primes
-    below 10**6 that index_primes_of_order reads at that order's candidates,
-    and every prime's exponent from pow, with no order passed over; the
-    charges, the exhaustion message and its partial are count's.
+    from its own call of count._primes_of_order, given P_h's largest prime
+    to follow the links from, and every prime's exponent from pow, with no
+    order passed over; the charges, the exhaustion message and its partial
+    are count's.
     """
     root = isqrt(x)
     groups = {}
     for h in sorted(orders):
         seeds = orders[h]
-        limit = x // seeds[0]
-
-        def held(h=h, limit=limit):
-            return {h: index_primes_of_order(h, root, limit)}
-
         try:
             slots = []
-            for q in seeds + count._primes_of_order(h, root, limit, budget, held):
+            for q in seeds + count._primes_of_order(h, root, x // seeds[0], budget, seeds[-1]):
                 e, nq = 1, q * q
                 while nq <= x and pow(2, h, nq) == 1:
                     e, nq = e + 1, nq * q

@@ -176,7 +176,8 @@ class TestPrimesBelow:
 
     def test_one_sieve_per_process(self, monkeypatch):
         # small_primes, is_prime below the limit, the sweep above it and the
-        # index build all read the held flags; nothing sieves again
+        # build of the index and the links all read the held flags; nothing
+        # sieves again
         from overpseudo import count
 
         sieved = []
@@ -189,7 +190,7 @@ class TestPrimesBelow:
         assert is_prime(999983)
         orders = count._sweep((10**6 + 100) ** 2)
         assert sum(map(len, orders.values())) == 78498 - 1 + 6
-        factor_table_script().build_index()
+        factor_table_script().build_words()
         assert sieved == [TRIAL_DIVISION_LIMIT]
 
     def test_small_primes(self):

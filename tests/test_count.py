@@ -105,6 +105,23 @@ def walk_and_scan(h, lo, limit):
     return below + count_module._scan(h, lo, limit, Budget())
 
 
+@pytest.fixture
+def links_followed(monkeypatch):
+    """Count's lookups in primover._next2's links, recorded in order as
+    (q, the next prime of q's order, or None where q is the last)."""
+    followed = []
+    links = primover._next2()
+
+    class Recording(dict):
+        def get(self, q, default=None):
+            followed.append((q, links.get(q)))
+            return links.get(q, default)
+
+    recording = Recording()
+    monkeypatch.setattr(primover, "_next2", lambda: recording)
+    return followed
+
+
 class TestPrimesOfOrder:
     def test_matches_scan_oracle_on_both_paths(self, monkeypatch):
         # with the table, a tabled order with a candidate reads its entry, a
@@ -446,7 +463,8 @@ class TestIndexOf2:
     def test_committed_index_equals_a_rebuild(self):
         # scripts/factor_table.py's build from count's _prime_orders, about
         # 0.6 s; the file holds one entry per odd prime
-        assert zlib.decompress(self.FILE.read_bytes()) == factor_table_script().build_index()
+        words = factor_table_script().build_words()["index2.zlib"]
+        assert zlib.decompress(self.FILE.read_bytes()) == words
         # read aligned with small_primes(), 2 getting 0
         index = primover._index2()
         assert len(index) == len(count_module.small_primes()) == 78498
@@ -477,6 +495,52 @@ class TestIndexOf2:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert ("overpseudo.errors.ContractViolationError: data/index2.zlib "
+                "does not match its SHA-256") in proc.stderr, proc.stderr
+
+
+class TestLinksOf2:
+    """The stored links: each prime q below 10**6 but the last of its order there, to the next."""
+
+    FILE = Path(primover.__file__).parent / "data" / "next2.zlib"
+
+    def test_committed_links_equal_a_rebuild(self):
+        # scripts/factor_table.py's build, from the pass that builds the
+        # index; the words are compared, not the compressed bytes
+        words = factor_table_script().build_words()["next2.zlib"]
+        assert zlib.decompress(self.FILE.read_bytes()) == words
+        # read as {q: next}, the 4400 q ascending, each link going up
+        links = primover._next2()
+        assert len(links) == 4400 and list(links) == sorted(links)
+        assert all(q < nxt < 10**6 for q, nxt in links.items())
+
+    def test_sampled_links_match_sympy_n_order(self):
+        # q and its next prime have one order, and no prime of it lies between
+        links = primover._next2()
+        for q in random.Random(35).sample(sorted(links), 200):
+            nxt, h = links[q], n_order(2, q)
+            assert isprime(nxt) and n_order(2, nxt) == h, q
+            assert pow_primes_of_order(h, q, nxt - 1) == [], q
+
+    def test_digest_is_the_committed_file_sha256(self):
+        assert primover.NEXT2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
+
+    def test_tampered_byte_fails_the_digest_on_first_read(self, tmp_path):
+        # a copy of the package whose links have one bit flipped: a count up
+        # to 1e8, where every order is read from the table, follows no link
+        # and runs; the first count with an order from 10**4 up refuses them
+        package = tmp_path / "overpseudo"
+        shutil.copytree(self.FILE.parents[1], package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        raw = bytearray(self.FILE.read_bytes())
+        raw[len(raw) // 2] ^= 1
+        (package / "data" / self.FILE.name).write_bytes(raw)
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        code = ("from overpseudo import *; assert ov_count(10**8).ov == 266; print('1e8 ran'); "
+                "ov_count(10**10)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == "1e8 ran\n"
+        assert ("overpseudo.errors.ContractViolationError: data/next2.zlib "
                 "does not match its SHA-256") in proc.stderr, proc.stderr
 
 
@@ -575,9 +639,9 @@ class TestPhi2Table:
         calls, looked_up = [], []
         primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
 
-        def primes_of_order_spy(h, lo, limit, budget, held):
+        def primes_of_order_spy(h, lo, limit, budget, seed=None):
             calls.append((h, lo, limit))
-            return primes_of_order(h, lo, limit, budget, held)
+            return primes_of_order(h, lo, limit, budget, seed)
 
         def lookup_spy(h):
             looked_up.append(h)
@@ -771,6 +835,7 @@ class TestPhi2Table:
                 "assert count.ov_count(10**6).ov == 24\n"
                 "assert primover._phi2_table.cache_info().currsize == 1\n"
                 "assert primover._index2.cache_info().currsize == 1\n"
+                "assert primover._next2.cache_info().currsize == 0\n"
                 "import overpseudo as o\n"
                 "assert o.classify(2047).flags.overpseudoprime_base2\n"
                 "assert o.least_witness(2047).witness == 3\n"
@@ -1210,32 +1275,29 @@ class TestOvCount:
         # tests only candidates above sqrt(x), for the same count and charge.
         # At 1e8 every order is below 10**4 and read from the table, at no
         # charge, so the scans are watched with the scanned section hidden.
-        # Every candidate then lies below 10**6 and is decided by the one
-        # walk of the index of 2, with no primality test; at 1e10 the
-        # scans find primes above 10**6, where the primality tests are watched
+        # Every prime below 10**6 then comes off the links, followed from
+        # each order's largest prime up to sqrt(x), with no primality test;
+        # at 1e10 the scans find primes above 10**6, where the primality
+        # tests are watched
         x = 10**8
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 0
         request.getfixturevalue("no_scanned_section")
-        tested, scanned_from = [], []
-        is_prime, held_primes = count_module.is_prime, count_module._held_primes
+        followed = request.getfixturevalue("links_followed")
+        tested = []
+        is_prime = count_module.is_prime
 
         def spy(q):
             tested.append(q)
             return is_prime(q)
 
-        def held_spy(lo, caps):
-            held = held_primes(lo, caps)
-            scanned_from.extend(q for qs in held.values() for q in qs)
-            return held
-
         monkeypatch.setattr(count_module, "is_prime", spy)
-        monkeypatch.setattr(count_module, "_held_primes", held_spy)
         budget = Budget()
         assert ov_count(x, budget).ov == 266
         assert budget.spent == 13648
-        assert scanned_from and min(scanned_from) > math.isqrt(x)
+        read = [q for _, q in followed if q]
+        assert read and min(read) > math.isqrt(x)
         assert tested == []
         assert ov_count(10**10).ov == 1730
         assert tested and min(tested) > math.isqrt(10**10)
@@ -1360,7 +1422,8 @@ class TestTwoSteps:
 
 
 class TestOnePass:
-    """count._complete's one pass over the index of 2 against the per-order loop it replaced."""
+    """count._complete against the plain per-order loop, and its link reads against the walk of
+    the index of 2 they replaced."""
 
     @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("x", [10**9, 10**10 - 10**8, 10**10 + 10**8, 2 * 10**10])
@@ -1385,25 +1448,67 @@ class TestOnePass:
         assert one_pass.value.partial == per_order.value.partial
         assert list(one_pass.value.partial) == sorted(one_pass.value.partial)
 
-    def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, monkeypatch):
-        passes = []
-        held_primes = count_module._held_primes
-
-        def spy(lo, caps):
-            passes.append((lo, min(caps), len(caps)))
-            return held_primes(lo, caps)
-
-        monkeypatch.setattr(count_module, "_held_primes", spy)
+    def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, monkeypatch,
+                                                                    links_followed):
+        walks = []
+        monkeypatch.setattr(count_module, "_held_primes", lambda lo, caps: walks.append(lo))
         # up to 1e8 every order is read from the table, so no order needs
-        # the walk; at 1e10 it runs from sqrt(x) for the first order above
-        # 10**4 that lists none, and those above it
+        # the links; at 1e10 each order from 10011 up, the first that lists
+        # none, follows them once from its largest prime up to sqrt(x) =
+        # 10**5 where a candidate lies in (10**5, x // P_h[0]], and no count
+        # walks the index of 2
         assert ov_count(10**8).ov == 266
+        assert links_followed == []
         assert ov_count(10**10).ov == 1730
-        above = [h for h in count_module._sweep(10**10) if h >= 10011]
-        assert passes == [(10**5, 10011, len(above))]
+        assert walks == []
+        orders = count_module._sweep(10**10)
+        above = [h for h in sorted(orders) if h >= 10011]
+        read = [h for h in above if candidates_above(h, 10**5, 10**10 // orders[h][0])]
+        starts = [q for q, _ in links_followed if q <= 10**5]
+        assert starts == [orders[h][-1] for h in read]
+        assert read[0] == 10011 and 0 < len(read) < len(above) == 6117
+
+    @pytest.mark.parametrize("x, hidden", [
+        (10**9, False), (10**9, True), (10**10, False), (2 * 10**10, False), (10**11, False),
+        ((10**6 + 100) ** 2, False)])
+    def test_link_read_equals_the_walk(self, monkeypatch, request, x, hidden):
+        # every order of the sweep, given its largest prime up to sqrt(x),
+        # gets from _primes_of_order what a walk of the index of 2 gives,
+        # at the same charge; the walk is one _held_primes call over all the
+        # orders, cut to the interval of each, and the scan from 10**6 up,
+        # the same code on both routes, is left out
+        if hidden:
+            request.getfixturevalue("no_scanned_section")
+        monkeypatch.setattr(count_module, "_scan", lambda h, lo, limit, budget: [])
+        root, orders = math.isqrt(x), count_module._sweep(x)
+        caps = {h: x // seeds[0] for h, seeds in orders.items()}
+        walk = count_module._held_primes(root, caps)
+        monkeypatch.setattr(count_module, "_held_primes", lambda lo, caps: {
+            h: [q for q in walk.get(h, []) if lo < q <= cap] for h, cap in caps.items()})
+        read = 0
+        for h, seeds in orders.items():
+            by_links, by_walk = Budget(), Budget()
+            got = count_module._primes_of_order(h, root, caps[h], by_links, seeds[-1])
+            assert got == count_module._primes_of_order(h, root, caps[h], by_walk), h
+            assert by_links.spent == by_walk.spent, h
+            read += len(walk.get(h, []))
+        # (10**6 + 100)**2 has no candidate below 10**6
+        assert (read > 0) == (root < 10**6)
+
+    def test_link_read_keeps_the_limit_and_drops_lo(self):
+        # the first three primes of order 11812, linked: a read keeps a
+        # prime at the limit itself and drops one at lo, as the walk does,
+        # at the walk's charge
+        h, (q, r, s) = 11812, (11813, 35437, 566977)
+        assert pow_primes_of_order(h, 0, s) == [q, r, s]
+        for lo, limit, want in ((q, r, [r]), (r, s, [s]), (q, s - 1, [r])):
+            by_links, by_walk = Budget(), Budget()
+            assert count_module._primes_of_order(h, lo, limit, by_links, q) == want
+            assert count_module._primes_of_order(h, lo, limit, by_walk) == want
+            assert by_links.spent == by_walk.spent > 0
 
     def test_scan_tests_only_from_the_limit_up(self, monkeypatch):
-        # the walk reads every prime below 10**6, so at 1e10, where every
+        # the links read every prime below 10**6, so at 1e10, where every
         # limit lies below it, no order calls the scan; at 1e11 each call's
         # limit reaches 10**6, and the primes it finds lie from there up
         calls = []
