@@ -3,25 +3,24 @@
 Every overpseudoprime m <= x factors into primes sharing one order h of 2,
 and its least prime factor is at most sqrt(x).  The sweep gives every prime
 p <= sqrt(x) its order h and lists them by order as P_h: below
-TRIAL_DIVISION_LIMIT, h = (p - 1) / i_p for the index i_p of 2 that
-primover._index2 stores; above it (x > 10**12) one table of least prime
-factors sieves those p and gives the primes of p - 1 that strip it to h.
-The completion pass takes any map of such lists and finds the primes of
-each order h in (sqrt(x), x / p_min(h)]: primover lists, count reads and
-tests above the listed bound.  primover lists all the primes of a complete
-table entry, and those up to 2**30 of any other order below 10**4, from
-the table's scanned section; an order from 10**4 up lists none.  Above the
-bound count reads the primes below TRIAL_DIVISION_LIMIT off stored links:
-primover._next2 gives each prime there the next prime of its order, so
-the completion follows them from the largest prime of P_h, a dict lookup
-per prime found.  A read of one order with no prime in hand (the by-order
-seed scan, the table's build) walks the index instead (_held_primes): q has
-order h iff i_q = (q - 1) / h.  From the limit up _scan tests: each
-candidate that survives a sieve and a mod-8 mask gets an order test,
-q | Phi_h(2) while phi(h) < REMAINDER_BITS and enough candidates survive
-to pay for Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The
-primes of h are found only for that order test and for a complete entry's
-read.  An order costs one unit per candidate q = 1 (mod h) above the
+TRIAL_DIVISION_LIMIT primover._orders_below reads h off the stored index of
+2; above it (x > 10**12) one table of least prime factors sieves those p
+and gives the primes of p - 1 that strip it to h.  The completion pass
+takes any map of such lists and finds the primes of each order h in
+(sqrt(x), x / p_min(h)]: primover._known_primes gives those known without
+an order test, and count tests above them.  primover lists all the primes
+of a complete table entry, and those up to 2**30 of any other order below
+10**4, from the table's scanned section; an order from 10**4 up lists none.
+Above that bound it reads the primes below TRIAL_DIVISION_LIMIT off stored
+links, each prime there to the next prime of its order: the completion
+follows them from the largest prime of P_h, and a read of one order with
+no prime in hand (the by-order seed read, the table's build) first steps
+along q = 1 (mod h) to the first prime of order h, then follows them.  From
+the limit up _scan tests: each candidate that survives a sieve and a mod-8
+mask gets an order test, q | Phi_h(2) while phi(h) < REMAINDER_BITS and
+enough candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
+smaller order.  The primes of h are found only for that order test and for
+a complete entry's read.  An order costs one unit per candidate q = 1 (mod h) above the
 listed bound, however it is decided; what primover lists costs nothing.
 Prime powers q**i dividing 2**h - 1 are admitted (primover._exponent_cap);
 every product of at least two slots is a member, and an order whose one
@@ -52,36 +51,21 @@ def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
                      seed: int | None = None) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
-    In this order: the primes primover._listed_primes lists in (lo, limit],
-    free; unless those are all (bound None), the primes in
-    (max(lo, bound), limit] below TRIAL_DIVISION_LIMIT, read by following
-    primover._next2's links from seed, a prime of order h at or below lo,
-    or with no seed off a walk for this order alone; one unit per candidate
-    in that interval, however it is decided, the one charge; and _scan's
-    order tests from the limit up.  No odd q = 1 (mod h) in the interval:
-    nothing more, at no charge.
+    In this order: primover._known_primes's, read from seed, a prime of
+    order h at or below lo, if given; unless those are all (bound None),
+    one unit per candidate in (max(lo, bound), limit], however it is
+    decided, the one charge; and _scan's order tests from the limit up.  No
+    odd q = 1 (mod h) in the interval: nothing more, at no charge.
     """
     start, step = _progression(h, lo)
     if limit < start:
         return []
-    listed, bound = primover._listed_primes(h)
-    got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
-    if bound is None:
+    got, bound = primover._known_primes(h, lo, limit, seed)
+    # all known, or no candidate above a bound past lo: nothing to charge or test
+    if bound is None or bound > lo and limit < (start := _progression(h, bound)[0]):
         return got
-    lo = max(lo, bound)
-    start, _ = _progression(h, lo)
-    if limit < start:
-        return got
-    if start < TRIAL_DIVISION_LIMIT and seed is None:
-        got += _held_primes(lo, {h: limit}).get(h, [])
-    elif start < TRIAL_DIVISION_LIMIT:
-        # a prime with no link is the largest of its order below the limit
-        links, q = primover._next2(), seed
-        while (q := links.get(q, limit + 1)) <= limit:
-            if lo < q:
-                got.append(q)
     budget.charge((limit - start) // step + 1)
-    return got + _scan(h, lo, limit, budget) if limit >= TRIAL_DIVISION_LIMIT else got
+    return got + _scan(h, max(lo, bound), limit, budget) if limit >= TRIAL_DIVISION_LIMIT else got
 
 
 def _progression(h: int, lo: int) -> tuple[int, int]:
@@ -108,8 +92,8 @@ def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     2**h = 1, and must factor completely.  A composite of primes of order h
     (2304167 = 1103 * 2089 for h = 29) can pass either, so primality is
     tested last, once per prime, by its own order.  scripts/factor_table.py
-    builds the table's scanned section with it and _held_primes, each order
-    below 10**4 with no complete entry up to 2**30.
+    builds the table's scanned section with it and primover._linked_primes,
+    each order below 10**4 with no complete entry up to 2**30.
     """
     start, step = _progression(h, max(lo, TRIAL_DIVISION_LIMIT - 1))
     if limit < start:
@@ -217,41 +201,16 @@ def _prime_orders(first: int, limit: int):
 def _sweep(x: int) -> dict[int, list[int]]:
     """Every prime p <= sqrt(x) by its order h: {h: P_h ascending}.
 
-    Below TRIAL_DIVISION_LIMIT h = (p - 1) / i_p, the index i_p read off
-    primover._index2; from the limit up _prime_orders gives h off one
-    table of least prime factors.  Nothing is factored or charged.
+    Below TRIAL_DIVISION_LIMIT primover._orders_below reads h off the index
+    of 2; from the limit up _prime_orders gives h off one table of least
+    prime factors.  Nothing is factored or charged.
     """
-    orders: dict[int, list[int]] = {}
     # x < 0 sweeps nothing; _complete refuses every x < 3
     root = math.isqrt(max(x, 0))
-    primes, index = small_primes(), primover._index2()
-    k = bisect_right(primes, root)
-    # 2, index 0, has no order
-    for p, i in zip(primes[1:k], index[1:k]):
-        orders.setdefault((p - 1) // i, []).append(p)
+    orders = primover._orders_below(root)
     for p, h in _prime_orders(TRIAL_DIVISION_LIMIT, root):
         orders.setdefault(h, []).append(p)
     return orders
-
-
-def _held_primes(lo: int, caps: dict[int, int]) -> dict[int, list[int]]:
-    """{h: the primes q of order h in (lo, caps[h]], q < TRIAL_DIVISION_LIMIT, ascending}.
-
-    For each order h of caps, by one walk over small_primes() and
-    primover._index2() from lo up to the largest cap: each prime q goes to
-    h = (q - 1) / i_q.  Nothing is charged.  It serves the reads with no
-    prime of the order in hand; _complete follows primover._next2's links.
-    """
-    primes, index = small_primes(), primover._index2()
-    # 2, index 0, has no order
-    start = max(1, bisect_right(primes, lo))
-    end = bisect_right(primes, max(caps.values()))
-    held: dict[int, list[int]] = {}
-    for q, i in zip(islice(primes, start, end), islice(index, start, end)):
-        h = (q - 1) // i
-        if q <= caps.get(h, 0):
-            held.setdefault(h, []).append(q)
-    return held
 
 
 def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int, list[int]]:

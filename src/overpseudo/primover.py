@@ -16,7 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize, is_prime
+from .arith import (TRIAL_DIVISION_LIMIT, Budget, Factorization, factorize, is_prime,
+                    small_prime_flags, small_primes)
 from .errors import ContractViolationError, EffortError
 from .order import _complete_factorization, _has_order, _two_routes
 
@@ -115,6 +116,16 @@ def _data_file(name: str, digest: str) -> bytes:
     return raw
 
 
+def _data_words(name: str, digest: str, words: array) -> array:
+    """words, extended by data/<name>'s little-endian words, zlib-compressed; see _data_file."""
+    import zlib
+
+    words.frombytes(zlib.decompress(_data_file(name, digest)))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 @cache
 def _phi2_data() -> dict:
     """data/phi2_factors.json, read on first use; a file of another digest raises."""
@@ -134,13 +145,7 @@ def _index2() -> array:
     digest raises.  scripts/factor_table.py builds it from the primes of
     each p - 1 and checks it.
     """
-    import zlib
-
-    index = array("H", [0])
-    index.frombytes(zlib.decompress(_data_file("index2.zlib", INDEX2_SHA256)))
-    if sys.byteorder == "big":
-        index.byteswap()
-    return index
+    return _data_words("index2.zlib", INDEX2_SHA256, array("H", [0]))
 
 
 @cache
@@ -154,12 +159,7 @@ def _next2() -> dict[int, int]:
     file of another digest raises.  scripts/factor_table.py builds it with
     the index of 2, from the same orders, and checks it.
     """
-    import zlib
-
-    words = array("I")
-    words.frombytes(zlib.decompress(_data_file("next2.zlib", NEXT2_SHA256)))
-    if sys.byteorder == "big":
-        words.byteswap()
+    words = _data_words("next2.zlib", NEXT2_SHA256, array("I"))
     half = len(words) // 2
     return dict(zip(words[:half], words[half:]))
 
@@ -258,6 +258,65 @@ def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
         _check_entry(n, _phi2_table(), _phi2_partial())
     first = bisect_left(orders, n)
     return primes[first:bisect_right(orders, n, first)], bound
+
+
+def _orders_below(root: int) -> dict[int, list[int]]:
+    """{h: the odd primes p <= root of order h below TRIAL_DIVISION_LIMIT, ascending}.
+
+    Read off _index2(): p has order (p - 1) / i_p.
+    """
+    primes, index = small_primes(), _index2()
+    orders: dict[int, list[int]] = {}
+    # 2, index 0, has no order; the view reads the index without a copy
+    for p, i in zip(primes[1:bisect_right(primes, root)], memoryview(index)[1:]):
+        orders.setdefault((p - 1) // i, []).append(p)
+    return orders
+
+
+def _linked_primes(h: int, lo: int, limit: int, seed: int | None = None) -> list[int]:
+    """The primes of order h >= 3 in (lo, limit] below TRIAL_DIVISION_LIMIT, ascending; lo >= 0.
+
+    One walk of _next2()'s links, from seed, a prime of order h at or below
+    lo, or with no seed from the first prime of order h above lo: the
+    candidates q = 1 (mod h) in (lo, limit] below the limit are stepped
+    through, odd, until one is prime by small_prime_flags() and has index
+    (q - 1) / h.  The links are read only where a candidate lies below the
+    limit and a prime of order h is in hand.
+    """
+    step = h if h % 2 == 0 else 2 * h
+    # the least q = 1 (mod step) above lo, the first candidate
+    first = lo + 1 + (-lo) % step
+    if seed is None:
+        flags, primes, index = small_prime_flags(), small_primes(), _index2()
+        # flags[i] stands for 2i + 1, so flags[0] for q = 1; none found: limit + 1
+        seed = next((q for q in range(first, min(limit, TRIAL_DIVISION_LIMIT - 1) + 1, step)
+                     if flags[q >> 1] and index[bisect_left(primes, q)] * h == q - 1), limit + 1)
+    # no candidate below TRIAL_DIVISION_LIMIT, or no prime of order h: nothing to follow
+    got, q = [], seed if first < TRIAL_DIVISION_LIMIT else limit + 1
+    while q <= limit:
+        if lo < q:
+            got.append(q)
+        # a prime with no link is the largest of its order below the limit
+        q = _next2().get(q, limit + 1)
+    return got
+
+
+def _known_primes(h: int, lo: int, limit: int,
+                  seed: int | None = None) -> tuple[list[int], int | None]:
+    """(the primes of order h in (lo, limit] known without an order test, ascending; B).
+
+    B is _listed_primes's bound, and the primes are those it lists in
+    (lo, limit], then, unless they are all (B None), those in
+    (max(lo, B), limit] below TRIAL_DIVISION_LIMIT, by _linked_primes from
+    seed, or with no seed from the first of them.  Above the limit only an
+    order test finds more.
+    """
+    listed, bound = _listed_primes(h)
+    got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
+    # a section order, listed up to 2**30, has nothing left to read below the limit
+    if bound is not None and bound < TRIAL_DIVISION_LIMIT:
+        got += _linked_primes(h, max(lo, bound), limit, seed)
+    return got, bound
 
 
 def _prove_entry(n: int, factors, complete: bool) -> None:

@@ -1,14 +1,15 @@
 """Test-side oracles kept independent of the code paths they check."""
 
 from array import array
-from itertools import compress
+from bisect import bisect_right
+from itertools import compress, islice
 from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import sympy
 
 from overpseudo import EffortError, is_overpseudoprime_def
-from overpseudo import count
+from overpseudo import count, primover
 from overpseudo.arith import (
     Budget,
     Factorization,
@@ -69,6 +70,26 @@ def pow_primes_of_order(h, lo, limit):
     return [q for q in range(max(first, h + 1), limit + 1, h)
             if pow(2, h, q) == 1 and all(pow(2, h // r, q) != 1 for r in rs)
             and sympy.isprime(q)]
+
+
+def walked_primes(lo, caps):
+    """Reference for primover's reads below 10**6: {h: the primes q of order h
+    in (lo, caps[h]], q < 10**6, ascending}, for each order h of caps.
+
+    One walk over every prime from lo up to the largest cap, each q filed
+    under its order (q - 1) / i_q, i_q its stored index of 2; no progression
+    and no link is read.
+    """
+    primes, index = small_primes(), primover._index2()
+    # 2, index 0, has no order
+    start = max(1, bisect_right(primes, lo))
+    end = bisect_right(primes, max(caps.values()))
+    walked = {}
+    for q, i in zip(islice(primes, start, end), islice(index, start, end)):
+        h = (q - 1) // i
+        if q <= caps.get(h, 0):
+            walked.setdefault(h, []).append(q)
+    return walked
 
 
 def sieve_primes_below(limit):

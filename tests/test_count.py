@@ -16,7 +16,7 @@ from sympy import divisors, isprime, mobius, n_order, primefactors, primerange
 
 from _oracles import (MEMBERS_1E6, brute_overpseudoprimes, factor_table_script,
                       per_order_complete, pow_primes_of_order, sieve_primes_below,
-                      sympy_primes_of_order)
+                      sympy_primes_of_order, walked_primes)
 from overpseudo import count as count_module
 from overpseudo import primover
 from overpseudo import (
@@ -99,9 +99,9 @@ def candidates_above(h, lo, limit):
 
 
 def walk_and_scan(h, lo, limit):
-    """The primes of order h in (lo, limit] by count's two halves: the walk
-    of the index of 2 below 10**6, then the scan's order tests from there up."""
-    below = count_module._held_primes(lo, {h: limit}).get(h, [])
+    """The primes of order h in (lo, limit] by the walk of the index of 2
+    below 10**6, the oracle, then count's scan, its order tests from there up."""
+    below = walked_primes(lo, {h: limit}).get(h, [])
     return below + count_module._scan(h, lo, limit, Budget())
 
 
@@ -364,13 +364,15 @@ class TestPrimesOfOrder:
     def test_sieve_reads_primality_below_the_trial_division_limit(self, h):
         # the fast paths against exact primality: below 10**6 the walk reads
         # each prime's order off the index of 2, and keeps exactly the
-        # primes of order h, where the scan tests nothing; from 10**6 up the
-        # sieve drops no prime the mod-8 mask keeps
+        # primes of order h, and so does the read with no prime in hand,
+        # where the scan tests nothing; from 10**6 up the sieve drops no
+        # prime the mod-8 mask keeps
         primes = _primes_below_1e6()
         start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
         below = pow_primes_of_order(h, 0, 10**6 - 1)
         assert all(q in primes for q in below)
-        assert count_module._held_primes(0, {h: 10**6 - 1}).get(h, []) == below
+        assert walked_primes(0, {h: 10**6 - 1}).get(h, []) == below
+        assert primover._linked_primes(h, 0, 10**6 - 1) == below
         assert count_module._scan(h, 0, 10**6 - 1, Budget()) == []
         first = start + (10**6 - start) // step * step + step
         n = (1_100_000 - first) // step + 1
@@ -432,8 +434,9 @@ class TestPrimesOfOrder:
         # the walk of the index of 2 reads below 10**6 and the scan's order
         # tests decide from 10**6 up: below, across and just above the limit
         # the two halves give the pow oracle's primes, and so does
-        # _primes_of_order at one unit per candidate; only candidates from
-        # 10**6 up are sieved
+        # _primes_of_order, which reads below 10**6 from the first prime of
+        # order h, at one unit per candidate; only candidates from 10**6 up
+        # are sieved
         sieved = []
         sieve = count_module._scan_sieve
 
@@ -902,9 +905,9 @@ class TestScannedSection:
         uptos = {h: (bound if 900 <= h < 1000 or h >= 9990 else
                      1 << 25 if h < 900 else 1 << 23) for h in covered}
         # one walk reads every order's primes below 10**6, the scans test above
-        held = count_module._held_primes(0, uptos)
+        walked = walked_primes(0, uptos)
         for h, upto in uptos.items():
-            got = held.get(h, []) + count_module._scan(h, 0, upto, Budget(upto))
+            got = walked.get(h, []) + count_module._scan(h, 0, upto, Budget(upto))
             assert got == [q for q in by_order.get(h, []) if q <= upto], h
 
     @pytest.mark.parametrize("tamper", ["none", "drop", "composite", "other order",
@@ -1207,12 +1210,12 @@ class TestCrossChecksAt1e10:
 
         monkeypatch.setattr(count_module, "_cyclotomic_value", spy)
         got = {}
-        held = count_module._held_primes(math.isqrt(x), dict(sample))
+        walked = walked_primes(math.isqrt(x), dict(sample))
         for bits in (0, 10**6):
             monkeypatch.setattr(count_module, "REMAINDER_BITS", bits)
             built.clear()
-            got[bits] = [held.get(h, []) + count_module._scan(h, math.isqrt(x), limit,
-                                                              Budget(10**9))
+            got[bits] = [walked.get(h, []) + count_module._scan(h, math.isqrt(x), limit,
+                                                                Budget(10**9))
                          for h, limit in sample]
             assert (len(built) > 500) == (bits > 0), bits
         assert got[0] == got[10**6]
@@ -1422,8 +1425,8 @@ class TestTwoSteps:
 
 
 class TestOnePass:
-    """count._complete against the plain per-order loop, and its link reads against the walk of
-    the index of 2 they replaced."""
+    """count._complete against the plain per-order loop, and its reads below 10**6, with a prime
+    of the order in hand and without, against the walk of the index of 2."""
 
     @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("x", [10**9, 10**10 - 10**8, 10**10 + 10**8, 2 * 10**10])
@@ -1448,19 +1451,14 @@ class TestOnePass:
         assert one_pass.value.partial == per_order.value.partial
         assert list(one_pass.value.partial) == sorted(one_pass.value.partial)
 
-    def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, monkeypatch,
-                                                                    links_followed):
-        walks = []
-        monkeypatch.setattr(count_module, "_held_primes", lambda lo, caps: walks.append(lo))
+    def test_runs_once_and_only_where_a_scan_starts_below_the_limit(self, links_followed):
         # up to 1e8 every order is read from the table, so no order needs
         # the links; at 1e10 each order from 10011 up, the first that lists
         # none, follows them once from its largest prime up to sqrt(x) =
-        # 10**5 where a candidate lies in (10**5, x // P_h[0]], and no count
-        # walks the index of 2
+        # 10**5 where a candidate lies in (10**5, x // P_h[0]]
         assert ov_count(10**8).ov == 266
         assert links_followed == []
         assert ov_count(10**10).ov == 1730
-        assert walks == []
         orders = count_module._sweep(10**10)
         above = [h for h in sorted(orders) if h >= 10011]
         read = [h for h in above if candidates_above(h, 10**5, 10**10 // orders[h][0])]
@@ -1471,41 +1469,49 @@ class TestOnePass:
     @pytest.mark.parametrize("x, hidden", [
         (10**9, False), (10**9, True), (10**10, False), (2 * 10**10, False), (10**11, False),
         ((10**6 + 100) ** 2, False)])
-    def test_link_read_equals_the_walk(self, monkeypatch, request, x, hidden):
-        # every order of the sweep, given its largest prime up to sqrt(x),
-        # gets from _primes_of_order what a walk of the index of 2 gives,
-        # at the same charge; the walk is one _held_primes call over all the
-        # orders, cut to the interval of each, and the scan from 10**6 up,
-        # the same code on both routes, is left out
+    def test_link_read_equals_the_walk(self, monkeypatch, request, links_followed, x, hidden):
+        # every order of the sweep gets from _primes_of_order the same primes
+        # at the same charge whether it is given its largest prime up to
+        # sqrt(x) or none, and below 10**6 they are what one walk of the
+        # index of 2 over all the orders gives, cut to the interval of each;
+        # the scan from 10**6 up, the same code on both routes, is left out
         if hidden:
             request.getfixturevalue("no_scanned_section")
         monkeypatch.setattr(count_module, "_scan", lambda h, lo, limit, budget: [])
         root, orders = math.isqrt(x), count_module._sweep(x)
         caps = {h: x // seeds[0] for h, seeds in orders.items()}
-        walk = count_module._held_primes(root, caps)
-        monkeypatch.setattr(count_module, "_held_primes", lambda lo, caps: {
-            h: [q for q in walk.get(h, []) if lo < q <= cap] for h, cap in caps.items()})
+        walk = walked_primes(root, caps)
         read = 0
         for h, seeds in orders.items():
-            by_links, by_walk = Budget(), Budget()
+            by_links, no_seed = Budget(), Budget()
             got = count_module._primes_of_order(h, root, caps[h], by_links, seeds[-1])
-            assert got == count_module._primes_of_order(h, root, caps[h], by_walk), h
-            assert by_links.spent == by_walk.spent, h
+            assert got == count_module._primes_of_order(h, root, caps[h], no_seed), h
+            assert by_links.spent == no_seed.spent, h
+            assert [q for q in got if q < 10**6] == walk.get(h, []), h
             read += len(walk.get(h, []))
-        # (10**6 + 100)**2 has no candidate below 10**6
-        assert (read > 0) == (root < 10**6)
+        # (10**6 + 100)**2 has no candidate below 10**6, and follows no link
+        assert (read > 0) == (root < 10**6) == (links_followed != [])
 
+    @pytest.mark.usefixtures("no_phi2_table")
     def test_link_read_keeps_the_limit_and_drops_lo(self):
-        # the first three primes of order 11812, linked: a read keeps a
-        # prime at the limit itself and drops one at lo, as the walk does,
-        # at the walk's charge
+        # the first three primes of order 11812, linked: a read, given the
+        # first or no prime in hand, keeps a prime at the limit itself and
+        # drops one at lo, as the walk does, at the walk's charge
         h, (q, r, s) = 11812, (11813, 35437, 566977)
         assert pow_primes_of_order(h, 0, s) == [q, r, s]
         for lo, limit, want in ((q, r, [r]), (r, s, [s]), (q, s - 1, [r])):
-            by_links, by_walk = Budget(), Budget()
+            assert walked_primes(lo, {h: limit}).get(h, []) == want
+            by_links, no_seed = Budget(), Budget()
             assert count_module._primes_of_order(h, lo, limit, by_links, q) == want
-            assert count_module._primes_of_order(h, lo, limit, by_walk) == want
-            assert by_links.spent == by_walk.spent > 0
+            assert count_module._primes_of_order(h, lo, limit, no_seed) == want
+            assert by_links.spent == no_seed.spent == len(candidates_above(h, lo, limit)) > 0
+        # with the table hidden order 6 lists nothing, and has no prime at
+        # all: the read with none in hand steps over every candidate below
+        # 10**6 and finds none, charging each
+        assert primover._known_primes(6, 0, 10**6 - 1) == ([], 0)
+        budget = Budget()
+        assert count_module._primes_of_order(6, 0, 10**6 - 1, budget) == []
+        assert budget.spent == len(candidates_above(6, 0, 10**6 - 1)) == 166666
 
     def test_scan_tests_only_from_the_limit_up(self, monkeypatch):
         # the links read every prime below 10**6, so at 1e10, where every
@@ -1555,10 +1561,21 @@ class TestByOrder:
         by_hand = sum(ov_count_by_order(10**5, h) for h in (11, 28, 36, 48, 52, 60))
         assert ov_count_upto_order(10**5, 60) == by_hand
 
-    @pytest.mark.parametrize("x", [10**5, 1194649, 10**6])
+    @pytest.mark.parametrize("x", [10**5, 1194649, 10**6, 10**11])
     def test_seed_scan_matches_the_sweep(self, x):
-        # by order, the least prime of h comes from a scan, not the sweep of p <= sqrt(x)
+        # by order, the least prime of h comes from a read of h alone, not
+        # the sweep of p <= sqrt(x)
         by_order = ov_count(x).by_order
+        if x == 10**11:
+            # every order from 10**4 up lists none, so the read with no prime
+            # in hand steps along q = 1 (mod h) from 0: the 2062 such orders
+            # with members, and as many without, a seeded sample
+            listed = [h for h in by_order if h >= 10**4]
+            unlisted = [h for h in range(10**4, math.isqrt(x) + 1) if h not in by_order]
+            assert len(listed) == 2062
+            for h in listed + random.Random(36).sample(unlisted, len(listed)):
+                assert ov_count_by_order(x, h) == by_order.get(h, 0), h
+            return
         for h in range(1, math.isqrt(x) + 1):
             assert ov_count_by_order(x, h) == by_order.get(h, 0), h
         running = 0
@@ -1568,11 +1585,12 @@ class TestByOrder:
             assert ov_count_upto_order(x, h - 1) == running - c, h
 
     @pytest.mark.parametrize("x, n, count, spent", [
-        (1194649, 364, 1, 0), (10**6, 28, 1, 0), (10**8, 1000, 0, 0), (10**10, 10044, 1, 33)])
+        (1194649, 364, 1, 0), (10**6, 28, 1, 0), (10**8, 1000, 0, 0), (10**10, 10044, 1, 33),
+        (10**11, 10820, 7, 170)])
     def test_by_order_charge(self, x, n, count, spent):
-        # self-computed regression pins: the seed scan up to sqrt(x), then
+        # self-computed regression pins: the seed read up to sqrt(x), then
         # the completion of the one order; orders below 10**4 are read from
-        # the table, so only 10044 is charged
+        # the table, so only 10044 and 10820 are charged
         budget = Budget()
         assert ov_count_by_order(x, n, budget) == count
         assert budget.spent == spent
