@@ -31,13 +31,12 @@ of 2 modulo such a prime.  The links give each prime q there that is not
 the largest of its order below the limit the next prime of that order,
 which count's completion follows from an order's largest prime up to
 sqrt(x).  Both come from one pass of count's _prime_orders, the generator
-that gives count's sweep its orders above the limit (about 0.6 s).  The
-index is written as unsigned 16-bit little-endian words, zlib-compressed,
-to index2.zlib beside the table; the links as the 4400 q ascending, then
-the next prime of each, unsigned 32-bit little-endian words,
-zlib-compressed, to next2.zlib.  Their SHA-256s, printed, must replace
-primover.INDEX2_SHA256 and primover.NEXT2_SHA256.  A build writes all
-three files.
+that gives count's sweep its orders above the limit (about 0.6 s), and go
+to one file beside the table, orders2.zlib: one zlib stream of
+little-endian words, first the index as unsigned 16-bit words, then the
+4400 linked q ascending and the next prime of each as unsigned 32-bit
+words.  Its SHA-256, printed, must replace primover.ORDERS2_SHA256.  A
+build writes both files.
 
 --check compares the table's digest with primover.PHI2_SHA256, checks
 that every order of the range has exactly one entry, complete or partial
@@ -46,20 +45,20 @@ entry through primover._prove_entry, which finds the primes of h itself
 (the product, each factor through the package's is_prime, a partial
 entry's composite rest), rebuilds h = 3..150 to compare, and rescans the
 whole scanned section: "below", the bound, and the primes of every order
-it covers.  It compares the digests of the index and the links with
-primover.INDEX2_SHA256 and primover.NEXT2_SHA256 and their words, byte for
-byte, with a rebuild's (the words, not the compressed bytes, which another
-zlib may write differently), and
-primover.WIEFERICH_PRIMES with a search of every prime below
-TRIAL_DIVISION_LIMIT, on which count's exponent of 1 for every other
-prime there rests.  It takes about 2 minutes on 2 cores.
+it covers.  It compares the digest of orders2.zlib with
+primover.ORDERS2_SHA256 and its words, byte for byte, with a rebuild's
+(the words, not the compressed bytes, which another zlib may write
+differently), and primover.WIEFERICH_PRIMES with a search of every prime
+below TRIAL_DIVISION_LIMIT, on which count's exponent of 1 for every
+other prime there rests.  It takes about 2 minutes on 2 cores.
 
 Usage:
-  python scripts/factor_table.py                 # rebuild the table, the index and the links
+  python scripts/factor_table.py                 # rebuild the table and orders2.zlib, the
+                                                 # index and the links
   python scripts/factor_table.py --out phi2.json # write the table elsewhere
   python scripts/factor_table.py --check         # digests, every entry, rebuild h = 3..150,
-                                                 # rescan the scanned section, rebuild the index
-                                                 # and the links, search the Wieferich primes
+                                                 # rescan the scanned section, rebuild
+                                                 # orders2.zlib, search the Wieferich primes
                                                  # below 10**6
 """
 
@@ -78,12 +77,11 @@ from pathlib import Path
 from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
 from overpseudo.count import _prime_orders, _scan
-from overpseudo.primover import (INDEX2_SHA256, NEXT2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES,
-                                  _check_entry, _factor_reduced, _linked_primes, _prove_entry)
+from overpseudo.primover import (ORDERS2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _check_entry,
+                                  _factor_reduced, _linked_primes, _prove_entry)
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
-INDEX = TABLE.with_name("index2.zlib")
-NEXT = TABLE.with_name("next2.zlib")
+ORDERS2 = TABLE.with_name("orders2.zlib")
 ORDERS = (3, 999)
 BUDGET = 1_000_000
 CHECK_UPTO = 150  # the slice --check rebuilds, about 2 s
@@ -124,14 +122,14 @@ def scan(orders, bound: int) -> dict:
     return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
 
 
-def build_words() -> dict[str, bytes]:
-    """{file name: its content as little-endian words}: the index of 2 and the links, one pass.
+def build_words() -> bytes:
+    """orders2.zlib's content as little-endian words: the index of 2, then the links, one pass.
 
-    index2.zlib holds the index (p - 1) / ord_p(2) of every odd prime p
-    below TRIAL_DIVISION_LIMIT, p ascending, as 16-bit words; next2.zlib
-    each prime q there that is not the largest of its order below the
-    limit, ascending, then the next prime of that order after each q, as
-    32-bit words.  Both come from one pass of count's _prime_orders.
+    First the index (p - 1) / ord_p(2) of every odd prime p below
+    TRIAL_DIVISION_LIMIT, p ascending, as 16-bit words; then each prime q
+    there that is not the largest of its order below the limit, ascending,
+    and the next prime of that order after each q, as 32-bit words.  Both
+    come from one pass of count's _prime_orders.
     """
     # an index above 65535 would not fit, and raises OverflowError
     index, links, last = array("H"), {}, {}
@@ -141,23 +139,21 @@ def build_words() -> dict[str, bytes]:
             links[last[h]] = p
         last[h] = p
     linked = sorted(links)
-    words = {INDEX.name: index, NEXT.name: array("I", linked + [links[q] for q in linked])}
+    words = index, array("I", linked + [links[q] for q in linked])
     if sys.byteorder == "big":
-        for w in words.values():
+        for w in words:
             w.byteswap()
-    return {name: w.tobytes() for name, w in words.items()}
+    return b"".join(w.tobytes() for w in words)
 
 
 def check_words() -> list[str]:
-    """The problems of the index and the links: each digest, and the words against a rebuild's."""
+    """The problems of orders2.zlib: its digest, and its words against a rebuild's."""
     problems = []
-    fresh = build_words()
-    for path, want in ((INDEX, INDEX2_SHA256), (NEXT, NEXT2_SHA256)):
-        digest = sha256(path)
-        if digest != want:
-            problems.append(f"SHA-256 {digest} of {path.name} is not primover's {want}")
-        if zlib.decompress(path.read_bytes()) != fresh[path.name]:
-            problems.append(f"{path.name} is not what a rebuild gives")
+    digest = sha256(ORDERS2)
+    if digest != ORDERS2_SHA256:
+        problems.append(f"SHA-256 {digest} of {ORDERS2.name} is not primover's {ORDERS2_SHA256}")
+    if zlib.decompress(ORDERS2.read_bytes()) != build_words():
+        problems.append(f"{ORDERS2.name} is not what a rebuild gives")
     return problems
 
 
@@ -171,10 +167,8 @@ def check_wieferich() -> list[str]:
 
 
 def write_words() -> None:
-    for name, words in build_words().items():
-        path = TABLE.with_name(name)
-        path.write_bytes(zlib.compress(words, 9))
-        print(f"wrote {path}, SHA-256 {sha256(path)}")
+    ORDERS2.write_bytes(zlib.compress(build_words(), 9))
+    print(f"wrote {ORDERS2}, SHA-256 {sha256(ORDERS2)}")
 
 
 def compact(value) -> str:
@@ -283,8 +277,7 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="check --out's digest and every entry, rebuild the "
                              f"orders up to {CHECK_UPTO} to compare, rescan the "
-                             "scanned section, check the index and the links against "
-                             "a rebuild, "
+                             "scanned section, check orders2.zlib against a rebuild, "
                              "and search the Wieferich primes below the limit")
     args = parser.parse_args()
 

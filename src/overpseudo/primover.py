@@ -96,12 +96,11 @@ def _factor_reduced(n: int, n_primes, budget: Budget) -> Factorization:
                          a.unfactored_cofactor * b.unfactored_cofactor)
 
 
-# SHA-256 of data/phi2_factors.json, data/index2.zlib and data/next2.zlib,
-# as scripts/factor_table.py prints them after a build; a rebuilt file must
+# SHA-256 of data/phi2_factors.json and data/orders2.zlib, as
+# scripts/factor_table.py prints them after a build; a rebuilt file must
 # update its digest
 PHI2_SHA256 = "c82d44bd6de8c837b9667b025e369117e47d531a38578d21e7eab555c74b8de7"
-INDEX2_SHA256 = "e698ff098214a5bb34ea981c7b2520b7705ed850e2b1ab9469b500caf1c0bd83"
-NEXT2_SHA256 = "90988065f9d614a30ecf0e21b462f389545b27b103f1432a055fc5b2284704d5"
+ORDERS2_SHA256 = "0c5ff714f0fcec96e173f738dc419d1e7ba40cae5ebe54277c508c486076bd5e"
 
 
 def _data_file(name: str, digest: str) -> bytes:
@@ -116,16 +115,6 @@ def _data_file(name: str, digest: str) -> bytes:
     return raw
 
 
-def _data_words(name: str, digest: str, words: array) -> array:
-    """words, extended by data/<name>'s little-endian words, zlib-compressed; see _data_file."""
-    import zlib
-
-    words.frombytes(zlib.decompress(_data_file(name, digest)))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
 @cache
 def _phi2_data() -> dict:
     """data/phi2_factors.json, read on first use; a file of another digest raises."""
@@ -135,33 +124,32 @@ def _phi2_data() -> dict:
 
 
 @cache
-def _index2() -> array:
-    """The index (p - 1) / ord_p(2) of 2 for each prime p below TRIAL_DIVISION_LIMIT.
+def _orders2() -> tuple[array, dict[int, int]]:
+    """(the index of 2, the links of 2) of the primes below TRIAL_DIVISION_LIMIT.
 
-    Aligned with small_primes(): index[j] belongs to small_primes()[j], and
-    2, which has no order, gets 0.  data/index2.zlib stores the 78497 odd
-    primes' entries, the largest 27594, as unsigned 16-bit little-endian
-    words, zlib-compressed; it is read on first use, and a file of another
-    digest raises.  scripts/factor_table.py builds it from the primes of
-    each p - 1 and checks it.
+    The index (p - 1) / ord_p(2) is aligned with small_primes(): index[j]
+    belongs to small_primes()[j], and 2, which has no order, gets 0.  The
+    links are {q: the next prime of q's order of 2} for each prime q below
+    the limit but the largest of its order there.  data/orders2.zlib is one
+    zlib stream of little-endian words: the 78497 odd primes' indices, the
+    largest 27594, as unsigned 16-bit words, then the 4400 linked q,
+    ascending, and the next prime of each, as unsigned 32-bit words.  Both
+    are read on first use, a process's first count, and a file of another
+    digest raises.  scripts/factor_table.py builds them in one pass from
+    the primes of each p - 1 and checks them.
     """
-    return _data_words("index2.zlib", INDEX2_SHA256, array("H", [0]))
+    import zlib
 
-
-@cache
-def _next2() -> dict[int, int]:
-    """{q: the next prime of q's order of 2} for each prime q below TRIAL_DIVISION_LIMIT with one.
-
-    The links run through each order's primes below the limit, ascending,
-    and the largest has none.  data/next2.zlib stores the 4400 such q,
-    ascending, then the next prime of each, as unsigned 32-bit
-    little-endian words, zlib-compressed; it is read on first use, and a
-    file of another digest raises.  scripts/factor_table.py builds it with
-    the index of 2, from the same orders, and checks it.
-    """
-    words = _data_words("next2.zlib", NEXT2_SHA256, array("I"))
+    raw = memoryview(zlib.decompress(_data_file("orders2.zlib", ORDERS2_SHA256)))
+    split = 2 * (len(small_primes()) - 1)
+    index, words = array("H", [0]), array("I")
+    index.frombytes(raw[:split])
+    words.frombytes(raw[split:])
+    if sys.byteorder == "big":
+        index.byteswap()
+        words.byteswap()
     half = len(words) // 2
-    return dict(zip(words[:half], words[half:]))
+    return index, dict(zip(words[:half], words[half:]))
 
 
 @cache
@@ -263,9 +251,9 @@ def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
 def _orders_below(root: int) -> dict[int, list[int]]:
     """{h: the odd primes p <= root of order h below TRIAL_DIVISION_LIMIT, ascending}.
 
-    Read off _index2(): p has order (p - 1) / i_p.
+    Read off _orders2()'s index: p has order (p - 1) / i_p.
     """
-    primes, index = small_primes(), _index2()
+    primes, index = small_primes(), _orders2()[0]
     orders: dict[int, list[int]] = {}
     # 2, index 0, has no order; the view reads the index without a copy
     for p, i in zip(primes[1:bisect_right(primes, root)], memoryview(index)[1:]):
@@ -276,18 +264,19 @@ def _orders_below(root: int) -> dict[int, list[int]]:
 def _linked_primes(h: int, lo: int, limit: int, seed: int | None = None) -> list[int]:
     """The primes of order h >= 3 in (lo, limit] below TRIAL_DIVISION_LIMIT, ascending; lo >= 0.
 
-    One walk of _next2()'s links, from seed, a prime of order h at or below
+    One walk of _orders2()'s links, from seed, a prime of order h at or below
     lo, or with no seed from the first prime of order h above lo: the
     candidates q = 1 (mod h) in (lo, limit] below the limit are stepped
     through, odd, until one is prime by small_prime_flags() and has index
-    (q - 1) / h.  The links are read only where a candidate lies below the
+    (q - 1) / h.  A link is followed only where a candidate lies below the
     limit and a prime of order h is in hand.
     """
+    index, links = _orders2()
     step = h if h % 2 == 0 else 2 * h
     # the least q = 1 (mod step) above lo, the first candidate
     first = lo + 1 + (-lo) % step
     if seed is None:
-        flags, primes, index = small_prime_flags(), small_primes(), _index2()
+        flags, primes = small_prime_flags(), small_primes()
         # flags[i] stands for 2i + 1, so flags[0] for q = 1; none found: limit + 1
         seed = next((q for q in range(first, min(limit, TRIAL_DIVISION_LIMIT - 1) + 1, step)
                      if flags[q >> 1] and index[bisect_left(primes, q)] * h == q - 1), limit + 1)
@@ -297,7 +286,7 @@ def _linked_primes(h: int, lo: int, limit: int, seed: int | None = None) -> list
         if lo < q:
             got.append(q)
         # a prime with no link is the largest of its order below the limit
-        q = _next2().get(q, limit + 1)
+        q = links.get(q, limit + 1)
     return got
 
 

@@ -80,7 +80,7 @@ def walked_primes(lo, caps):
     under its order (q - 1) / i_q, i_q its stored index of 2; no progression
     and no link is read.
     """
-    primes, index = small_primes(), primover._index2()
+    primes, index = small_primes(), primover._orders2()[0]
     # 2, index 0, has no order
     start = max(1, bisect_right(primes, lo))
     end = bisect_right(primes, max(caps.values()))

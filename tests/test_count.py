@@ -107,10 +107,10 @@ def walk_and_scan(h, lo, limit):
 
 @pytest.fixture
 def links_followed(monkeypatch):
-    """Count's lookups in primover._next2's links, recorded in order as
+    """Count's lookups in primover._orders2's links, recorded in order as
     (q, the next prime of q's order, or None where q is the last)."""
     followed = []
-    links = primover._next2()
+    index, links = primover._orders2()
 
     class Recording(dict):
         def get(self, q, default=None):
@@ -118,7 +118,7 @@ def links_followed(monkeypatch):
             return links.get(q, default)
 
     recording = Recording()
-    monkeypatch.setattr(primover, "_next2", lambda: recording)
+    monkeypatch.setattr(primover, "_orders2", lambda: (index, recording))
     return followed
 
 
@@ -458,93 +458,116 @@ class TestPrimesOfOrder:
         assert sieved and min(sieved) > 10**6
 
 
-class TestIndexOf2:
+@cache
+def _rebuilt_orders2_words():
+    """scripts/factor_table.py's build of orders2.zlib's words from count's
+    _prime_orders, about 0.6 s, made once for both parts' rebuild tests."""
+    return factor_table_script().build_words()
+
+
+class _PartOfOrders2:
+    """One part of data/orders2.zlib, whose one digest covers both: the
+    index of 2's 78497 16-bit words, then the links' 32-bit words."""
+
+    FILE = Path(primover.__file__).parent / "data" / "orders2.zlib"
+    SPLIT = 2 * 78497
+    PART: slice
+
+    def words(self):
+        return zlib.decompress(self.FILE.read_bytes())
+
+    def test_digest_is_the_committed_file_sha256(self):
+        assert primover.ORDERS2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
+
+    def test_tampered_byte_fails_the_digest_on_first_read(self, tmp_path):
+        # a copy of the package with one bit flipped in the middle of this
+        # part's words, compressed again: the first count refuses it, while
+        # primitive_part, which reads neither part, runs
+        package = tmp_path / "overpseudo"
+        shutil.copytree(self.FILE.parents[1], package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        words = bytearray(self.words())
+        part = range(len(words))[self.PART]
+        words[part[len(part) // 2]] ^= 1
+        (package / "data" / self.FILE.name).write_bytes(zlib.compress(bytes(words), 9))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        code = "from overpseudo import *; assert primitive_part(97).complete; ov_count(10**6)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert ("overpseudo.errors.ContractViolationError: data/orders2.zlib "
+                "does not match its SHA-256") in proc.stderr, proc.stderr
+
+
+class TestIndexOf2(_PartOfOrders2):
     """The stored index (p - 1) / ord_p(2) of 2 of every odd prime p below 10**6."""
 
-    FILE = Path(primover.__file__).parent / "data" / "index2.zlib"
+    PART = slice(None, _PartOfOrders2.SPLIT)
 
     def test_committed_index_equals_a_rebuild(self):
-        # scripts/factor_table.py's build from count's _prime_orders, about
-        # 0.6 s; the file holds one entry per odd prime
-        words = factor_table_script().build_words()["index2.zlib"]
-        assert zlib.decompress(self.FILE.read_bytes()) == words
+        # the words are compared, not the compressed bytes; one entry per odd prime
+        assert self.words()[self.PART] == _rebuilt_orders2_words()[self.PART]
         # read aligned with small_primes(), 2 getting 0
-        index = primover._index2()
+        index = primover._orders2()[0]
         assert len(index) == len(count_module.small_primes()) == 78498
         # 3 has index 1 (order 2), and 2**19 - 1 the largest, 27594 (order 19)
         assert index[:2].tolist() == [0, 1] and max(index) == index[43389] == 27594
         assert count_module.small_primes()[43389] == (1 << 19) - 1
 
     def test_sampled_entries_match_sympy_n_order(self):
-        primes, index = count_module.small_primes(), primover._index2()
+        primes, index = count_module.small_primes(), primover._orders2()[0]
         for j in random.Random(30).sample(range(1, len(primes)), 500):
             assert index[j] == (primes[j] - 1) // n_order(2, primes[j]), primes[j]
 
-    def test_digest_is_the_committed_file_sha256(self):
-        assert primover.INDEX2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
 
-    def test_tampered_byte_fails_the_digest_on_first_read(self, tmp_path):
-        # a copy of the package whose index has one bit flipped: the first
-        # count refuses it, while primitive_part, which reads no index, runs
-        package = tmp_path / "overpseudo"
-        shutil.copytree(self.FILE.parents[1], package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        raw = bytearray(self.FILE.read_bytes())
-        raw[len(raw) // 2] ^= 1
-        (package / "data" / self.FILE.name).write_bytes(raw)
-        env = dict(os.environ, PYTHONPATH=str(tmp_path))
-        code = "from overpseudo import *; assert primitive_part(97).complete; ov_count(10**6)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                              capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert ("overpseudo.errors.ContractViolationError: data/index2.zlib "
-                "does not match its SHA-256") in proc.stderr, proc.stderr
-
-
-class TestLinksOf2:
+class TestLinksOf2(_PartOfOrders2):
     """The stored links: each prime q below 10**6 but the last of its order there, to the next."""
 
-    FILE = Path(primover.__file__).parent / "data" / "next2.zlib"
+    PART = slice(_PartOfOrders2.SPLIT, None)
 
     def test_committed_links_equal_a_rebuild(self):
-        # scripts/factor_table.py's build, from the pass that builds the
-        # index; the words are compared, not the compressed bytes
-        words = factor_table_script().build_words()["next2.zlib"]
-        assert zlib.decompress(self.FILE.read_bytes()) == words
+        # the words after the index's, compared with the same rebuild; they
+        # end the file, 4400 q and their next
+        words = self.words()
+        assert words[self.PART] == _rebuilt_orders2_words()[self.PART]
         # read as {q: next}, the 4400 q ascending, each link going up
-        links = primover._next2()
+        links = primover._orders2()[1]
+        assert len(words) == self.SPLIT + 4 * 2 * len(links)
         assert len(links) == 4400 and list(links) == sorted(links)
         assert all(q < nxt < 10**6 for q, nxt in links.items())
 
     def test_sampled_links_match_sympy_n_order(self):
         # q and its next prime have one order, and no prime of it lies between
-        links = primover._next2()
+        links = primover._orders2()[1]
         for q in random.Random(35).sample(sorted(links), 200):
             nxt, h = links[q], n_order(2, q)
             assert isprime(nxt) and n_order(2, nxt) == h, q
             assert pow_primes_of_order(h, q, nxt - 1) == [], q
 
-    def test_digest_is_the_committed_file_sha256(self):
-        assert primover.NEXT2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
 
-    def test_tampered_byte_fails_the_digest_on_first_read(self, tmp_path):
-        # a copy of the package whose links have one bit flipped: a count up
-        # to 1e8, where every order is read from the table, follows no link
-        # and runs; the first count with an order from 10**4 up refuses them
-        package = tmp_path / "overpseudo"
-        shutil.copytree(self.FILE.parents[1], package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        raw = bytearray(self.FILE.read_bytes())
-        raw[len(raw) // 2] ^= 1
-        (package / "data" / self.FILE.name).write_bytes(raw)
-        env = dict(os.environ, PYTHONPATH=str(tmp_path))
-        code = ("from overpseudo import *; assert ov_count(10**8).ov == 266; print('1e8 ran'); "
-                "ov_count(10**10)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                              capture_output=True, text=True)
-        assert proc.returncode == 1 and proc.stdout == "1e8 ran\n"
-        assert ("overpseudo.errors.ContractViolationError: data/next2.zlib "
-                "does not match its SHA-256") in proc.stderr, proc.stderr
+def test_factor_table_check_finds_a_changed_word_of_orders2(monkeypatch, tmp_path):
+    # scripts/factor_table.py --check's part for orders2.zlib: nothing on the
+    # committed file; a copy with the last link's bit flipped differs from
+    # primover's digest and from a rebuild
+    script, committed = factor_table_script(), _PartOfOrders2.FILE
+    assert script.check_words() == []
+    words = bytearray(zlib.decompress(committed.read_bytes()))
+    words[-4] ^= 1
+    copy = tmp_path / committed.name
+    copy.write_bytes(zlib.compress(bytes(words), 9))
+    monkeypatch.setattr(script, "ORDERS2", copy)
+    problems = script.check_words()
+    assert len(problems) == 2 and problems[0].startswith("SHA-256 ")
+    assert problems[1] == "orders2.zlib is not what a rebuild gives"
+
+
+def test_data_holds_only_the_files_primover_reads():
+    # each with its digest constant, so a file left behind by a rename fails
+    data = Path(primover.__file__).parent / "data"
+    digests = {"phi2_factors.json": primover.PHI2_SHA256, "orders2.zlib": primover.ORDERS2_SHA256}
+    assert sorted(path.name for path in data.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((data / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestPhi2Table:
@@ -834,11 +857,10 @@ class TestPhi2Table:
                 "import overpseudo.cli\n"
                 "from overpseudo import count, primover\n"
                 "assert primover._phi2_table.cache_info().currsize == 0\n"
-                "assert primover._index2.cache_info().currsize == 0\n"
+                "assert primover._orders2.cache_info().currsize == 0\n"
                 "assert count.ov_count(10**6).ov == 24\n"
                 "assert primover._phi2_table.cache_info().currsize == 1\n"
-                "assert primover._index2.cache_info().currsize == 1\n"
-                "assert primover._next2.cache_info().currsize == 0\n"
+                "assert primover._orders2.cache_info().currsize == 1\n"
                 "import overpseudo as o\n"
                 "assert o.classify(2047).flags.overpseudoprime_base2\n"
                 "assert o.least_witness(2047).witness == 3\n"
@@ -1103,7 +1125,7 @@ class TestSweepFactorsNothing:
 
     def test_prime_orders_reproduce_the_index(self):
         # below 10**6 every prime's order gives back its stored index of 2
-        primes, index = count_module.small_primes(), primover._index2()
+        primes, index = count_module.small_primes(), primover._orders2()[0]
         got = list(count_module._prime_orders(3, 10**6 - 1))
         assert [p for p, _ in got] == list(primes[1:])
         assert all((p - 1) // h == i for (p, h), i in zip(got, index[1:]))
