@@ -10,10 +10,11 @@ left incomplete, the primes found are written the same way under
 "partial", with the range and B.  Then every order h < SCAN_BELOW without
 a complete entry, the partial ones and all of 1000..9999, is searched up
 to SCAN_BOUND as count searches it: every order's primes below
-TRIAL_DIVISION_LIMIT come from primover._linked_primes, which count reads
-them through (the first prime of the order along q = 1 (mod h) over the
-index of 2, then the links), and those from the limit up from count's own
-scan, count._scan.  Every prime of those orders up to the bound is written under
+TRIAL_DIVISION_LIMIT come from the reader of primover._known_reader, which
+count reads them through, here with the table and the section unread (the
+first prime of the order along q = 1 (mod h) over the index of 2, then the
+links), and those from the limit up from count's own scan, count._scan.
+Every prime of those orders up to the bound is written under
 "scanned" with "below" and "bound", as two flat lists ascending by
 (order, prime): "orders" holds each prime's order and "primes" the prime.
 Count reads such an order there up to the bound and scans only above it.
@@ -78,7 +79,7 @@ from overpseudo import Budget, ContractViolationError, factorize
 from overpseudo.arith import TRIAL_DIVISION_LIMIT, small_primes
 from overpseudo.count import _prime_orders, _scan
 from overpseudo.primover import (ORDERS2_SHA256, PHI2_SHA256, WIEFERICH_PRIMES, _check_entry,
-                                  _factor_reduced, _linked_primes, _prove_entry)
+                                  _factor_reduced, _known_reader, _prove_entry)
 
 TABLE = Path(__file__).resolve().parent.parent / "src" / "overpseudo" / "data" / "phi2_factors.json"
 ORDERS2 = TABLE.with_name("orders2.zlib")
@@ -108,17 +109,17 @@ def scanned_orders(complete) -> list[int]:
 def scan(orders, bound: int) -> dict:
     """Every prime of each order up to bound, by count's read and scan, as the section's two lists.
 
-    primover._linked_primes gives each order its primes below
-    TRIAL_DIVISION_LIMIT, as count reads them above a listed bound; the
-    orders are scanned from the limit up on one worker process per CPU and
-    assembled in ascending order, so the lists ascend by (order, prime) and
-    do not depend on the number of CPUs.
+    A reader of primover._known_reader that lists nothing gives each
+    order its primes below TRIAL_DIVISION_LIMIT, as count reads them above
+    a listed bound; the orders are scanned from the limit up on one worker
+    process per CPU and assembled in ascending order, so the lists ascend
+    by (order, prime) and do not depend on the number of CPUs.
     """
-    orders = sorted(orders)
+    orders, linked = sorted(orders), _known_reader(listed=False)
     with ProcessPoolExecutor(mp_context=get_context("spawn")) as pool:
         above = pool.map(_scan, orders, repeat(0), repeat(bound), [Budget(bound) for _ in orders])
         pairs = [(h, q) for h, primes in zip(orders, above)
-                 for q in _linked_primes(h, 0, bound) + primes]
+                 for q in linked(h, 0, bound)[0] + primes]
     return {"bound": bound, "orders": [h for h, _ in pairs], "primes": [q for _, q in pairs]}
 
 

@@ -6,25 +6,33 @@ p <= sqrt(x) its order h and lists them by order as P_h: below
 TRIAL_DIVISION_LIMIT primover._orders_below reads h off the stored index of
 2; above it (x > 10**12) one table of least prime factors sieves those p
 and gives the primes of p - 1 that strip it to h.  The completion pass
-takes any map of such lists and finds the primes of each order h in
-(sqrt(x), x / p_min(h)]: primover._known_primes gives those known without
-an order test, and count tests above them.  primover lists all the primes
-of a complete table entry, and those up to 2**30 of any other order below
-10**4, from the table's scanned section; an order from 10**4 up lists none.
-Above that bound it reads the primes below TRIAL_DIVISION_LIMIT off stored
-links, each prime there to the next prime of its order: the completion
-follows them from the largest prime of P_h, and a read of one order with
-no prime in hand (the by-order seed read, the table's build) first steps
-along q = 1 (mod h) to the first prime of order h, then follows them.  From
-the limit up _scan tests: each candidate that survives a sieve and a mod-8
-mask gets an order test, q | Phi_h(2) while phi(h) < REMAINDER_BITS and
-enough candidates survive to pay for Phi_h(2), else 2**h = 1 (mod q) and no
-smaller order.  The primes of h are found only for that order test and for
-a complete entry's read.  An order costs one unit per candidate q = 1 (mod h) above the
-listed bound, however it is decided; what primover lists costs nothing.
-Prime powers q**i dividing 2**h - 1 are admitted (primover._exponent_cap);
-every product of at least two slots is a member, and an order whose one
-prime has exponent 1 forms none, so it builds no slots.  ov_count
+takes any map of such lists and completes each order h in one flat step
+over (sqrt(x), x / p_min(h)]: _primes_of_order makes one call into a reader
+that primover._known_reader builds once per count over its stores, which
+gives the primes known without an order test and the candidates left, and
+count charges those and tests them from TRIAL_DIVISION_LIMIT up.  An order
+with no candidate goes no further than the reader's first test.  primover
+lists all the primes of a complete table entry, and those up to 2**30 of
+any other order below 10**4, from the table's scanned section; an order
+from 10**4 up lists none.  Above that bound it reads the primes below the
+limit off stored links, each prime there to the next prime of its order:
+the completion follows them from the largest prime of P_h, and a read of
+one order with no prime in hand (the by-order seed read, the table's build)
+first steps along q = 1 (mod h) to the first prime of order h, then follows
+them.  From the limit up _scan tests: each candidate that survives a sieve
+and a mod-8 mask gets an order test, q | Phi_h(2) while
+phi(h) < REMAINDER_BITS and enough candidates survive to pay for
+Phi_h(2), else 2**h = 1 (mod q) and no smaller order.  The primes of h are
+found only for that order test and for a complete entry's read.  An order
+costs one unit per candidate q = 1 (mod h) above the listed bound, however
+it is decided; what primover lists costs nothing.  Prime powers q**i
+dividing 2**h - 1 are admitted (primover._exponent_cap); every product of
+at least two slots is a member, and an order whose one prime has exponent
+1, as every prime below the limit has but the Wieferich primes, forms
+none, so it builds no slots.  At 1e10, 1857 of the sweep's 8951 orders
+have no candidate; of the 7094 read, 5853 end with a lone prime, 3844 of
+them from 10**4 up (a link lookup and a charge each) and 1728 from 1000 to
+9999 (a bisection of the section each), and 1241 form members.  ov_count
 completes the sweep's orders, ov_count_upto_order those up to n, and
 ov_count_by_order the one order n, its P_n read up to sqrt(x).
 """
@@ -42,37 +50,29 @@ from . import primover
 from .arith import TRIAL_DIVISION_LIMIT, Budget, is_prime, small_primes
 from .errors import EffortError
 from .order import _complete_factorization, _strip
-from .primover import _cyclotomic_value, _exponent_cap, _slots_of_order
+from .primover import WIEFERICH_PRIMES, _cyclotomic_value, _exponent_cap, _slots_of_order
 
 REMAINDER_BITS = 2048
 
 
 def _primes_of_order(h: int, lo: int, limit: int, budget: Budget,
-                     seed: int | None = None) -> list[int]:
+                     seed: int | None = None, known=None) -> list[int]:
     """All primes q in (lo, limit] with ord_q(2) == h, ascending.
 
-    In this order: primover._known_primes's, read from seed, a prime of
-    order h at or below lo, if given; unless those are all (bound None),
-    one unit per candidate in (max(lo, bound), limit], however it is
-    decided, the one charge; and _scan's order tests from the limit up.  No
-    odd q = 1 (mod h) in the interval: nothing more, at no charge.
+    In this order: those known without an order test, from known, the
+    reader primover._known_reader builds (a count builds one and passes
+    it; one is built when none is given), read from seed, a prime of order
+    h at or below lo, if given; one unit per candidate the reader leaves,
+    those in (max(lo, bound), limit], however it is decided, the one
+    charge; and _scan's order tests from the limit up.  No odd q = 1 (mod h)
+    in the interval: nothing, at no charge and with no store read.
     """
-    start, step = _progression(h, lo)
-    if limit < start:
-        return []
-    got, bound = primover._known_primes(h, lo, limit, seed)
-    # all known, or no candidate above a bound past lo: nothing to charge or test
-    if bound is None or bound > lo and limit < (start := _progression(h, bound)[0]):
-        return got
-    budget.charge((limit - start) // step + 1)
-    return got + _scan(h, max(lo, bound), limit, budget) if limit >= TRIAL_DIVISION_LIMIT else got
-
-
-def _progression(h: int, lo: int) -> tuple[int, int]:
-    """(the first candidate q = 1 (mod h) above lo that is odd, the step between candidates)."""
-    # candidates must be odd: steps of 2h when h is odd, h when even
-    start, step = (2 * h + 1, 2 * h) if h % 2 else (h + 1, h)
-    return start + max(0, (lo - start) // step + 1) * step, step
+    got, units, bound = (known or primover._known_reader())(h, lo, limit, seed)
+    if units:
+        budget.charge(units)
+        if limit >= TRIAL_DIVISION_LIMIT:
+            got += _scan(h, max(lo, bound), limit, budget)
+    return got
 
 
 def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
@@ -92,10 +92,12 @@ def _scan(h: int, lo: int, limit: int, budget: Budget) -> list[int]:
     2**h = 1, and must factor completely.  A composite of primes of order h
     (2304167 = 1103 * 2089 for h = 29) can pass either, so primality is
     tested last, once per prime, by its own order.  scripts/factor_table.py
-    builds the table's scanned section with it and primover._linked_primes,
-    each order below 10**4 with no complete entry up to 2**30.
+    builds the table's scanned section with it and primover's reader of the
+    links, each order below 10**4 with no complete entry up to 2**30.
     """
-    start, step = _progression(h, max(lo, TRIAL_DIVISION_LIMIT - 1))
+    # candidates are odd: steps of 2h when h is odd, h when even
+    lo, step = max(lo, TRIAL_DIVISION_LIMIT - 1), h if h % 2 == 0 else 2 * h
+    start = lo + 1 + -lo % step
     if limit < start:
         return []
     n = (limit - start) // step + 1
@@ -221,15 +223,17 @@ def _complete(x: int, orders: dict[int, list[int]], budget: Budget) -> dict[int,
     """
     if x < 3:
         raise ValueError("x must be >= 3")
-    root = math.isqrt(x)
+    root, known = math.isqrt(x), primover._known_reader()
     groups: dict[int, list[int]] = {}
     for h in sorted(orders):
         seeds = orders[h]
         try:
             # the links run on from P_h's largest prime, the last at or below sqrt(x)
-            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget, seeds[-1])
-            # a lone prime of exponent 1, as most orders have, forms no member
-            if len(qs) == 1 and _exponent_cap(h, qs[0], x) == 1:
+            qs = seeds + _primes_of_order(h, root, x // seeds[0], budget, seeds[-1], known)
+            # a lone prime of exponent 1 forms no member, and below the limit
+            # every prime but the Wieferich primes has it, with no pow
+            if len(qs) == 1 and (qs[0] < TRIAL_DIVISION_LIMIT and qs[0] not in WIEFERICH_PRIMES
+                                 or _exponent_cap(h, qs[0], x) == 1):
                 continue
             prods = _products(_slots_of_order(h, qs, x), x)
         except EffortError as exc:

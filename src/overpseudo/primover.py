@@ -223,31 +223,6 @@ def _check_entry(n: int, complete, partial) -> None:
         raise ContractViolationError(f"the table has {kind} for Phi_{n}(2)")
 
 
-def _listed_primes(n: int) -> tuple[tuple[int, ...] | list[int], int | None]:
-    """(the primes of order n known without a scan, ascending; B, up to which they are all).
-
-    B is None when they are all: 3 for n = 2, none for n = 1, a complete
-    entry's primes, read through _tabled_factorization.  Any other order
-    below the scanned section's limit, partial or untabled, lists its
-    primes there, found by bisection and checked where the table is built,
-    up to the section's bound B; an order from the limit up lists none,
-    B = 0.  An order there inside the table's factored range goes through
-    _check_entry: one with no entry means the file's sections disagree.
-    """
-    if n < 3:
-        return ((3,) if n == 2 else ()), None
-    if n in _phi2_table():
-        return _tabled_factorization(n)[0].primes(), None
-    below, bound, orders, primes = _phi2_scanned()
-    if n >= below:
-        return (), 0
-    least, most = _phi2_data()["orders"]
-    if least <= n <= most:
-        _check_entry(n, _phi2_table(), _phi2_partial())
-    first = bisect_left(orders, n)
-    return primes[first:bisect_right(orders, n, first)], bound
-
-
 def _orders_below(root: int) -> dict[int, list[int]]:
     """{h: the odd primes p <= root of order h below TRIAL_DIVISION_LIMIT, ascending}.
 
@@ -261,51 +236,78 @@ def _orders_below(root: int) -> dict[int, list[int]]:
     return orders
 
 
-def _linked_primes(h: int, lo: int, limit: int, seed: int | None = None) -> list[int]:
-    """The primes of order h >= 3 in (lo, limit] below TRIAL_DIVISION_LIMIT, ascending; lo >= 0.
+def _known_reader(listed: bool = True):
+    """A reader of the primes of an order known with no order test, over the stores as they are.
 
-    One walk of _orders2()'s links, from seed, a prime of order h at or below
-    lo, or with no seed from the first prime of order h above lo: the
-    candidates q = 1 (mod h) in (lo, limit] below the limit are stepped
-    through, odd, until one is prime by small_prime_flags() and has index
-    (q - 1) / h.  A link is followed only where a candidate lies below the
-    limit and a prime of order h is in hand.
+    The reader, known(h, lo, limit, seed=None) with lo >= 0, gives (those
+    primes of order h in (lo, limit], ascending; the candidates left, the
+    odd q = 1 (mod h) in (max(lo, B), limit]; B, up to which they are all).
+    An interval with no candidate gives ([], 0, None) and reads nothing.
+    B is None when they are all: 3 for h = 2, none for h = 1, a complete
+    entry's primes, read through _tabled_factorization.  Any other order
+    below the scanned section's limit, partial or untabled, lists its
+    primes there, found by bisection and checked where the table is built,
+    up to the section's bound B; such an order inside the table's factored
+    range goes through _check_entry, as one with no entry means the file's
+    sections disagree.  An order from the limit up lists none, B = 0.
+    Where candidates in (max(lo, B), limit] lie below TRIAL_DIVISION_LIMIT,
+    one walk of _orders2()'s links gives their primes: from seed, a prime
+    of order h at or below lo, or with no seed from the first prime of
+    order h among them, found by stepping through them until one is prime
+    by small_prime_flags() and has index (q - 1) / h.
+
+    The stores are fetched when the reader is built, and count builds one
+    per count, so a count sees a table or section hidden before it.  With
+    listed False the table and the section are not read and no order lists
+    any prime: scripts/factor_table.py builds the section from the links.
     """
+    table, below = {}, 0
+    if listed:
+        table, (below, bound, orders, listing) = _phi2_table(), _phi2_scanned()
+        least, most = _phi2_data()["orders"]
     index, links = _orders2()
-    step = h if h % 2 == 0 else 2 * h
-    # the least q = 1 (mod step) above lo, the first candidate
-    first = lo + 1 + (-lo) % step
-    if seed is None:
-        flags, primes = small_prime_flags(), small_primes()
-        # flags[i] stands for 2i + 1, so flags[0] for q = 1; none found: limit + 1
-        seed = next((q for q in range(first, min(limit, TRIAL_DIVISION_LIMIT - 1) + 1, step)
-                     if flags[q >> 1] and index[bisect_left(primes, q)] * h == q - 1), limit + 1)
-    # no candidate below TRIAL_DIVISION_LIMIT, or no prime of order h: nothing to follow
-    got, q = [], seed if first < TRIAL_DIVISION_LIMIT else limit + 1
-    while q <= limit:
-        if lo < q:
-            got.append(q)
-        # a prime with no link is the largest of its order below the limit
-        q = links.get(q, limit + 1)
-    return got
 
+    def known(h: int, lo: int, limit: int,
+              seed: int | None = None) -> tuple[list[int], int, int | None]:
+        step = h if h % 2 == 0 else 2 * h
+        # the least q = 1 (mod step) above lo and above 1, the first candidate
+        first = lo + 1 + -lo % step if lo else step + 1
+        if limit < first:
+            return [], 0, None
+        # a hidden section has below 0, so the table comes first
+        if h in table:
+            return [q for q in _tabled_factorization(h)[0].primes() if lo < q <= limit], 0, None
+        if h < 3:
+            return ([3] if h == 2 and lo < 3 <= limit else []), 0, None
+        got, upto = [], 0
+        if h < below:
+            if least <= h <= most:
+                _check_entry(h, table, _phi2_partial())
+            i = bisect_left(orders, h)
+            j = bisect_right(orders, h, i)
+            got = listing[bisect_right(listing, lo, i, j):bisect_right(listing, limit, i, j)]
+            upto = bound
+            if upto > lo:
+                lo, first = upto, upto + 1 + -upto % step
+                if limit < first:
+                    return got, 0, upto
+        if first < TRIAL_DIVISION_LIMIT:
+            if seed is None:
+                flags, primes = small_prime_flags(), small_primes()
+                # flags[i] stands for 2i + 1, so flags[0] for q = 1; none found: limit + 1
+                last = min(limit, TRIAL_DIVISION_LIMIT - 1)
+                seed = next((q for q in range(first, last + 1, step)
+                             if flags[q >> 1] and index[bisect_left(primes, q)] * h == q - 1),
+                            limit + 1)
+            q = seed
+            while q <= limit:
+                if lo < q:
+                    got.append(q)
+                # a prime with no link is the largest of its order below the limit
+                q = links.get(q, limit + 1)
+        return got, (limit - first) // step + 1, upto
 
-def _known_primes(h: int, lo: int, limit: int,
-                  seed: int | None = None) -> tuple[list[int], int | None]:
-    """(the primes of order h in (lo, limit] known without an order test, ascending; B).
-
-    B is _listed_primes's bound, and the primes are those it lists in
-    (lo, limit], then, unless they are all (B None), those in
-    (max(lo, B), limit] below TRIAL_DIVISION_LIMIT, by _linked_primes from
-    seed, or with no seed from the first of them.  Above the limit only an
-    order test finds more.
-    """
-    listed, bound = _listed_primes(h)
-    got = [q for q in listed if lo < q <= limit] if listed else []  # most orders list none
-    # a section order, listed up to 2**30, has nothing left to read below the limit
-    if bound is not None and bound < TRIAL_DIVISION_LIMIT:
-        got += _linked_primes(h, max(lo, bound), limit, seed)
-    return got, bound
+    return known
 
 
 def _prove_entry(n: int, factors, complete: bool) -> None:

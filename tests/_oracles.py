@@ -147,21 +147,48 @@ def per_prime_factorize(n, budget=None):
 
 
 def per_order_complete(x, orders, budget):
-    """Reference for count._complete: a plain loop over the orders.
+    """Reference for count._complete: a plain loop over the orders, none of count's reads.
 
-    Each order in ascending h takes its primes in (sqrt(x), x // P_h[0]]
-    from its own call of count._primes_of_order, given P_h's largest prime
-    to follow the links from, and every prime's exponent from pow, with no
-    order passed over; the charges, the exhaustion message and its partial
-    are count's.
+    Each order in ascending h takes its primes in (sqrt(x), x // P_h[0]]:
+    those the table lists, read off the stores as parsed (all of a
+    complete entry's, or the scanned section's up to its bound B for any
+    other order below its limit; none, B = 0, for an order from there up),
+    then above B those below 10**6 from walked_primes, one walk of the
+    index of 2 for all the orders, and those from 10**6 up from
+    pow_primes_of_order.  An order with a bound pays first one unit per
+    odd candidate q = 1 (mod h) above max(sqrt(x), B), counted here.  Every
+    prime's exponent comes from pow, with no order passed over; the
+    exhaustion message and its partial are count's.
     """
     root = isqrt(x)
+    caps = {h: x // seeds[0] for h, seeds in orders.items()}
+    walked = walked_primes(root, caps) if caps else {}
+    table = primover._phi2_table()
+    below, bound, section_orders, section_primes = primover._phi2_scanned()
+    section = {}
+    for h, q in zip(section_orders, section_primes):
+        section.setdefault(h, []).append(q)
     groups = {}
     for h in sorted(orders):
-        seeds = orders[h]
+        seeds, limit = orders[h], caps[h]
+        if h < 3:
+            listed, upto = [3] if h == 2 else [], None
+        elif h in table:
+            listed, upto = [p for p, _ in table[h]], None
+        elif h < below:
+            listed, upto = section.get(h, []), bound
+        else:
+            listed, upto = [], 0
+        primes = [q for q in listed if root < q <= limit]
         try:
+            if upto is not None:
+                lo, step = max(root, upto), h if h % 2 == 0 else 2 * h
+                # the q = 1 (mod step) in (lo, limit], lo >= 1
+                budget.charge(max(0, (limit - 1) // step - (lo - 1) // step))
+                primes += [q for q in walked.get(h, []) if q > lo]
+                primes += pow_primes_of_order(h, max(lo, 10**6 - 1), limit)
             slots = []
-            for q in seeds + count._primes_of_order(h, root, x // seeds[0], budget, seeds[-1]):
+            for q in seeds + primes:
                 e, nq = 1, q * q
                 while nq <= x and pow(2, h, nq) == 1:
                     e, nq = e + 1, nq * q

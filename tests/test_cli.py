@@ -229,6 +229,24 @@ class TestCountCommand:
             "9b534e906506c28f85ebf2c6b0435d1c5dfe95fcaf73076aa79fde839b58bd78"
         )
 
+    def test_bytes_at_1e10(self, capsys):
+        # the benchmark's scale, where 4283 orders from 10**4 up are charged
+        # and read off the links: the whole stdout, as at 1e8
+        code, out, err = run_cli(capsys, "count", "10000000000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            '{"command": "count", "effort_spent": 36701, "input": {"x": 10000000000}, '
+            '"result": {"by_order": [[11, 1], [23, 1], [25, 1], [28, 1], [29, 4], '
+        )
+        assert out.endswith(
+            '[67956, 1], [69876, 1]], "ov": 1730, "ratio": 5.470740352091296e-05, '
+            '"x": 10000000000, "x_3_4": 31622776.60168379}, "warnings": []}\n'
+        )
+        assert len(out.encode()) == 14063
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8ba1e147c72a80712cfd7dd264b148a23adba5814a6aa938279a365826c41b31"
+        )
+
     def test_budget_exhaustion_bytes(self, capsys):
         # every order below 10**4 is read from the table, at no charge; at
         # 3e8 the first order above it, 10098, scans, after the orders with

@@ -372,7 +372,7 @@ class TestPrimesOfOrder:
         below = pow_primes_of_order(h, 0, 10**6 - 1)
         assert all(q in primes for q in below)
         assert walked_primes(0, {h: 10**6 - 1}).get(h, []) == below
-        assert primover._linked_primes(h, 0, 10**6 - 1) == below
+        assert primover._known_reader(listed=False)(h, 0, 10**6 - 1)[0] == below
         assert count_module._scan(h, 0, 10**6 - 1, Budget()) == []
         first = start + (10**6 - start) // step * step + step
         n = (1_100_000 - first) // step + 1
@@ -585,24 +585,29 @@ class TestPhi2Table:
         assert primover._phi2_partial() == {int(h): f for h, f in data["partial"].items()}
         # what primover lists is all of an order's primes for h <= 2 and a
         # complete entry, all up to the section's bound for any other order
-        # below 10**4, partial or untabled, and nothing for one above it
-        assert primover._listed_primes(1) == ((), None)
-        assert primover._listed_primes(2) == ((3,), None)
+        # below 10**4, partial or untabled, and nothing for one above it,
+        # whose primes below 10**6 the links give and whose candidates are left
+        known = primover._known_reader()
+        assert known(1, 0, 10) == ([], 0, None)
+        assert known(2, 0, 10) == ([3], 0, None)
         bound = data["scanned"]["bound"]
         assert data["scanned"]["below"] == 10**4
         for h in [*range(1, 1001), 1001, 1122, 2249, 9999, 10**4, 499991]:
-            listed, upto = primover._listed_primes(h)
-            assert list(listed) == sorted(set(listed)), h
+            listed, left, upto = known(h, 0, bound)
+            assert listed == sorted(set(listed)), h
             assert upto == (None if h <= 2 or h in tabled else bound if h < 10**4 else 0), h
-            assert upto != 0 or listed == (), h
-        assert primover._listed_primes(2249)[0][:2] == [931087, 1619281]
+            assert (left == 0) == (upto != 0), h
+            # from 10**6 up no link is read
+            assert upto != 0 or known(h, 10**6 - 1, bound)[0] == [], h
+        assert known(2249, 0, bound)[0][:2] == [931087, 1619281]
 
     def test_every_entry_is_the_primes_of_order_h(self):
         # primality by sympy, the order by pow, the product by the Moebius formula
+        known = primover._known_reader()
         for h, factors in primover._phi2_table().items():
             primes = [p for p, _ in factors]
             assert primes == sorted(set(primes)), h
-            assert primover._listed_primes(h) == (tuple(primes), None), h
+            assert known(h, 0, (1 << h) - 1) == (primes, 0, None), h
             assert math.prod(p**e for p, e in factors) == reduced_phi2(h), h
             for p, e in factors:
                 assert e >= 1 and isprime(p), (h, p)
@@ -661,23 +666,21 @@ class TestPhi2Table:
         # every tabled order with a candidate is read, at no charge, and so is
         # every other order below 10**4, whose limits at 1e9 all lie below
         # the scanned section's bound, so the charge is the scans' of the
-        # orders from 10**4 up alone
-        calls, looked_up = [], []
-        primes_of_order, lookup = count_module._primes_of_order, primover._tabled_factorization
-
-        def primes_of_order_spy(h, lo, limit, budget, seed=None):
-            calls.append((h, lo, limit))
-            return primes_of_order(h, lo, limit, budget, seed)
+        # orders from 10**4 up alone; the sweep's orders are completed h
+        # ascending, each over (sqrt(x), x // P_h[0]]
+        looked_up = []
+        lookup = primover._tabled_factorization
 
         def lookup_spy(h):
             looked_up.append(h)
             return lookup(h)
 
-        monkeypatch.setattr(count_module, "_primes_of_order", primes_of_order_spy)
         monkeypatch.setattr(primover, "_tabled_factorization", lookup_spy)
         budget = Budget()
         assert ov_count(10**9, budget).ov == 663
         assert budget.spent == 1268
+        calls = [(h, math.isqrt(10**9), 10**9 // seeds[0])
+                 for h, seeds in sorted(count_module._sweep(10**9).items())]
         table = primover._phi2_table()
         below, bound = primover._phi2_scanned()[:2]
         assert all(limit < bound for h, _, limit in calls if h < below)
@@ -760,14 +763,16 @@ class TestPhi2Table:
         # neither kind raises instead of listing nothing; one above the
         # range, and one above the section's limit, lists as before
         h = 3 if hide == "_phi2_table" else 137
-        listed_1000, listed_10007 = primover._listed_primes(1000), primover._listed_primes(10007)
+        listed_1000, listed_10007 = (primover._known_reader()(n, 0, 2**30) for n in (1000, 10007))
         monkeypatch.setattr(primover, hide, dict)
+        known = primover._known_reader()
         with pytest.raises(ContractViolationError, match=f"no entry for Phi_{h}\\(2\\)"):
-            primover._listed_primes(h)
+            known(h, 0, 10**4)
         with pytest.raises(ContractViolationError, match=f"no entry for Phi_{h}\\(2\\)"):
             count_module._primes_of_order(h, 0, 10**4, Budget())
-        assert primover._listed_primes(1000) == listed_1000
-        assert primover._listed_primes(10007) == listed_10007 == ((), 0)
+        assert known(1000, 0, 2**30) == listed_1000
+        assert known(10007, 0, 2**30) == listed_10007
+        assert listed_10007[2] == 0 and known(10007, 10**6 - 1, 2**30)[0] == []
 
     def test_digest_is_the_committed_file_sha256(self):
         assert primover.PHI2_SHA256 == hashlib.sha256(self.FILE.read_bytes()).hexdigest()
@@ -902,10 +907,11 @@ class TestScannedSection:
         assert set(covered) == set(primover._phi2_partial()) | set(range(1000, below))
         by_order = _scanned_by_order()
         assert set(by_order) <= set(covered)
+        known = primover._known_reader()
         for h in covered:
             listed = by_order.get(h, [])
             assert all(q <= bound for q in listed), h
-            assert primover._listed_primes(h) == (listed, bound), h
+            assert known(h, 0, bound) == (listed, 0, bound), h
             for q in listed:
                 assert isprime(q) and pow(2, h, q) == 1, (h, q)
                 assert all(pow(2, h // r, q) != 1 for r in primefactors(h)), (h, q)
@@ -1195,12 +1201,15 @@ class TestCountFactorsNothing:
         assert budget.spent == 116429383
 
     def test_table_reaches_count_only_through_listed_primes(self, monkeypatch, request):
-        # primover listing nothing for h >= 3 gives what hiding the whole
-        # table gives: the same record, and the same charge for the scans
-        listed_primes = primover._listed_primes
+        # primover listing nothing for h >= 3, with the two stores its reader
+        # lists from hidden (the complete entries and the scanned section),
+        # gives what hiding the whole table, partial entries too, gives: the
+        # same record, and the same charge for the scans
         with monkeypatch.context() as unlisted:
-            unlisted.setattr(primover, "_listed_primes",
-                             lambda h: listed_primes(h) if h < 3 else ((), 0))
+            unlisted.setattr(primover, "_phi2_table", dict)
+            unlisted.setattr(primover, "_phi2_scanned", lambda: (0, 0, [], []))
+            known = primover._known_reader()
+            assert [known(h, 10**6 - 1, 10**7)[::2] for h in (3, 97, 137, 1000)] == [([], 0)] * 4
             unlisted_budget = Budget()
             got = ov_count(10**7, unlisted_budget)
         request.getfixturevalue("no_phi2_table")
@@ -1530,7 +1539,7 @@ class TestOnePass:
         # with the table hidden order 6 lists nothing, and has no prime at
         # all: the read with none in hand steps over every candidate below
         # 10**6 and finds none, charging each
-        assert primover._known_primes(6, 0, 10**6 - 1) == ([], 0)
+        assert primover._known_reader()(6, 0, 10**6 - 1) == ([], 166666, 0)
         budget = Budget()
         assert count_module._primes_of_order(6, 0, 10**6 - 1, budget) == []
         assert budget.spent == len(candidates_above(6, 0, 10**6 - 1)) == 166666
@@ -1565,6 +1574,93 @@ class TestOnePass:
         assert got == [921601, 1198081]
         assert calls == [(2 * 10**6, [1198081])]
         assert budget.spent == len(candidates_above(11520, 900_000, 2 * 10**6)) == 95
+
+
+class TestFlatStep:
+    """Each decision of count's one step per order, at its boundary: the
+    exponent of a lone prime, a read that ends at the limit or starts at
+    sqrt(x), and the scan from 10**6 up."""
+
+    @pytest.mark.parametrize("h, q", [(364, 1093), (1755, 3511)])
+    def test_lone_wieferich_prime(self, h, q):
+        # a lone prime below 10**6 forms no member, but for 1093 and 3511,
+        # whose squares divide 2**h - 1: a member at x = q**2, none below it
+        assert count_module._sweep(q * q)[h] == [q]
+        for x, want in ((q * q, {h: [q * q]}), (q * q - 1, {})):
+            budget = Budget(0)
+            assert count_module._complete(x, {h: [q]}, budget) == want, x
+        assert ov_count(q * q).by_order[h] == 1
+        assert h not in ov_count(q * q - 1).by_order
+
+    def test_linked_prime_at_the_limit(self):
+        # order 11812 lists nothing; at x = q * r its one seed q has the
+        # limit x // q = r, the next prime of its order by the links, which
+        # is read, and one below that limit it is not; at x = r**2 the
+        # largest seed is sqrt(x) itself, where the links start, and is not
+        # read again.  Each pays for every candidate in (sqrt(x), limit]
+        h, q, r = 11812, 11813, 35437
+        assert primover._orders2()[1][q] == r
+        for x, seeds, want in ((q * r, [q], {h: [q * r]}), (q * r - 1, [q], {}),
+                               (r * r, [q, r], {h: [q * r]})):
+            assert count_module._sweep(x)[h] == seeds
+            budget = Budget()
+            assert count_module._complete(x, {h: seeds}, budget) == want, x
+            assert budget.spent == len(candidates_above(h, math.isqrt(x), x // q)) > 0, x
+
+    def test_section_prime_at_sqrt_x_and_at_the_limit(self):
+        # order 1076 lists 2153, 3229, 5381 and 8609 first in the scanned section:
+        # at x = 3229**2 the prime at sqrt(x) is a seed and is not read again,
+        # and at x = 2153 * 5381 the prime at the limit x // 2153 is read, as
+        # at x = 2153 * 3229, where it is the one candidate above sqrt(x); a
+        # section order below its bound is read at no charge
+        h = 1076
+        assert _scanned_by_order()[h][:4] == [2153, 3229, 5381, 8609]
+        assert candidates_above(h, math.isqrt(2153 * 3229), 3229) == range(3229, 3230, 1076)
+        for x, seeds, want in ((2153 * 3229, [2153], [2153 * 3229]),
+                               (3229**2, [2153, 3229], [2153 * 3229]),
+                               (2153 * 5381, [2153, 3229], [2153 * 3229, 2153 * 5381]),
+                               (2153 * 5381 - 1, [2153, 3229], [2153 * 3229])):
+            assert count_module._sweep(x)[h] == seeds
+            budget = Budget(0)
+            assert sorted(count_module._complete(x, {h: seeds}, budget)[h]) == want, x
+
+    def test_limit_across_the_trial_division_limit(self):
+        # order 10396 has the primes 31189 and 1070789 up to 3e6: at
+        # x = 31189 * 1070789 the read below 10**6 finds nothing more and
+        # the scan from there up finds the prime at the limit; one below,
+        # nothing; each candidate in (sqrt(x), limit] is charged once
+        h, q, r = 10396, 31189, 1070789
+        assert pow_primes_of_order(h, 0, 3 * 10**6) == [q, r]
+        for x, want in ((q * r, {h: [q * r]}), (q * r - 1, {})):
+            budget = Budget()
+            assert count_module._complete(x, {h: [q]}, budget) == want, x
+            assert budget.spent == len(candidates_above(h, math.isqrt(x), x // q)), x
+
+    @pytest.mark.usefixtures("no_scanned_section")
+    def test_section_hidden_reads_the_table_first(self):
+        # with the section hidden its limit reads 0, below every order, yet
+        # a tabled order is still read off its entry, at no charge, while
+        # order 1076 lists nothing and pays for each candidate from sqrt(x)
+        # up, with the members it has with the section
+        x = 2153 * 5381
+        orders = count_module._sweep(x)
+        assert orders[11] == [23, 89]
+        assert count_module._complete(x, {11: orders[11]}, Budget(0)) == {11: [2047]}
+        budget = Budget()
+        got = count_module._complete(x, {1076: orders[1076]}, budget)
+        assert sorted(got[1076]) == [2153 * 3229, 2153 * 5381]
+        assert budget.spent == len(candidates_above(1076, math.isqrt(x), x // 2153)) > 0
+
+    @pytest.mark.usefixtures("no_phi2_table")
+    @pytest.mark.parametrize("x", [10**7, 3 * 10**7])
+    def test_table_hidden_equals_the_per_order_loop(self, x):
+        # with the whole table hidden every order h >= 3 lists nothing: the
+        # links below 10**6 and the scan above, charged from sqrt(x) up
+        orders = count_module._sweep(x)
+        one_pass, per_order = Budget(10**8), Budget(10**8)
+        assert count_module._complete(x, orders, one_pass) == per_order_complete(x, orders,
+                                                                                per_order)
+        assert one_pass.spent == per_order.spent > 0
 
 
 class TestByOrder:
